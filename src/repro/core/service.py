@@ -622,8 +622,10 @@ class ParallelExecutor:
     Submission is chunked (several documents per task) to amortise
     pickling overhead; completion order is irrelevant because every
     result is placed back at its input index.  If the platform cannot
-    spawn worker processes at all, the executor degrades to the
-    sequential fallback rather than failing the batch.
+    spawn worker processes at all, or the pool breaks, the executor
+    degrades to the sequential fallback rather than failing the batch;
+    the documents re-run that way are counted in ``lint.pool.fallbacks``
+    and announced by a ``lint.pool.fallback`` warn event.
     """
 
     def __init__(
@@ -690,27 +692,33 @@ class ParallelExecutor:
                 initargs=(self.specification,),
             )
         except (OSError, ValueError):  # pragma: no cover - no multiprocessing
-            for index, request in portable:
-                yield index, fallback(request)
+            yield from _run_in_parent(portable, fallback, "pool creation failed")
             return
 
         registry = get_registry()
         broken: list[int] = []
         with pool:
-            futures = {
-                pool.submit(
-                    _worker_run_chunk,
-                    [request for _, request in chunk],
-                    collect_trace,
-                    collect_profile,
-                ): [index for index, _ in chunk]
-                for chunk in chunks
-            }
+            futures = {}
+            for chunk in chunks:
+                indices = [index for index, _ in chunk]
+                try:
+                    future = pool.submit(
+                        _worker_run_chunk,
+                        [request for _, request in chunk],
+                        collect_trace,
+                        collect_profile,
+                    )
+                except (BrokenProcessPool, OSError):
+                    # The pool broke (or could not fork) before this
+                    # chunk was queued.
+                    broken.extend(indices)
+                    continue
+                futures[future] = indices
             for future in as_completed(futures):
                 indices = futures[future]
                 try:
                     chunk_results, metrics, spans, profile = future.result()
-                except BrokenProcessPool:  # pragma: no cover - worker died
+                except BrokenProcessPool:
                     broken.extend(indices)
                     continue
                 registry.merge_snapshot(metrics)
@@ -726,6 +734,24 @@ class ParallelExecutor:
                     yield index, result
         # Requests lost to a broken pool re-run sequentially, so a dying
         # worker degrades throughput, never correctness.
-        request_at = dict(portable)
-        for index in broken:  # pragma: no cover - worker died
-            yield index, fallback(request_at[index])
+        if broken:
+            request_at = dict(portable)
+            yield from _run_in_parent(
+                [(index, request_at[index]) for index in broken],
+                fallback,
+                "worker pool broke",
+            )
+
+
+def _run_in_parent(
+    requests: list[tuple[int, LintRequest]],
+    fallback: Callable[[LintRequest], LintResult],
+    reason: str,
+) -> Iterator[tuple[int, LintResult]]:
+    """Check in this process what the pool could not: counted, not silent."""
+    get_registry().inc("lint.pool.fallbacks", len(requests))
+    get_event_log().emit(
+        "lint.pool.fallback", level="warn", documents=len(requests), reason=reason
+    )
+    for index, request in requests:
+        yield index, fallback(request)

@@ -24,6 +24,7 @@ REASON_PHRASES = {
     404: "Not Found",
     405: "Method Not Allowed",
     410: "Gone",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     502: "Bad Gateway",

@@ -30,12 +30,26 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from typing import Optional
 
 from repro.www.message import Request, Response, reason_for
 from repro.www.virtualweb import VirtualWeb
 
 _MAX_REQUEST_BYTES = 1024 * 1024
+#: After an error status, how much unread input the server drains (and
+#: for how long) before closing, so the client reads the status instead
+#: of a connection reset.
+_DRAIN_BYTES = 4 * _MAX_REQUEST_BYTES
+_DRAIN_SECONDS = 2.0
+
+
+class _RequestError(Exception):
+    """A request answered with an error status instead of being handled."""
+
+    def __init__(self, status: int, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
 
 
 class HTTPServer:
@@ -141,7 +155,15 @@ class HTTPServer:
     def _handle_connection(self, connection: socket.socket) -> None:
         try:
             connection.settimeout(5)
-            raw = self._read_request(connection)
+            try:
+                raw = self._read_request(connection)
+            except _RequestError as exc:
+                title = f"{exc.status} {reason_for(exc.status)}"
+                connection.sendall(
+                    _render(exc.status, f"<h1>{title}</h1><p>{exc}</p>")
+                )
+                _drain(connection)
+                return
             if raw is None:
                 return
             response_bytes = self._respond(raw)
@@ -160,8 +182,10 @@ class HTTPServer:
 
         The historical bug here stopped at the header boundary, so POST
         form submissions silently lost their body.  Now the declared
-        body is read too, bounded by ``_MAX_REQUEST_BYTES`` overall so
-        a hostile Content-Length cannot balloon memory.
+        body is read too.  A request whose declared size exceeds
+        ``_MAX_REQUEST_BYTES`` is refused with 413 before any of its
+        body is read, and a peer that closes before its declared body
+        has arrived gets 400 (both raise :class:`_RequestError`).
         """
         data = b""
         while b"\r\n\r\n" not in data and b"\n\n" not in data:
@@ -178,14 +202,24 @@ class HTTPServer:
         if header_end is None:
             return data or None
         content_length = _declared_content_length(data[:header_end])
-        want = min(header_end + content_length, _MAX_REQUEST_BYTES)
+        want = header_end + content_length
+        if want > _MAX_REQUEST_BYTES:
+            raise _RequestError(
+                413,
+                f"a {content_length}-byte body exceeds the "
+                f"{_MAX_REQUEST_BYTES}-byte request limit",
+            )
         while len(data) < want:
             try:
                 chunk = connection.recv(65536)
             except OSError:
                 break
             if not chunk:
-                break
+                raise _RequestError(
+                    400,
+                    f"connection closed after {len(data) - header_end} of "
+                    f"{content_length} declared body bytes",
+                )
             data += chunk
         return data or None
 
@@ -338,6 +372,28 @@ def _declared_content_length(head: bytes) -> int:
             except ValueError:
                 return 0
     return 0
+
+
+def _drain(connection: socket.socket) -> None:
+    """Half-close, then read and drop what the client still sends.
+
+    Closing a socket with unread input makes the kernel answer with a
+    reset, which can destroy an error response before the client reads
+    it.  Bounded in bytes and time, so a client that never stops sending
+    cannot hold the thread.
+    """
+    connection.shutdown(socket.SHUT_WR)
+    deadline = time.monotonic() + _DRAIN_SECONDS
+    left = _DRAIN_BYTES
+    while left > 0:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return
+        connection.settimeout(remaining)
+        chunk = connection.recv(min(65536, left))
+        if not chunk:
+            return
+        left -= len(chunk)
 
 
 def _split_head_body(raw: bytes) -> tuple[dict[str, str], bytes]:

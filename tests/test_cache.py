@@ -9,6 +9,10 @@ The contract under test (docs/caching.md):
   re-bound to the requesting document's name;
 - a corrupt, truncated or wrong-version disk entry degrades to a miss,
   never an error;
+- the disk tier's segment logs: one writer per segment, idle segments
+  adopted before new ones are made, records visible across processes,
+  failed writes cut back, a read-only directory degrades to memory, and
+  a writer SIGKILLed mid-batch loses only its unfinished record;
 - a ``UserAgent`` with an ``http_cache`` revalidates unchanged pages via
   ``304 Not Modified`` and falls back to a full GET when the stored body
   has been evicted;
@@ -19,12 +23,22 @@ The contract under test (docs/caching.md):
 from __future__ import annotations
 
 import json
+import os
+import signal
+import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main as weblint_main
 from repro.config.options import Options
 from repro.core.cache import ResultCache, result_key, service_fingerprint
+from repro.core.diagnostics import Diagnostic
+from repro.core.messages import Category
 from repro.core.registry import default_registry
 from repro.core.service import LintService, PathSource, StringSource
 from repro.obs.metrics import use_registry
@@ -36,9 +50,49 @@ from tests.conftest import make_document
 
 DOCUMENT = make_document("<p>hello<img src=x></p>")
 
+#: The documented record header (docs/caching.md): magic, raw key,
+#: payload length, crc32.  Parsed here independently of the cache code.
+RECORD_HEADER = struct.Struct("<4s32sII")
+
 
 def fingerprint_of(service: LintService) -> bytes:
     return service.cache_fingerprint()
+
+
+def segments(cache_dir: Path) -> list[Path]:
+    return sorted((cache_dir / "v2").glob("seg-*.log"))
+
+
+def record_spans(segment: Path) -> list[tuple[int, int]]:
+    """``(start, end)`` of every complete record, in file order."""
+    data = segment.read_bytes()
+    spans, offset = [], 0
+    while offset + RECORD_HEADER.size <= len(data):
+        magic, _key, length, _crc = RECORD_HEADER.unpack_from(data, offset)
+        end = offset + RECORD_HEADER.size + length
+        if magic != b"WLC2" or end > len(data):
+            break
+        spans.append((offset, end))
+        offset = end
+    return spans
+
+
+def record_keys(segment: Path) -> list[str]:
+    data = segment.read_bytes()
+    return [
+        RECORD_HEADER.unpack_from(data, start)[1].hex()
+        for start, _ in record_spans(segment)
+    ]
+
+
+def stub_diagnostics(count: int) -> list[Diagnostic]:
+    return [
+        Diagnostic(
+            message_id="img-alt", category=Category.WARNING,
+            text=f"finding {index}", line=index + 1, column=1,
+        )
+        for index in range(count)
+    ]
 
 
 class TestKeyInvalidation:
@@ -115,13 +169,18 @@ class TestResultCache:
         )
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
+        """A payload byte flipped on disk fails the crc: a counted miss."""
         page = tmp_path / "page.html"
         page.write_text(DOCUMENT)
         cache = ResultCache(tmp_path / "cache")
         service = LintService(cache=cache)
         expected = service.check(PathSource(page)).diagnostics
-        [entry] = list((tmp_path / "cache").rglob("*.json"))
-        entry.write_text("{not json")
+        cache.close()
+        [segment] = segments(tmp_path / "cache")
+        [(start, end)] = record_spans(segment)
+        data = bytearray(segment.read_bytes())
+        data[end - 2] ^= 0x01  # inside the JSON payload
+        segment.write_bytes(bytes(data))
         with use_registry() as registry:
             fresh = LintService(cache=ResultCache(tmp_path / "cache"))
             result = fresh.check(PathSource(page))
@@ -133,18 +192,25 @@ class TestResultCache:
         ]
 
     def test_wrong_version_entry_is_a_miss(self, tmp_path):
+        """Neither a version-1 file nor a record with another magic is read."""
         page = tmp_path / "page.html"
         page.write_text(DOCUMENT)
-        service = LintService(cache=ResultCache(tmp_path / "cache"))
+        cache = ResultCache(tmp_path / "cache")
+        service = LintService(cache=cache)
+        key = service._cache_key(DOCUMENT)
         service.check(PathSource(page))
-        [entry] = list((tmp_path / "cache").rglob("*.json"))
-        data = json.loads(entry.read_text())
-        data["version"] = 999
-        entry.write_text(json.dumps(data))
+        cache.close()
+        [segment] = segments(tmp_path / "cache")
+        data = segment.read_bytes()
+        segment.write_bytes(b"WLC9" + data[4:])
+        legacy = tmp_path / "cache" / key[:2] / f"{key}.json"
+        legacy.parent.mkdir()
+        legacy.write_text(json.dumps({"version": 1, "diagnostics": []}))
         with use_registry() as registry:
             fresh = LintService(cache=ResultCache(tmp_path / "cache"))
-            fresh.check(PathSource(page))
+            result = fresh.check(PathSource(page))
         assert registry.snapshot().get("cache.lint.misses") == 1
+        assert result.diagnostics  # not the empty list the old file held
 
     def test_memory_lru_evicts_and_counts(self, tmp_path):
         cache = ResultCache(memory_entries=2)
@@ -157,12 +223,23 @@ class TestResultCache:
         assert registry.snapshot().get("cache.lint.evictions") == 2
 
     def test_clear_counts_removed_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        """Segments and a version-1 shard tree go; only keys count."""
+        cache_dir = tmp_path / "cache"
+        cache = ResultCache(cache_dir)
         service = LintService(cache=cache)
         for index in range(3):
             service.check(StringSource(make_document(f"<p>{index}</p>")))
-        assert cache.clear() == 3
+        legacy = cache_dir / "ab"
+        legacy.mkdir()
+        (legacy / f"ab{'0' * 62}.json").write_text("{}")
+        (legacy / ".ab000000.x.tmp").write_text("")
+        (cache_dir / "notes.txt").write_text("not the cache's")
+        assert cache.clear() == 4
         assert cache.clear() == 0
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["notes.txt"]
+        # Still usable after a clear: the next put starts a new segment.
+        service.check(StringSource(make_document("<p>after</p>")))
+        assert len(segments(cache_dir)) == 1
 
     def test_explicit_rules_disable_the_cache(self, tmp_path):
         from repro.core.rules.base import Rule
@@ -205,6 +282,297 @@ class TestResultCache:
         assert [
             [str(d) for d in result.diagnostics] for result in before
         ] == [[str(d) for d in result.diagnostics] for result in after]
+
+
+def keys_for(*names: str) -> list[str]:
+    return [result_key(name, b"fingerprint") for name in names]
+
+
+def announce_then_sleep(started) -> None:
+    started.set()
+    time.sleep(30)
+
+
+def stress_key(writer: int, thread: int, index: int) -> str:
+    return result_key(f"writer {writer} thread {thread} doc {index}", b"fingerprint")
+
+
+def write_from_two_threads(directory: Path, writer: int, per_thread: int) -> None:
+    """One writer process: two threads appending through one cache."""
+    import threading
+
+    sys.setswitchinterval(1e-6)  # this process exits right after
+    cache = ResultCache(directory)
+
+    def work(thread: int) -> None:
+        for index in range(per_thread):
+            cache.put(stress_key(writer, thread, index), stub_diagnostics(index % 4))
+
+    threads = [threading.Thread(target=work, args=(thread,)) for thread in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+
+class TestSegmentLog:
+    """The disk tier's append-only segments (docs/caching.md)."""
+
+    def test_put_is_a_hit_for_an_instance_already_open(self, tmp_path):
+        writer = ResultCache(tmp_path / "cache")
+        reader = ResultCache(tmp_path / "cache")
+        [key] = keys_for("shared")
+        assert reader.get(key) is None  # indexes the directory as it is
+        writer.put(key, stub_diagnostics(2))
+        with use_registry() as registry:
+            found = reader.get(key, filename="x.html")
+        assert [d.text for d in found] == ["finding 0", "finding 1"]
+        assert {d.filename for d in found} == {"x.html"}
+        assert registry.snapshot().get("cache.lint.hits") == 1
+
+    def test_sequential_writers_leave_one_segment(self, tmp_path):
+        keys = keys_for(*(f"document {index}" for index in range(20)))
+        for key in keys:
+            cache = ResultCache(tmp_path / "cache")
+            cache.put(key, stub_diagnostics(1))
+            cache.close()
+        [segment] = segments(tmp_path / "cache")
+        assert record_keys(segment) == keys
+        reader = ResultCache(tmp_path / "cache")
+        assert all(reader.get(key) is not None for key in keys)
+
+    def test_concurrent_writers_take_a_segment_each(self, tmp_path):
+        first = ResultCache(tmp_path / "cache")
+        second = ResultCache(tmp_path / "cache")
+        a, b, c = keys_for("a", "b", "c")
+        first.put(a, [])
+        second.put(b, [])
+        assert len(segments(tmp_path / "cache")) == 2
+        first.close()
+        second.close()
+        ResultCache(tmp_path / "cache").put(c, [])
+        assert len(segments(tmp_path / "cache")) == 2
+
+    def test_concurrent_writers_lose_nothing(self, tmp_path):
+        """More writer processes than cores, two threads each, one
+        directory: every record lands whole, each segment has one writer."""
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        writers = [
+            context.Process(
+                target=write_from_two_threads, args=(tmp_path / "cache", writer, 25)
+            )
+            for writer in range(4)
+        ]
+        for process in writers:
+            process.start()
+        for process in writers:
+            process.join(60)
+        assert [process.exitcode for process in writers] == [0, 0, 0, 0]
+        expected = {
+            stress_key(writer, thread, index): index % 4
+            for writer in range(4) for thread in (0, 1) for index in range(25)
+        }
+        with use_registry() as registry:
+            reader = ResultCache(tmp_path / "cache")
+            assert {key: len(reader.get(key)) for key in expected} == expected
+        assert registry.snapshot().get("cache.lint.corrupt") is None
+        written = [
+            key for segment in segments(tmp_path / "cache")
+            for key in record_keys(segment)
+        ]
+        assert sorted(written) == sorted(expected)
+        assert 1 <= len(segments(tmp_path / "cache")) <= 4
+
+    def test_collected_instance_releases_its_segment(self, tmp_path):
+        a, b = keys_for("a", "b")
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(a, [])
+        del cache
+        ResultCache(tmp_path / "cache").put(b, [])
+        assert len(segments(tmp_path / "cache")) == 1
+
+    def test_forked_child_does_not_hold_the_segment(self, tmp_path):
+        """A pool worker forked while a segment is open must not keep
+        its lock alive: the next writer adopts the segment anyway."""
+        import multiprocessing
+
+        a, b = keys_for("a", "b")
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(a, [])
+        context = multiprocessing.get_context("fork")
+        started = context.Event()
+        child = context.Process(target=announce_then_sleep, args=(started,))
+        child.start()
+        try:
+            # Fork hooks run before the child's target: once it has
+            # announced itself, it has closed what it inherited.
+            assert started.wait(30)
+            cache.close()
+            ResultCache(tmp_path / "cache").put(b, [])
+            assert len(segments(tmp_path / "cache")) == 1
+        finally:
+            child.terminate()
+            child.join()
+
+    def test_torn_tail_is_a_miss_and_cut_on_adoption(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        keys = keys_for("first", "second", "third")
+        cache = ResultCache(cache_dir)
+        for key in keys:
+            cache.put(key, stub_diagnostics(2))
+        cache.close()
+        [segment] = segments(cache_dir)
+        _, end = record_spans(segment)[-1]
+        os.truncate(segment, end - 5)
+        with use_registry() as registry:
+            fresh = ResultCache(cache_dir)
+            assert fresh.get(keys[0]) and fresh.get(keys[1])
+            assert fresh.get(keys[2]) is None
+            assert registry.snapshot().get("cache.lint.corrupt") is None
+            fresh.put(keys[2], stub_diagnostics(2))  # adopts: cuts the tail
+            fresh.close()
+        assert registry.snapshot().get("cache.lint.corrupt") == 1
+        assert record_keys(segment) == keys
+        assert segment.stat().st_size == end
+
+    @pytest.mark.parametrize("failure", ["short", "raises"])
+    def test_failed_write_is_cut_back_and_counted(
+        self, tmp_path, monkeypatch, failure
+    ):
+        cache_dir = tmp_path / "cache"
+        a, b, c = keys_for("a", "b", "c")
+        cache = ResultCache(cache_dir)
+        cache.put(a, stub_diagnostics(1))
+        [segment] = segments(cache_dir)
+        size = segment.stat().st_size
+        real_write = os.write
+
+        def failing_write(fd, data):
+            if failure == "raises":
+                raise OSError(28, "No space left on device")
+            return real_write(fd, data[: len(data) // 2])
+
+        monkeypatch.setattr(os, "write", failing_write)
+        with use_registry() as registry:
+            cache.put(b, stub_diagnostics(3))
+        monkeypatch.undo()
+        assert registry.snapshot().get("cache.lint.write_errors") == 1
+        assert segment.stat().st_size == size
+        assert cache.get(b) is not None  # the memory tier kept it
+        cache.put(c, stub_diagnostics(1))
+        cache.close()
+        assert record_keys(segment) == [a, c]
+        assert sorted(cache_dir.rglob("*")) == [cache_dir / "v2", segment]
+
+    def test_read_only_directory_degrades_to_memory_only(
+        self, tmp_path, monkeypatch
+    ):
+        cache_dir = tmp_path / "cache"
+        old, new, newer = keys_for("old", "new", "newer")
+        warm = ResultCache(cache_dir)
+        warm.put(old, stub_diagnostics(1))
+        warm.close()
+        before = {path: path.stat().st_size for path in cache_dir.rglob("*")}
+        tree = [cache_dir, *cache_dir.rglob("*")]
+        for path in tree:
+            path.chmod(0o555 if path.is_dir() else 0o444)
+        if os.geteuid() == 0:
+            # Permission bits do not bind root: refuse writable opens the
+            # way a read-only mount would.
+            real_open = os.open
+
+            def read_only_open(path, flags, *args, **kwargs):
+                if flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+                    raise OSError(30, "Read-only file system", str(path))
+                return real_open(path, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", read_only_open)
+        try:
+            with use_registry() as registry:
+                cache = ResultCache(cache_dir)
+                assert cache.get(old) is not None
+                cache.put(new, stub_diagnostics(1))
+                cache.put(newer, stub_diagnostics(1))
+                assert cache.get(new) is not None  # memory-only
+                cache.close()
+        finally:
+            monkeypatch.undo()
+            for path in tree:
+                path.chmod(0o755 if path.is_dir() else 0o644)
+        assert registry.snapshot().get("cache.lint.write_errors") == 2
+        assert {
+            path: path.stat().st_size for path in cache_dir.rglob("*")
+        } == before
+
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+
+def stat_counts(stderr: str) -> dict[str, int]:
+    """The integer counters a ``--stats`` summary printed."""
+    counts = {}
+    for line in stderr.splitlines():
+        name, _, value = line.strip().partition(": ")
+        if value.isdigit():
+            counts[name] = int(value)
+    return counts
+
+
+class TestKilledWriter:
+    """SIGKILL a cold ``weblint --cache-dir D --jobs 2`` batch partway."""
+
+    PAGES = 160
+
+    def test_next_run_recovers_every_completed_record(self, tmp_path, capsys):
+        from repro.workload import build_seeded_corpus
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        paths = []
+        for index, page in enumerate(build_seeded_corpus(self.PAGES, seed=12)):
+            path = corpus / f"page{index:03}.html"
+            path.write_text(f"{page.source}<!-- page {index} -->\n")
+            paths.append(str(path))
+        cache_dir = tmp_path / "cache"
+        argv = ["--no-config", "--jobs", "2", "-f", "jsonl", *paths]
+        env = {k: v for k, v in os.environ.items() if not k.startswith("WEBLINT_")}
+        env["PYTHONPATH"] = str(SRC)
+        killed = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "--cache-dir", str(cache_dir), *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while killed.poll() is None and time.monotonic() < deadline:
+                if any(record_spans(segment) for segment in segments(cache_dir)):
+                    break
+                time.sleep(0.002)
+        finally:
+            # The whole session: the batch and its pool workers.
+            try:
+                os.killpg(killed.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            killed.wait()
+        assert killed.returncode == -signal.SIGKILL, "finished before the kill"
+        completed = {
+            key for segment in segments(cache_dir) for key in record_keys(segment)
+        }
+        assert 0 < len(completed) < self.PAGES
+
+        weblint_main(["--cache-dir", str(cache_dir), "--stats", *argv])
+        rerun = capsys.readouterr()
+        weblint_main(["--no-cache", *argv])
+        uncached = capsys.readouterr()
+        assert sorted(rerun.out.splitlines()) == sorted(uncached.out.splitlines())
+        counts = stat_counts(rerun.err)
+        assert counts.get("cache.lint.corrupt", 0) <= 1
+        assert counts["cache.lint.hits"] == len(completed)
 
 
 class TestConditionalFetch:
@@ -351,12 +719,14 @@ class TestWeblintCacheFlags:
     def test_cache_clear(self, tmp_path, capsys):
         page = tmp_path / "page.html"
         page.write_text(DOCUMENT)
-        cache_dir = str(tmp_path / "cache")
-        weblint_main(["--no-config", "--cache-dir", cache_dir, str(page)])
+        cache_dir = tmp_path / "cache"
+        weblint_main(["--no-config", "--cache-dir", str(cache_dir), str(page)])
         capsys.readouterr()
+        assert len(segments(cache_dir)) == 1
         # With no FILE arguments: clear, report, exit clean (no stdin read).
-        assert weblint_main(["--cache-dir", cache_dir, "--cache-clear"]) == 0
+        assert weblint_main(["--cache-dir", str(cache_dir), "--cache-clear"]) == 0
         assert "cache cleared (1 entries)" in capsys.readouterr().err
+        assert list(cache_dir.iterdir()) == []
 
     def test_cache_clear_requires_a_directory(self, capsys, monkeypatch):
         monkeypatch.delenv("WEBLINT_CACHE_DIR", raising=False)

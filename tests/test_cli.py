@@ -272,7 +272,9 @@ class TestWeblintObservabilityCli:
     def test_stats_reporter_format(self, example_file, capsys):
         import json
 
-        weblint_main(["--no-config", "-f", "stats", str(example_file)])
+        # --no-cache: a cache hit (WEBLINT_CACHE_DIR) skips the engine,
+        # and with it the lint.check_ms histogram this test reads.
+        weblint_main(["--no-config", "--no-cache", "-f", "stats", str(example_file)])
         data = json.loads(capsys.readouterr().out)
         assert data["diagnostics"]["total"] == 7
         assert data["metrics"]["lint.files"] == 1
@@ -280,7 +282,7 @@ class TestWeblintObservabilityCli:
         assert "p95" in data["metrics"]["lint.check_ms"]
 
     def test_stats_flag_shows_percentiles(self, example_file, capsys):
-        weblint_main(["--no-config", "--stats", str(example_file)])
+        weblint_main(["--no-config", "--no-cache", "--stats", str(example_file)])
         err = capsys.readouterr().err
         assert "lint.check_ms: count=1" in err
         assert "p50=" in err and "p95=" in err and "p99=" in err
@@ -290,7 +292,7 @@ class TestWeblintObservabilityCli:
 
         telemetry = tmp_path / "telemetry"
         code = weblint_main(
-            ["--no-config", "--telemetry-dir", str(telemetry),
+            ["--no-config", "--no-cache", "--telemetry-dir", str(telemetry),
              str(example_file)]
         )
         assert code == 1  # the example page still has problems

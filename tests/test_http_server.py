@@ -155,7 +155,8 @@ class TestHTTPServer:
         assert "odd number of quotes" in response
 
     def test_oversized_post_body_truncated_not_hung(self, web):
-        """A Content-Length beyond the cap cannot stall the handler."""
+        """A Content-Length beyond the cap is refused with 413 at once,
+        without waiting for (or reading) 100MB that never comes."""
         gateway = Gateway()
         with HTTPServer(web, gateway=gateway) as server:
             with socket.create_connection(
@@ -168,10 +169,55 @@ class TestHTTPServer:
                     b"html=%3Cp%3E"
                 )
                 connection.shutdown(socket.SHUT_WR)
-                data = connection.recv(65536)
-        # The handler answered (whatever the status) instead of waiting
-        # forever for 100MB that never comes.
-        assert data.startswith(b"HTTP/1.0 ")
+                data = _read_all(connection)
+            assert server.requests_served == 0  # never handed to the gateway
+        assert data.startswith(b"HTTP/1.0 413 ")
+
+    def test_form_post_over_the_limit_reads_413_not_a_reset(self, web):
+        """A real >1MB form POST: the client sends its whole body and
+        still reads the 413 (the server drains before closing)."""
+        body = b"html=" + b"x" * (3 * 1024 * 1024 // 2)
+        with HTTPServer(web, gateway=Gateway()) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as connection:
+                connection.sendall(
+                    b"POST /weblint HTTP/1.0\r\n"
+                    b"Content-Type: application/x-www-form-urlencoded\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+                    + body
+                )
+                connection.shutdown(socket.SHUT_WR)
+                data = _read_all(connection)
+        assert data.startswith(b"HTTP/1.0 413 ")
+
+    def test_short_post_body_is_400(self, web):
+        """A peer that closes before its declared body arrived gets 400;
+        the partial body is never treated as the whole request."""
+        with HTTPServer(web, gateway=Gateway()) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as connection:
+                connection.sendall(
+                    b"POST /weblint HTTP/1.0\r\n"
+                    b"Content-Type: application/x-www-form-urlencoded\r\n"
+                    b"Content-Length: 100\r\n\r\n"
+                    b"html=%3Cp%3E"
+                )
+                connection.shutdown(socket.SHUT_WR)
+                data = _read_all(connection)
+            assert server.requests_served == 0
+        assert data.startswith(b"HTTP/1.0 400 ")
+        assert b"12 of 100" in data
+
+
+def _read_all(connection: socket.socket) -> bytes:
+    chunks = []
+    while True:
+        chunk = connection.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
 
 
 class TestGatewayOverTCP:

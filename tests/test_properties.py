@@ -3,10 +3,16 @@
 These pin the robustness claims: the ad-hoc tokenizer and the checker
 never crash on arbitrary input (weblint's whole job is surviving broken
 HTML), positions stay within the document, the generator's output is
-always clean, and the fixer's output is always *cleaner*.
+always clean, the fixer's output is always *cleaner*, and a result-cache
+segment cut anywhere inside its last record loses only that record.
 """
 
 from __future__ import annotations
+
+import os
+import struct
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -14,6 +20,9 @@ from repro import Options, Weblint
 from repro.baselines.htmlchek import HtmlchekChecker
 from repro.baselines.strict import StrictValidator
 from repro.baselines.tidylike import TidyLikeFixer
+from repro.core.cache import ResultCache, result_key
+from repro.core.diagnostics import Diagnostic
+from repro.core.messages import Category
 from repro.html.tokenizer import tokenize
 from repro.workload import ErrorSeeder, PageGenerator
 
@@ -182,3 +191,64 @@ class TestFixerInvariant:
 
         fixed = TidyLikeFixer().fix_string(seeded.source)
         assert errors(fixed.html) <= errors(seeded.source)
+
+
+# One cache entry: a list of (message id, text, line) findings.
+cache_entry = st.lists(
+    st.tuples(
+        st.sampled_from(["img-alt", "odd-quotes", "unclosed-element"]),
+        st.text(max_size=30),
+        st.integers(min_value=1, max_value=10_000),
+    ),
+    max_size=4,
+)
+
+
+class TestCacheSegmentTornTail:
+    """A writer killed mid-record leaves a torn tail in its segment."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(cache_entry, min_size=1, max_size=4))
+    def test_truncation_inside_last_record(self, entries):
+        """Cut the segment at every byte offset inside its last record:
+        every earlier record is still a hit, the torn one a miss."""
+        keys = [result_key(f"document {index}", b"fp") for index in range(len(entries))]
+        stored = [
+            [
+                Diagnostic(
+                    message_id=message_id, category=Category.WARNING,
+                    text=text, line=line,
+                )
+                for message_id, text, line in findings
+            ]
+            for findings in entries
+        ]
+        with tempfile.TemporaryDirectory() as directory:
+            cache = ResultCache(directory)
+            for key, diagnostics in zip(keys, stored):
+                cache.put(key, diagnostics)
+            cache.close()
+            [segment] = Path(directory, "v2").glob("seg-*.log")
+            data = segment.read_bytes()
+            for cut in range(len(data) - 1, _last_record_start(data) - 1, -1):
+                os.truncate(segment, cut)
+                reader = ResultCache(directory)
+                for key, diagnostics in zip(keys[:-1], stored):
+                    found = reader.get(key)
+                    assert found is not None
+                    assert [(d.message_id, d.text, d.line) for d in found] == [
+                        (d.message_id, d.text, d.line) for d in diagnostics
+                    ]
+                assert reader.get(keys[-1]) is None
+                reader.close()
+
+
+def _last_record_start(data: bytes) -> int:
+    """Offset of a segment's last record, walking the documented
+    header (magic, raw key, payload length, crc32)."""
+    header = struct.Struct("<4s32sII")
+    offset = start = 0
+    while offset < len(data):
+        start = offset
+        offset += header.size + header.unpack_from(data, offset)[2]
+    return start

@@ -121,6 +121,42 @@ class TestCheck:
         assert result.ok
 
 
+def failing_worker_init(specification) -> None:
+    raise RuntimeError("worker initializer failed on purpose")
+
+
+class TestPoolFallback:
+    """A pool that cannot run degrades to the parent -- counted, not silent."""
+
+    def test_broken_initializer_reruns_the_batch_in_the_parent(
+        self, corpus_dir, monkeypatch, capsys
+    ):
+        import repro.core.service as service_module
+        from repro.cli import main as weblint_main
+        from repro.obs.events import EventLog, use_event_log
+
+        argv = ["--no-config", "--no-cache", "-f", "jsonl", *map(str, corpus_dir)]
+        weblint_main(["--jobs", "1", *argv])
+        sequential = capsys.readouterr().out
+        monkeypatch.setattr(service_module, "_worker_init", failing_worker_init)
+        events = EventLog(level="warn")
+        with use_event_log(events):
+            weblint_main(["--jobs", "2", "--stats", *argv])
+        degraded = capsys.readouterr()
+        assert sorted(degraded.out.splitlines()) == sorted(sequential.splitlines())
+        assert f"lint.pool.fallbacks: {len(corpus_dir)}\n" in degraded.err
+        [event] = [e for e in events.records if e["event"] == "lint.pool.fallback"]
+        assert event["level"] == "warn"
+        assert event["documents"] == len(corpus_dir)
+
+    def test_healthy_pool_counts_no_fallback(self, corpus_dir):
+        with use_registry() as registry:
+            LintService().check_many(
+                [LintRequest(PathSource(p)) for p in corpus_dir], jobs=2
+            )
+        assert registry.value("lint.pool.fallbacks") == 0
+
+
 class TestCheckManyParity:
     def test_parallel_equals_sequential(self, corpus_dir):
         """Golden equivalence: jobs=4 is byte-identical to jobs=1."""
