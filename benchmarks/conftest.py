@@ -34,250 +34,38 @@ def paper_example() -> str:
     return PAPER_EXAMPLE
 
 
-#: Results benchmarks record for the BENCH_obs.json trajectory file.
-_BENCH_RESULTS: dict[str, dict[str, object]] = {}
+#: What the benchmarks recorded, per ``BENCH_*.json`` artefact.
+_RESULTS: dict[str, dict[str, dict[str, object]]] = {}
 
 
-def record_result(name: str, **values: object) -> None:
-    """Record one benchmark's headline numbers for ``BENCH_obs.json``.
+def record(artefact: str, name: str, **values: object) -> None:
+    """Record one benchmark's headline numbers under ``artefact``.
 
-    Call it from any benchmark (``record_result("e10", kb_per_s=450)``);
-    the session hook below writes everything recorded, together with a
-    dump of the global metrics registry, when the run finishes.
+    ``record("BENCH_crawl.json", "e16", speedup=3.6)`` -- each artefact
+    the session touched is written at the repo root when the run ends,
+    as ``{"generated_unix", "results": {name: values}}``.
+    ``BENCH_obs.json`` is written by every run and also carries the exit
+    status and a dump of the global metrics registry.
     """
-    _BENCH_RESULTS[name] = dict(values)
-
-
-#: Results the dispatch benchmark (E14) records for BENCH_dispatch.json.
-_DISPATCH_RESULTS: dict[str, dict[str, object]] = {}
-
-
-#: Results the parallel-pipeline benchmark (E15) records for
-#: BENCH_parallel.json.
-_PARALLEL_RESULTS: dict[str, dict[str, object]] = {}
-
-
-def record_parallel_result(name: str, **values: object) -> None:
-    """Record one sequential-vs-parallel pipeline measurement.
-
-    Kept separate from :func:`record_result` so ``BENCH_parallel.json``
-    carries only the batch-pipeline numbers (pages/sec at each job
-    count, speedup, the host's CPU count).
-    """
-    _PARALLEL_RESULTS[name] = dict(values)
-
-
-#: Results the fault-tolerant crawl benchmark (E16) records for
-#: BENCH_crawl.json.
-_CRAWL_RESULTS: dict[str, dict[str, object]] = {}
-
-
-def record_crawl_result(name: str, **values: object) -> None:
-    """Record one fault-injected crawl measurement.
-
-    Kept separate from :func:`record_result` so ``BENCH_crawl.json``
-    carries only the crawl-frontier numbers (sequential vs concurrent
-    wall clock on the slow/faulty site, retries, failure classes).
-    """
-    _CRAWL_RESULTS[name] = dict(values)
-
-
-#: Results the incremental-recheck benchmark (E17) records for
-#: BENCH_cache.json.
-_CACHE_RESULTS: dict[str, dict[str, object]] = {}
-
-
-def record_cache_result(name: str, **values: object) -> None:
-    """Record one cold-vs-warm site re-check measurement.
-
-    Kept separate from :func:`record_result` so ``BENCH_cache.json``
-    carries only the incremental-recheck numbers (cold vs warm wall
-    clock, bytes transferred, revalidations, lint cache hits).
-    """
-    _CACHE_RESULTS[name] = dict(values)
-
-
-#: Results the telemetry-overhead benchmark (E18) records for
-#: BENCH_telemetry.json.
-_TELEMETRY_RESULTS: dict[str, dict[str, object]] = {}
-
-
-def record_telemetry_result(name: str, **values: object) -> None:
-    """Record one telemetry-overhead measurement.
-
-    Kept separate from :func:`record_result` so ``BENCH_telemetry.json``
-    carries only the always-on-telemetry numbers (baseline vs armed
-    throughput on the E10 corpus, overhead percentage, event counts).
-    """
-    _TELEMETRY_RESULTS[name] = dict(values)
-
-
-def record_dispatch_result(name: str, **values: object) -> None:
-    """Record one compiled-vs-naive dispatch measurement.
-
-    Kept separate from :func:`record_result` so ``BENCH_dispatch.json``
-    carries only the before/after numbers for the dispatch pipeline
-    (E10-style throughput, tokens/sec, hook-call counts).
-    """
-    _DISPATCH_RESULTS[name] = dict(values)
-
-
-#: Results the streaming-report benchmark (E19) records for
-#: BENCH_stream.json.
-_STREAM_RESULTS: dict[str, dict[str, object]] = {}
-
-
-def record_stream_result(name: str, **values: object) -> None:
-    """Record one buffered-vs-streaming report measurement.
-
-    Kept separate from :func:`record_result` so ``BENCH_stream.json``
-    carries only the memory-bounded-report numbers (traced-heap
-    high-water and wall clock for each regime at each site size, and
-    the 10x growth ratio CI gates on).
-    """
-    _STREAM_RESULTS[name] = dict(values)
-
-
-#: Results the warm-daemon benchmark (E20) records for
-#: BENCH_daemon.json.
-_DAEMON_RESULTS: dict[str, dict[str, object]] = {}
-
-
-def record_daemon_result(name: str, **values: object) -> None:
-    """Record one persistent-daemon measurement.
-
-    Kept separate from :func:`record_result` so ``BENCH_daemon.json``
-    carries only the warm-pool numbers (cold vs warm batch wall clock,
-    the sustained-QPS drive's exact request/document counts, rejects
-    and warm request latency percentiles).
-    """
-    _DAEMON_RESULTS[name] = dict(values)
-
-
-#: Results the batched-tokenizer benchmark (E21) records for
-#: BENCH_tokenizer.json.
-_TOKENIZER_RESULTS: dict[str, dict[str, object]] = {}
-
-
-def record_tokenizer_result(name: str, **values: object) -> None:
-    """Record one batched-vs-naive tokenizer measurement.
-
-    Kept separate from :func:`record_result` so ``BENCH_tokenizer.json``
-    carries only the scanner hot-path numbers (tokens/s and MB/s for the
-    batched scanner and the naive comparator, cold and via the engine,
-    plus the exact corpus token/byte counts CI gates on).
-    """
-    _TOKENIZER_RESULTS[name] = dict(values)
+    _RESULTS.setdefault(artefact, {})[name] = dict(values)
 
 
 def pytest_sessionfinish(session, exitstatus) -> None:
-    """Emit ``BENCH_obs.json`` so every benchmark run leaves a snapshot.
-
-    The file pairs the recorded throughput numbers with the metrics the
-    obs layer accumulated during the run (documents, tokens, bytes,
-    latency histograms ...), giving the bench trajectory one artefact
-    per run from this PR onward.  When the dispatch benchmark ran,
-    ``BENCH_dispatch.json`` is written beside it with the compiled
-    vs naive before/after numbers.
-    """
+    """Write every recorded ``BENCH_*.json`` artefact."""
     root = Path(str(session.config.rootpath))
-    payload = {
-        "generated_unix": round(time.time(), 3),
-        "exit_status": int(exitstatus),
-        "results": _BENCH_RESULTS,
-        "metrics": get_registry().snapshot(),
+    payloads = {
+        artefact: {"generated_unix": round(time.time(), 3), "results": results}
+        for artefact, results in _RESULTS.items()
     }
-    try:
-        (root / "BENCH_obs.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-    except OSError:  # pragma: no cover - read-only checkout
-        pass
-    if _DISPATCH_RESULTS:
-        dispatch_payload = {
-            "generated_unix": round(time.time(), 3),
-            "results": _DISPATCH_RESULTS,
-        }
+    obs = payloads.setdefault(
+        "BENCH_obs.json", {"generated_unix": round(time.time(), 3), "results": {}}
+    )
+    obs["exit_status"] = int(exitstatus)
+    obs["metrics"] = get_registry().snapshot()
+    for artefact, payload in payloads.items():
         try:
-            (root / "BENCH_dispatch.json").write_text(
-                json.dumps(dispatch_payload, indent=2, sort_keys=True) + "\n"
-            )
-        except OSError:  # pragma: no cover - read-only checkout
-            pass
-    if _PARALLEL_RESULTS:
-        parallel_payload = {
-            "generated_unix": round(time.time(), 3),
-            "results": _PARALLEL_RESULTS,
-        }
-        try:
-            (root / "BENCH_parallel.json").write_text(
-                json.dumps(parallel_payload, indent=2, sort_keys=True) + "\n"
-            )
-        except OSError:  # pragma: no cover - read-only checkout
-            pass
-    if _CRAWL_RESULTS:
-        crawl_payload = {
-            "generated_unix": round(time.time(), 3),
-            "results": _CRAWL_RESULTS,
-        }
-        try:
-            (root / "BENCH_crawl.json").write_text(
-                json.dumps(crawl_payload, indent=2, sort_keys=True) + "\n"
-            )
-        except OSError:  # pragma: no cover - read-only checkout
-            pass
-    if _CACHE_RESULTS:
-        cache_payload = {
-            "generated_unix": round(time.time(), 3),
-            "results": _CACHE_RESULTS,
-        }
-        try:
-            (root / "BENCH_cache.json").write_text(
-                json.dumps(cache_payload, indent=2, sort_keys=True) + "\n"
-            )
-        except OSError:  # pragma: no cover - read-only checkout
-            pass
-    if _TELEMETRY_RESULTS:
-        telemetry_payload = {
-            "generated_unix": round(time.time(), 3),
-            "results": _TELEMETRY_RESULTS,
-        }
-        try:
-            (root / "BENCH_telemetry.json").write_text(
-                json.dumps(telemetry_payload, indent=2, sort_keys=True) + "\n"
-            )
-        except OSError:  # pragma: no cover - read-only checkout
-            pass
-    if _STREAM_RESULTS:
-        stream_payload = {
-            "generated_unix": round(time.time(), 3),
-            "results": _STREAM_RESULTS,
-        }
-        try:
-            (root / "BENCH_stream.json").write_text(
-                json.dumps(stream_payload, indent=2, sort_keys=True) + "\n"
-            )
-        except OSError:  # pragma: no cover - read-only checkout
-            pass
-    if _DAEMON_RESULTS:
-        daemon_payload = {
-            "generated_unix": round(time.time(), 3),
-            "results": _DAEMON_RESULTS,
-        }
-        try:
-            (root / "BENCH_daemon.json").write_text(
-                json.dumps(daemon_payload, indent=2, sort_keys=True) + "\n"
-            )
-        except OSError:  # pragma: no cover - read-only checkout
-            pass
-    if _TOKENIZER_RESULTS:
-        tokenizer_payload = {
-            "generated_unix": round(time.time(), 3),
-            "results": _TOKENIZER_RESULTS,
-        }
-        try:
-            (root / "BENCH_tokenizer.json").write_text(
-                json.dumps(tokenizer_payload, indent=2, sort_keys=True) + "\n"
+            (root / artefact).write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n"
             )
         except OSError:  # pragma: no cover - read-only checkout
             pass

@@ -19,7 +19,7 @@ import time
 from repro import Weblint
 from repro.workload import GeneratorConfig, PageGenerator
 
-from conftest import print_table, record_result
+from conftest import print_table, record
 
 
 def _page_of_size(paragraphs: int) -> str:
@@ -69,7 +69,8 @@ def test_e10_throughput_and_scaling(benchmark):
     # Absolute floor: at least 100 KB/s on the largest document.
     assert large_bytes / 1024 / large_time > 100
 
-    record_result(
+    record(
+        "BENCH_obs.json",
         "e10_throughput",
         kb_per_s=round(large_bytes / 1024 / large_time, 1),
         largest_doc_kb=round(large_bytes / 1024, 1),

@@ -26,7 +26,7 @@ from repro.html.tokenizer import tokenize
 from repro.obs import use_registry
 from repro.workload import GeneratorConfig, PageGenerator
 
-from conftest import print_table, record_dispatch_result, record_result
+from conftest import print_table, record
 
 
 def _page_of_size(paragraphs: int) -> str:
@@ -86,21 +86,24 @@ def test_e14_dispatch_vs_naive(benchmark):
             ("compiled", compiled_calls, compiled_time),
         )
     ]
-    record_dispatch_result(
+    record(
+        "BENCH_dispatch.json",
         "e14_naive",
         hook_calls=naive_calls,
         check_ms=round(naive_time * 1000, 3),
         kb_per_s=round(kb / naive_time, 1),
         tokens_per_s=round(token_count / naive_time, 1),
     )
-    record_dispatch_result(
+    record(
+        "BENCH_dispatch.json",
         "e14_compiled",
         hook_calls=compiled_calls,
         check_ms=round(compiled_time * 1000, 3),
         kb_per_s=round(kb / compiled_time, 1),
         tokens_per_s=round(token_count / compiled_time, 1),
     )
-    record_dispatch_result(
+    record(
+        "BENCH_dispatch.json",
         "e14_workload",
         doc_kb=round(kb, 1),
         tokens=token_count,
@@ -108,7 +111,8 @@ def test_e14_dispatch_vs_naive(benchmark):
         rules_x_tokens=rule_count * token_count,
         call_reduction=round(1 - compiled_calls / naive_calls, 3),
     )
-    record_result(
+    record(
+        "BENCH_obs.json",
         "e14_dispatch",
         compiled_calls=compiled_calls,
         naive_calls=naive_calls,

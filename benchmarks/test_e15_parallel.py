@@ -22,7 +22,7 @@ from repro.core.service import LintRequest, LintService, PathSource
 from repro.workload import PageGenerator
 from repro.workload.corpus import build_seeded_corpus
 
-from conftest import print_table, record_parallel_result
+from conftest import print_table, record
 
 #: Enough pages that per-worker table compilation amortises, small
 #: enough that the CI smoke run stays fast.
@@ -70,7 +70,8 @@ def test_e15_parallel_pipeline(corpus_dir):
     speedup = seq_seconds / par_seconds
     cpus = os.cpu_count() or 1
 
-    record_parallel_result(
+    record(
+        "BENCH_parallel.json",
         "e15",
         pages=len(corpus_dir),
         cpus=cpus,

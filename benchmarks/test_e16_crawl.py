@@ -9,12 +9,6 @@ asserts the resilience contract (every reachable page fetched, HTTP
 errors classified separately from transport failures, concurrent report
 identical to the sequential one) and records the wall-clock numbers in
 ``BENCH_crawl.json``.
-
-A second scenario pits the streaming frontier against the legacy
-wave-synchronous one (``frontier="wave"``) at the same worker count: a
-chain of fast pages each linking one slow-host page.  The wave frontier
-barriers every BFS level on its slow page; the streaming frontier
-overlaps all the slow fetches as they are discovered.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ from repro.www.client import RetryPolicy, UserAgent
 from repro.www.faults import FaultInjector
 from repro.www.virtualweb import VirtualWeb
 
-from conftest import print_table, record_crawl_result
+from conftest import print_table, record
 
 N_LEAF_PAGES = 16
 PAGE_LATENCY_S = 0.025
@@ -122,7 +116,8 @@ def test_e16_fault_tolerant_crawl():
     assert fingerprint(par_report) == fingerprint(seq_report)
 
     speedup = seq_s / par_s if par_s else float("inf")
-    record_crawl_result(
+    record(
+        "BENCH_crawl.json",
         "e16",
         pages=len(seq_report.pages),
         page_latency_ms=PAGE_LATENCY_S * 1000,
@@ -153,101 +148,4 @@ def test_e16_fault_tolerant_crawl():
 
     # Threads overlap simulated network latency regardless of CPU count,
     # so unlike E15 this speedup is asserted unconditionally.
-    assert speedup > 1.5
-
-
-CHAIN_LEVELS = 6
-FAST_LATENCY_S = 0.005
-SLOW_LATENCY_S = 0.13
-
-
-def build_chain_site() -> VirtualWeb:
-    """A deep fast-host chain, each level linking one slow-host page.
-
-    No faults here: this scenario isolates pure frontier scheduling.
-    The crawl only discovers ``level{i+1}`` after fetching ``level{i}``,
-    so a wave frontier spends one full barrier -- dominated by the
-    130 ms slow page -- per level, while a streaming frontier starts
-    every slow fetch the moment its level page lands.
-    """
-    web = VirtualWeb()
-    fast_pages = {}
-    for i in range(CHAIN_LEVELS):
-        next_link = (
-            f'<a href="level{i + 1:02}.html">next</a> '
-            if i + 1 < CHAIN_LEVELS else ""
-        )
-        fast_pages[f"level{i:02}.html"] = (
-            f"<html><head><title>level {i}</title></head><body>"
-            f'<p>{next_link}'
-            f'<a href="http://slow.example/slow{i:02}.html">slow</a></p>'
-            "</body></html>"
-        )
-    web.add_site("http://fast.site/", fast_pages)
-    web.add_site("http://slow.example/", {
-        f"slow{i:02}.html": (
-            f"<html><head><title>slow {i}</title></head>"
-            f"<body><p>slow {i}</p></body></html>"
-        )
-        for i in range(CHAIN_LEVELS)
-    })
-    web.set_latency(host="fast.site", seconds=FAST_LATENCY_S)
-    web.set_latency(host="slow.example", seconds=SLOW_LATENCY_S)
-    return web
-
-
-def crawl_frontier(frontier: str):
-    agent = UserAgent(build_chain_site(), timeout_s=5.0)
-    policy = TraversalPolicy(
-        same_host_only=False,
-        obey_robots_txt=False,
-        concurrency=8,
-        max_in_flight_per_host=8,
-        frontier=frontier,
-    )
-    options = Options.with_defaults()
-    options.follow_links = False
-    poacher = Poacher(agent, options=options, policy=policy)
-    with use_registry():
-        start = time.perf_counter()
-        report = poacher.crawl("http://fast.site/level00.html")
-        elapsed = time.perf_counter() - start
-    return report, elapsed
-
-
-def test_e16_streaming_beats_wave_on_slow_host():
-    wave_report, wave_s = crawl_frontier("wave")
-    stream_report, stream_s = crawl_frontier("streaming")
-
-    assert len(stream_report.pages) == CHAIN_LEVELS * 2
-    # Golden: both frontiers produce the same canonical report.
-    assert fingerprint(stream_report) == fingerprint(wave_report)
-
-    speedup = wave_s / stream_s if stream_s else float("inf")
-    record_crawl_result(
-        "e16_slow_host",
-        pages=len(stream_report.pages),
-        chain_levels=CHAIN_LEVELS,
-        fast_latency_ms=FAST_LATENCY_S * 1000,
-        slow_latency_ms=SLOW_LATENCY_S * 1000,
-        frontier_jobs=8,
-        wave_wall_s=round(wave_s, 4),
-        streaming_wall_s=round(stream_s, 4),
-        speedup=round(speedup, 3),
-    )
-    print_table(
-        "E16: slow-host chain, wave vs streaming frontier (8 workers)",
-        [
-            ("pages", len(stream_report.pages)),
-            ("chain depth", CHAIN_LEVELS),
-            ("slow-page latency", f"{SLOW_LATENCY_S * 1000:.0f} ms"),
-            ("wave wall", f"{wave_s:.3f} s"),
-            ("streaming wall", f"{stream_s:.3f} s"),
-            ("speedup", f"{speedup:.2f}x"),
-        ],
-        headers=("measure", "result"),
-    )
-
-    # The wave frontier pays ~one slow-page barrier per level; the
-    # streaming frontier pays roughly one in total.
     assert speedup > 1.5

@@ -33,7 +33,7 @@ from repro.www.client import UserAgent
 from repro.www.httpcache import HttpCache
 from repro.www.virtualweb import VirtualWeb
 
-from conftest import print_table, record_cache_result
+from conftest import print_table, record
 
 N_PAGES = 12
 #: Bytes of filler per page; with the bandwidth below, each full body
@@ -145,7 +145,8 @@ def test_e17_incremental_recheck(tmp_path):
 
 
     speedup = cold_s / warm_s if warm_s else float("inf")
-    record_cache_result(
+    record(
+        "BENCH_cache.json",
         "e17",
         pages=len(cold_report.pages),
         page_bytes=PAGE_FILLER,

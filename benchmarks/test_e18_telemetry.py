@@ -32,7 +32,7 @@ from repro.obs import (
 )
 from repro.workload import GeneratorConfig, PageGenerator
 
-from conftest import print_table, record_telemetry_result
+from conftest import print_table, record
 
 #: Overhead budget for armed telemetry, as a fraction of baseline time.
 MAX_OVERHEAD = 0.03
@@ -107,7 +107,8 @@ def test_e18_telemetry_overhead(benchmark):
 
     baseline_kb_s = corpus_bytes / 1024 / baseline_s
     armed_kb_s = corpus_bytes / 1024 / armed_s
-    record_telemetry_result(
+    record(
+        "BENCH_telemetry.json",
         "e18_telemetry",
         docs=DOCS_PER_PASS,
         corpus_kb=round(corpus_bytes / 1024, 1),

@@ -47,7 +47,7 @@ from repro.site.rollup import PageSpill, SiteRollup
 from repro.site.sitecheck import SiteChecker
 from repro.workload import GeneratorConfig, PageGenerator
 
-from conftest import print_table, record_stream_result
+from conftest import print_table, record
 
 #: Site sizes: the second is 10x the first and the pair carries the
 #: gated growth ratio.  E19_FULL=1 adds a 100x site (several minutes
@@ -175,7 +175,8 @@ def test_streaming_high_water_stays_flat(tmp_path):
             f"{stream_peak / 1024:.0f}",
             f"{stream_wall:.2f}",
         ))
-        record_stream_result(
+        record(
+            "BENCH_stream.json",
             f"e19_{n_pages}_pages",
             pages=n_pages,
             buffered_peak_kb=round(buffered_peak / 1024, 1),
@@ -199,7 +200,8 @@ def test_streaming_high_water_stays_flat(tmp_path):
         rows,
         ("pages", "buffered KB", "buffered s", "stream KB", "stream s"),
     )
-    record_stream_result(
+    record(
+        "BENCH_stream.json",
         "e19_growth",
         stream_high_water_ratio_10x=round(stream_ratio, 3),
         buffered_high_water_ratio_10x=round(buffered_ratio, 3),

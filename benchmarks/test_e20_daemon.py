@@ -31,7 +31,7 @@ from repro.obs.ledger import summarize_run
 from repro.workload import PageGenerator
 from repro.workload.corpus import build_seeded_corpus
 
-from conftest import print_table, record_daemon_result
+from conftest import print_table, record
 
 #: Same shape as E15: enough pages to amortise table compilation,
 #: small enough for the CI smoke run.
@@ -155,7 +155,8 @@ def test_e20_daemon_warm_pool(corpus_dir):
     qps = DRIVE_REQUESTS / drive_seconds
     cpus = os.cpu_count() or 1
 
-    record_daemon_result(
+    record(
+        "BENCH_daemon.json",
         "e20",
         pages=N_PAGES,
         cpus=cpus,

@@ -34,7 +34,7 @@ from repro.html import _tokenizer_naive as naive_tokenizer
 from repro.html import tokenizer as batched_tokenizer
 from repro.workload import GeneratorConfig, PageGenerator
 
-from conftest import print_table, record_result, record_tokenizer_result
+from conftest import print_table, record
 
 #: The E10 corpus: one page per size tier, same generator seeds the
 #: throughput benchmark uses, so tokens/s is comparable across PRs.
@@ -161,14 +161,16 @@ def test_e21_batched_vs_naive_tokenizer(benchmark):
         )
     ]
 
-    record_tokenizer_result(
+    record(
+        "BENCH_tokenizer.json",
         "e21_naive",
         tokens_per_s=round(token_count / naive_cold, 1),
         mb_per_s=round(mb / naive_cold, 3),
         cold_wall_ms=round(naive_cold * 1000, 3),
         engine_wall_ms=round(engine_naive * 1000, 3),
     )
-    record_tokenizer_result(
+    record(
+        "BENCH_tokenizer.json",
         "e21_batched",
         tokens_per_s=round(token_count / batched_cold, 1),
         mb_per_s=round(mb / batched_cold, 3),
@@ -177,14 +179,16 @@ def test_e21_batched_vs_naive_tokenizer(benchmark):
         speedup=round(cold_speedup, 2),
         engine_speedup=round(engine_naive / engine_batched, 2),
     )
-    record_tokenizer_result(
+    record(
+        "BENCH_tokenizer.json",
         "e21_workload",
         documents=len(pages),
         tokens=token_count,
         corpus_bytes=corpus_bytes,
         diagnostics=diagnostic_count,
     )
-    record_result(
+    record(
+        "BENCH_obs.json",
         "e21_tokenizer",
         speedup=round(cold_speedup, 2),
         tokens=token_count,

@@ -24,12 +24,13 @@ once:
   re-check near-free.  Runs that exist to observe the engine
   (``--trace``, ``--profile``) bypass the cache so their artefacts
   stay truthful.
-- :class:`ParallelExecutor` -- the ``jobs > 1`` path: chunked submission
-  over a ``ProcessPoolExecutor`` whose per-worker initializer builds the
-  service (and compiles dispatch tables) once per worker.  Each worker's
-  metrics / tracer / profiler snapshots are merged into the parent's, so
-  ``--stats``, ``--trace`` and ``--profile`` stay truthful under
-  parallelism.
+- :class:`ParallelExecutor` -- the one process pool, behind both the
+  ``jobs > 1`` batch path and the daemon's warm pool: cache hits are
+  served in the parent, the rest ships in chunks to workers whose
+  initializer builds the service (and compiles dispatch tables) once
+  per worker.  Each worker's metrics / tracer / profiler snapshots are
+  merged into the parent's, so ``--stats``, ``--trace`` and
+  ``--profile`` stay truthful under parallelism.
 
 The pipeline is a generator end to end: ``iter_check`` yields each
 :class:`LintResult` the moment its worker finishes (completion order),
@@ -42,12 +43,13 @@ rollup -- never hold a whole batch in memory.
 from __future__ import annotations
 
 import sys
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.config.options import Options
 from repro.core.diagnostics import Diagnostic
@@ -389,29 +391,65 @@ class LintService:
         """Check one document in this process; never raises for bad I/O."""
         if isinstance(request, DocumentSource):
             request = LintRequest(request)
+        settled, key = self._lookup(request)
+        if settled is not None:
+            return settled
+        return self._store(key, self._lint(request))
+
+    def _lookup(
+        self, request: LintRequest
+    ) -> tuple[Optional[LintResult], Optional[str]]:
+        """Settle ``request`` from the result cache when it can be.
+
+        Returns ``(result, None)`` for a document settled here -- a
+        cache hit, or unreadable -- and otherwise ``(None, key)``, where
+        ``key`` is what a fresh result is stored under (``None`` when
+        caching is off).  Without a cache nothing is read.
+        """
+        if self.cache is None:
+            return None, None
         source = request.source
         try:
             text = source.text()
         except SourceError as exc:
-            get_registry().inc("lint.source_errors")
-            get_event_log().emit(
-                "lint.source_error", level="error", file=source.name,
-                error=str(exc),
-            )
-            return LintResult(name=source.name, error=str(exc))
-        registry = get_registry()
+            return self._unreadable(source, exc), None
         key = self._cache_key(text)
-        if key is not None:
-            cached = self.cache.get(key, filename=source.name)
-            if cached is not None:
-                registry.inc("lint.files")
-                for diagnostic in cached:
-                    registry.inc(f"lint.diagnostics.{diagnostic.category.value}")
-                return LintResult(
-                    name=source.name,
-                    diagnostics=cached,
-                    text=text if request.keep_text else None,
-                )
+        if key is None:
+            return None, None
+        cached = self.cache.get(key, filename=source.name)
+        if cached is None:
+            return None, key
+        registry = get_registry()
+        registry.inc("lint.files")
+        for diagnostic in cached:
+            registry.inc(f"lint.diagnostics.{diagnostic.category.value}")
+        return LintResult(
+            name=source.name,
+            diagnostics=cached,
+            text=text if request.keep_text else None,
+        ), None
+
+    def _store(self, key: Optional[str], result: LintResult) -> LintResult:
+        """Write a fresh result under the key :meth:`_lookup` returned."""
+        if key is not None and result.ok:
+            self.cache.put(key, result.diagnostics)
+        return result
+
+    def _unreadable(self, source: DocumentSource, exc: SourceError) -> LintResult:
+        get_registry().inc("lint.source_errors")
+        get_event_log().emit(
+            "lint.source_error", level="error", file=source.name, error=str(exc),
+        )
+        return LintResult(name=source.name, error=str(exc))
+
+    def _lint(self, request: LintRequest) -> LintResult:
+        """Read and lint one document, bypassing the result cache."""
+        source = request.source
+        try:
+            text = source.text()
+        except SourceError as exc:
+            return self._unreadable(source, exc)
+        registry = get_registry()
         start = time.perf_counter()
         with get_tracer().span("lint.file", file=source.name):
             context = self.engine.check(text, source.name)
@@ -436,8 +474,6 @@ class LintService:
             )
         for diagnostic in diagnostics:
             registry.inc(f"lint.diagnostics.{diagnostic.category.value}")
-        if key is not None:
-            self.cache.put(key, diagnostics)
         return LintResult(
             name=source.name,
             diagnostics=diagnostics,
@@ -495,72 +531,8 @@ class LintService:
             for index, request in enumerate(batch):
                 yield index, self.check(request)
             return
-        if self.cache is not None:
-            yield from self._iter_indexed_cached(batch, jobs)
-            return
-        executor = ParallelExecutor(self.specification(), jobs=jobs)
-        yield from executor.iter_run(batch, fallback=self.check)
-
-    def _iter_indexed_cached(
-        self, batch: list[LintRequest], jobs: int
-    ) -> "Iterator[tuple[int, LintResult]]":
-        """The parallel path when a result cache is attached.
-
-        Worker processes cannot share the parent's cache tiers, so hits
-        are resolved *here*, before fan-out: read each document, hash
-        it, serve matching cached results directly.  Only the misses
-        ship to the pool (as already-read strings -- one read total, as
-        ever), and their fresh results are stored as they stream back.
-        """
-        registry = get_registry()
-        misses: list[tuple[int, LintRequest, Optional[str]]] = []
-        for index, request in enumerate(batch):
-            source = request.source
-            try:
-                text = source.text()
-            except SourceError as exc:
-                registry.inc("lint.source_errors")
-                yield index, LintResult(name=source.name, error=str(exc))
-                continue
-            key = self._cache_key(text)
-            if key is not None:
-                cached = self.cache.get(key, filename=source.name)
-                if cached is not None:
-                    registry.inc("lint.files")
-                    for diagnostic in cached:
-                        registry.inc(
-                            f"lint.diagnostics.{diagnostic.category.value}"
-                        )
-                    yield index, LintResult(
-                        name=source.name,
-                        diagnostics=cached,
-                        text=text if request.keep_text else None,
-                    )
-                    continue
-            misses.append((
-                index,
-                LintRequest(
-                    StringSource(text, name=source.name),
-                    keep_text=request.keep_text,
-                ),
-                key,
-            ))
-        if not misses:
-            return
-        if len(misses) == 1:
-            checked: Iterable[tuple[int, LintResult]] = (
-                (0, self.check(misses[0][1])),
-            )
-        else:
-            executor = ParallelExecutor(self.specification(), jobs=jobs)
-            checked = executor.iter_run(
-                [request for _, request, _ in misses], fallback=self.check
-            )
-        for miss_index, result in checked:
-            index, _, key = misses[miss_index]
-            if key is not None and result is not None and result.ok:
-                self.cache.put(key, result.diagnostics)
-            yield index, result
+        with ParallelExecutor(self, jobs) as executor:
+            yield from executor.iter_run(batch)
 
 
 # -- the process-pool executor ----------------------------------------------
@@ -617,141 +589,170 @@ def _worker_run_chunk(
 
 
 class ParallelExecutor:
-    """Chunked fan-out of lint requests over a process pool.
+    """The one process pool: chunked fan-out of lint requests.
 
-    Submission is chunked (several documents per task) to amortise
-    pickling overhead; completion order is irrelevant because every
-    result is placed back at its input index.  If the platform cannot
-    spawn worker processes at all, or the pool breaks, the executor
-    degrades to the sequential fallback rather than failing the batch;
-    the documents re-run that way are counted in ``lint.pool.fallbacks``
-    and announced by a ``lint.pool.fallback`` warn event.
+    Built from the :class:`LintService` it serves; each worker rebuilds
+    that service once (:func:`_worker_init`).  ``iter_run`` first
+    settles in the parent what needs no worker -- cache hits and
+    unreadable documents -- then ships the rest in chunks (several
+    documents per task, to amortise pickling), merges every worker's
+    observability snapshots, and stores each fresh result in the
+    service's cache exactly once.
+
+    ``check_many`` opens one per batch; the daemon's
+    :class:`~repro.daemon.pool.WarmPool` keeps one open for its
+    lifetime.  The pool is built on first use.  If it cannot be built,
+    or breaks mid-batch (a worker dies, an initializer raises), the lost
+    documents re-run in the parent -- counted in ``lint.pool.fallbacks``
+    and announced by a ``lint.pool.fallback`` warn event -- and the next
+    batch builds a fresh pool (``lint.pool.rebuilds``).  Building and
+    dropping the pool happen under a lock, so concurrent batches may
+    share one executor.
     """
 
-    def __init__(
-        self,
-        specification: ServiceSpecification,
-        jobs: int,
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        self.specification = specification
+    def __init__(self, service: LintService, jobs: int) -> None:
+        self.service = service
         self.jobs = max(1, jobs)
-        self.chunk_size = chunk_size
+        self._lock = threading.Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._lost = False
+        self._closed = False
 
-    def run(
-        self,
-        requests: list[LintRequest],
-        fallback: Callable[[LintRequest], LintResult],
-    ) -> list[LintResult]:
-        results: list[Optional[LintResult]] = [None] * len(requests)
-        for index, result in self.iter_run(requests, fallback):
-            results[index] = result
-        return results  # type: ignore[return-value]
+    def __enter__(self) -> "ParallelExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
+
+    def shutdown(self) -> None:
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _pool_for(self, workers: int) -> Optional[ProcessPoolExecutor]:
+        """The live pool: built on first use, and again after a crash."""
+        with self._lock:
+            if self._pool is None and not self._closed:
+                try:
+                    self._pool = ProcessPoolExecutor(
+                        max_workers=workers,
+                        initializer=_worker_init,
+                        initargs=(self.service.specification(),),
+                    )
+                except (OSError, ValueError):  # pragma: no cover - no multiprocessing
+                    return None
+                if self._lost:
+                    self._lost = False
+                    get_registry().inc("lint.pool.rebuilds")
+            return self._pool
+
+    def _drop(self, pool: ProcessPoolExecutor) -> None:
+        """Discard a broken pool; the next batch builds a fresh one."""
+        with self._lock:
+            if self._pool is not pool:  # closed, or dropped by another batch
+                return
+            self._pool = None
+            self._lost = True
+        pool.shutdown(wait=False, cancel_futures=True)
 
     def iter_run(
-        self,
-        requests: list[LintRequest],
-        fallback: Callable[[LintRequest], LintResult],
+        self, requests: list[LintRequest]
     ) -> Iterator[tuple[int, LintResult]]:
-        """Yield ``(input_index, result)`` as worker chunks complete."""
-        # Materialise non-portable sources (stdin handles, URL sources
-        # bound to a live agent) in the parent: read failures become
-        # error results immediately, successes ship as strings.
-        portable: list[tuple[int, LintRequest]] = []
+        """Yield ``(input_index, result)`` as documents resolve."""
+        service = self.service
+        # A document read in the parent -- for its cache key, or because
+        # its source cannot cross a process boundary (stdin handles, URL
+        # sources bound to a live agent) -- ships as a string, so nothing
+        # is read twice.
+        pending: list[tuple[int, LintRequest, Optional[str]]] = []
         for index, request in enumerate(requests):
+            settled, key = service._lookup(request)
+            if settled is not None:
+                yield index, settled
+                continue
             source = request.source
-            if not source.portable:
+            if service.cache is not None or not source.portable:
                 try:
                     text = source.text()
                 except SourceError as exc:
-                    get_registry().inc("lint.source_errors")
-                    yield index, LintResult(name=source.name, error=str(exc))
+                    yield index, service._unreadable(source, exc)
                     continue
                 request = LintRequest(
                     StringSource(text, name=source.name),
                     keep_text=request.keep_text,
                 )
-            portable.append((index, request))
-        if not portable:
+            pending.append((index, request, key))
+        if len(pending) < 2:
+            yield from self._in_parent(pending)
             return
 
-        chunk_size = self.chunk_size or max(
-            1, -(-len(portable) // (self.jobs * 4))
-        )
+        chunk_size = max(1, -(-len(pending) // (self.jobs * 4)))
         chunks = [
-            portable[offset : offset + chunk_size]
-            for offset in range(0, len(portable), chunk_size)
+            pending[offset : offset + chunk_size]
+            for offset in range(0, len(pending), chunk_size)
         ]
+        pool = self._pool_for(min(self.jobs, len(chunks)))
+        if pool is None:
+            yield from self._fall_back(pending, "no worker pool")
+            return
         collect_trace = bool(getattr(get_tracer(), "enabled", False))
         collect_profile = get_profiler() is not None
-
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                initializer=_worker_init,
-                initargs=(self.specification,),
-            )
-        except (OSError, ValueError):  # pragma: no cover - no multiprocessing
-            yield from _run_in_parent(portable, fallback, "pool creation failed")
-            return
-
+        futures = {}
+        lost: list[tuple[int, LintRequest, Optional[str]]] = []
+        for chunk in chunks:
+            try:
+                future = pool.submit(
+                    _worker_run_chunk,
+                    [request for _, request, _ in chunk],
+                    collect_trace,
+                    collect_profile,
+                )
+            except (RuntimeError, OSError):
+                # The pool broke, could not fork, or was shut down
+                # before this chunk was queued.
+                lost.extend(chunk)
+                continue
+            futures[future] = chunk
         registry = get_registry()
-        broken: list[int] = []
-        with pool:
-            futures = {}
-            for chunk in chunks:
-                indices = [index for index, _ in chunk]
-                try:
-                    future = pool.submit(
-                        _worker_run_chunk,
-                        [request for _, request in chunk],
-                        collect_trace,
-                        collect_profile,
-                    )
-                except (BrokenProcessPool, OSError):
-                    # The pool broke (or could not fork) before this
-                    # chunk was queued.
-                    broken.extend(indices)
-                    continue
-                futures[future] = indices
-            for future in as_completed(futures):
-                indices = futures[future]
-                try:
-                    chunk_results, metrics, spans, profile = future.result()
-                except BrokenProcessPool:
-                    broken.extend(indices)
-                    continue
-                registry.merge_snapshot(metrics)
-                if spans:
-                    tracer = get_tracer()
-                    if getattr(tracer, "enabled", False):
-                        tracer.merge_records(spans)
-                if profile:
-                    profiler = get_profiler()
-                    if profiler is not None:
-                        profiler.merge_snapshot(profile)
-                for index, result in zip(indices, chunk_results):
-                    yield index, result
-        # Requests lost to a broken pool re-run sequentially, so a dying
-        # worker degrades throughput, never correctness.
-        if broken:
-            request_at = dict(portable)
-            yield from _run_in_parent(
-                [(index, request_at[index]) for index in broken],
-                fallback,
-                "worker pool broke",
-            )
+        for future in as_completed(futures):
+            chunk = futures[future]
+            try:
+                results, metrics, spans, profile = future.result()
+            except (BrokenProcessPool, CancelledError):
+                lost.extend(chunk)
+                continue
+            registry.merge_snapshot(metrics)
+            if spans:
+                tracer = get_tracer()
+                if getattr(tracer, "enabled", False):
+                    tracer.merge_records(spans)
+            if profile:
+                profiler = get_profiler()
+                if profiler is not None:
+                    profiler.merge_snapshot(profile)
+            for (index, _, key), result in zip(chunk, results):
+                yield index, service._store(key, result)
+        # Documents lost to a broken pool re-run in the parent, so a
+        # dying worker costs throughput, never correctness.
+        if lost:
+            self._drop(pool)
+            yield from self._fall_back(lost, "worker pool broke")
 
+    def _fall_back(
+        self, pending: list[tuple[int, LintRequest, Optional[str]]], reason: str
+    ) -> Iterator[tuple[int, LintResult]]:
+        """Check in the parent what the pool could not: counted, not silent."""
+        get_registry().inc("lint.pool.fallbacks", len(pending))
+        get_event_log().emit(
+            "lint.pool.fallback", level="warn", documents=len(pending),
+            reason=reason,
+        )
+        yield from self._in_parent(pending)
 
-def _run_in_parent(
-    requests: list[tuple[int, LintRequest]],
-    fallback: Callable[[LintRequest], LintResult],
-    reason: str,
-) -> Iterator[tuple[int, LintResult]]:
-    """Check in this process what the pool could not: counted, not silent."""
-    get_registry().inc("lint.pool.fallbacks", len(requests))
-    get_event_log().emit(
-        "lint.pool.fallback", level="warn", documents=len(requests), reason=reason
-    )
-    for index, request in requests:
-        yield index, fallback(request)
+    def _in_parent(
+        self, pending: list[tuple[int, LintRequest, Optional[str]]]
+    ) -> Iterator[tuple[int, LintResult]]:
+        for index, request, key in pending:
+            yield index, self.service._store(key, self.service._lint(request))

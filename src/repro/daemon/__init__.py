@@ -5,11 +5,12 @@ full interpreter + rule-compilation start-up cost.  Section 4.6 reports
 steady demand for a "standard gateway distribution" for intranet use;
 this package is that distribution grown into a long-lived server:
 
-- :class:`~repro.daemon.pool.WarmPool` -- a persistent process pool
-  whose workers build their :class:`~repro.core.service.LintService`
-  (and compile dispatch tables) once at startup and stay hot, so batch
-  fan-out stops paying the per-request spin-up that made small batches
-  slower than sequential (BENCH_parallel.json).
+- :class:`~repro.daemon.pool.WarmPool` -- the batch pipeline's
+  :class:`~repro.core.service.ParallelExecutor` kept open: its workers
+  build their :class:`~repro.core.service.LintService` (and compile
+  dispatch tables) once at startup and stay hot, so batch fan-out stops
+  paying the per-request spin-up that made small batches slower than
+  sequential (BENCH_parallel.json).
 - :class:`~repro.daemon.daemon.LintDaemon` -- the service proper: a
   warm base service for small requests, the warm pool for batches, a
   bounded :class:`~repro.daemon.daemon.AdmissionGate` in front (429 +

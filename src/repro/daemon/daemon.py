@@ -249,14 +249,10 @@ class LintDaemon:
         queue_limit: int = 64,
         cache=None,
         state_dir: Optional[Union[str, Path]] = None,
-        fanout_threshold: int = FANOUT_THRESHOLD,
-        chunk_size: Optional[int] = None,
     ) -> None:
         self.options = options if options is not None else Options.with_defaults()
         self.service = LintService(options=self.options, cache=cache)
         self.jobs = resolve_jobs(jobs)
-        self.fanout_threshold = max(1, fanout_threshold)
-        self.chunk_size = chunk_size
         self.gate = AdmissionGate(queue_limit)
         self.journal = LifecycleJournal(state_dir) if state_dir else None
         self.pool: Optional[WarmPool] = None
@@ -275,11 +271,7 @@ class LintDaemon:
         registry = get_registry()
         registry.set_gauge("daemon.queue.limit", self.gate.limit)
         if self.jobs > 1 and self.service.portable:
-            self.pool = WarmPool(
-                self.service.specification(),
-                workers=self.jobs,
-                chunk_size=self.chunk_size,
-            )
+            self.pool = WarmPool(self.service, self.jobs)
         self.service.warm()
         if self.pool is not None and prewarm:
             warmed = self.pool.prewarm()
@@ -399,12 +391,13 @@ class LintDaemon:
     ) -> list[LintResult]:
         """Check one admitted request's documents on warm capacity.
 
-        Batches at or above ``fanout_threshold`` run on the pre-warmed
-        pool (when the request uses the daemon's own configuration --
-        the pool's workers are built for exactly that service); smaller
-        batches and custom-options requests run inline on a warm
-        service.  Either way: no per-request service build, no
-        per-request pool spin-up.
+        Batches of ``FANOUT_THRESHOLD`` documents or more run on the
+        pre-warmed pool (when the request uses the daemon's own
+        configuration -- the pool's workers are built for exactly that
+        service); smaller batches and custom-options requests run inline
+        on a warm service.  Either way: no per-request service build, no
+        per-request pool spin-up, and the daemon's result cache serves
+        both paths.
         """
         registry = get_registry()
         start = time.perf_counter()
@@ -412,9 +405,9 @@ class LintDaemon:
         if (
             self.pool is not None
             and service is self.service
-            and len(requests) >= self.fanout_threshold
+            and len(requests) >= FANOUT_THRESHOLD
         ):
-            results = self.pool.check_batch(requests, fallback=service.check)
+            results = self.pool.check_batch(requests)
         else:
             results = [service.check(request) for request in requests]
         elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -1,38 +1,27 @@
 """The pre-warmed worker pool: persistent processes, hot services.
 
-The batch pipeline's :class:`~repro.core.service.ParallelExecutor`
-builds a fresh :class:`~concurrent.futures.ProcessPoolExecutor` per
-batch, so every request pays worker spawn plus per-worker service
+``weblint --jobs N`` opens a :class:`~repro.core.service.ParallelExecutor`
+per batch, so every batch pays worker spawn plus per-worker service
 rebuild and dispatch-table compilation -- which is exactly why small
-batches lose to sequential (BENCH_parallel.json).  :class:`WarmPool`
-keeps one pool alive for the life of the daemon: workers run
+batches lose to sequential (BENCH_parallel.json).  :class:`WarmPool` is
+the same executor kept open for the life of the daemon: workers run
 :func:`repro.core.service._worker_init` once, compile their tables
-once, and every subsequent batch is pure lint work plus IPC.
+once, and every subsequent batch is pure lint work plus IPC.  Cache
+hits, chunking, crash fallback (``lint.pool.fallbacks``) and rebuilding
+a broken pool (``lint.pool.rebuilds``) all come from the executor.
 
 ``prewarm()`` forces every worker process to start and initialise
 *before* the first request arrives, so the first client sees the same
-latency as the thousandth.  A worker crash mid-batch degrades, never
-fails: the broken pool is rebuilt (``daemon.pool.rebuilds``) and the
-lost chunk re-runs inline in the parent.
+latency as the thousandth.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.core.service import (
-    LintRequest,
-    LintResult,
-    ServiceSpecification,
-    StringSource,
-    _worker_init,
-    _worker_run_chunk,
-)
+from repro.core.service import LintRequest, LintResult, ParallelExecutor
 from repro.obs.metrics import get_registry
 
 
@@ -46,45 +35,15 @@ def _warm_probe(hold_s: float) -> int:
     return os.getpid()
 
 
-class WarmPool:
+class WarmPool(ParallelExecutor):
     """A persistent process pool whose workers stay hot.
 
     Thread-safe: the daemon's handler threads may submit batches
-    concurrently; the underlying executor serialises scheduling and the
-    rebuild-after-crash path holds a lock.
+    concurrently.
     """
 
-    def __init__(
-        self,
-        specification: ServiceSpecification,
-        workers: int,
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        self.specification = specification
-        self.workers = max(1, workers)
-        self.chunk_size = chunk_size
-        self._lock = threading.Lock()
-        self._busy = 0
-        self._closed = False
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._build_pool()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def _build_pool(self) -> None:
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_worker_init,
-                initargs=(self.specification,),
-            )
-        except (OSError, ValueError):  # pragma: no cover - no multiprocessing
-            self._pool = None
-
-    @property
-    def inline(self) -> bool:
-        """True when no worker processes exist (degraded single-process)."""
-        return self._pool is None
+    #: Batches on the pool right now (feeds ``daemon.workers.busy``).
+    _busy = 0
 
     def prewarm(self, timeout_s: float = 30.0, hold_s: float = 0.05) -> int:
         """Start and initialise every worker; return how many are warm.
@@ -94,133 +53,33 @@ class WarmPool:
         spawn all processes and run the service-building initializer in
         each -- the whole point of a *pre*-warmed pool.
         """
-        if self._pool is None:
+        pool = self._pool_for(self.jobs)
+        if pool is None:
             return 0
         seen: set[int] = set()
         deadline = time.monotonic() + timeout_s
-        while len(seen) < self.workers and time.monotonic() < deadline:
+        while len(seen) < self.jobs and time.monotonic() < deadline:
             remaining = max(1.0, deadline - time.monotonic())
-            probes = [
-                self._pool.submit(_warm_probe, hold_s)
-                for _ in range(self.workers)
-            ]
+            probes = [pool.submit(_warm_probe, hold_s) for _ in range(self.jobs)]
             try:
                 for probe in probes:
                     seen.add(probe.result(timeout=remaining))
             except Exception:  # pragma: no cover - spawn failure mid-warm
                 break
-        registry = get_registry()
-        registry.set_gauge("daemon.workers", len(seen) or 1)
+        get_registry().set_gauge("daemon.workers", len(seen) or 1)
         return len(seen)
 
-    def shutdown(self) -> None:
-        with self._lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    # -- batches -------------------------------------------------------------
-
-    @property
-    def busy_workers(self) -> int:
-        return self._busy
-
-    def check_batch(
-        self,
-        requests: list[LintRequest],
-        fallback: Callable[[LintRequest], LintResult],
-    ) -> list[LintResult]:
-        """Check a batch on the warm workers; results in input order.
-
-        ``fallback`` (the parent service's ``check``) handles the
-        degraded paths: no pool, a closed pool, or chunks lost to a
-        worker crash.  Exactly the same golden contract as
-        ``ParallelExecutor``: the output is byte-identical to the
-        sequential path, whatever happens to the processes.
-        """
-        pool = self._pool
-        if pool is None or self._closed:
-            return [fallback(request) for request in requests]
-
-        # Materialise non-portable sources in the parent, as the batch
-        # pipeline does: read failures become structured errors here.
-        results: list[Optional[LintResult]] = [None] * len(requests)
-        portable: list[tuple[int, LintRequest]] = []
-        for index, request in enumerate(requests):
-            source = request.source
-            if not source.portable:
-                try:
-                    text = source.text()
-                except Exception as exc:  # SourceError
-                    results[index] = LintResult(
-                        name=source.name, error=str(exc)
-                    )
-                    continue
-                request = LintRequest(
-                    StringSource(text, name=source.name),
-                    keep_text=request.keep_text,
-                )
-            portable.append((index, request))
-        if not portable:
-            return [result for result in results if result is not None]
-
-        chunk_size = self.chunk_size or max(
-            1, -(-len(portable) // (self.workers * 4))
-        )
-        chunks = [
-            portable[offset : offset + chunk_size]
-            for offset in range(0, len(portable), chunk_size)
-        ]
+    def check_batch(self, requests: list[LintRequest]) -> list[LintResult]:
+        """Check one request's documents on the warm workers, in input order."""
         registry = get_registry()
-        futures = []
-        try:
-            for chunk in chunks:
-                futures.append(
-                    (
-                        pool.submit(
-                            _worker_run_chunk,
-                            [request for _, request in chunk],
-                            False,
-                            False,
-                        ),
-                        [index for index, _ in chunk],
-                    )
-                )
-        except RuntimeError:  # pool shut down while submitting
-            for index, request in portable:
-                if results[index] is None:
-                    results[index] = fallback(request)
-            return results  # type: ignore[return-value]
-
         with self._lock:
             self._busy += 1
-            registry.gauge_max("daemon.workers.busy", min(self._busy, self.workers))
-        broken: list[int] = []
+            registry.gauge_max("daemon.workers.busy", min(self._busy, self.jobs))
+        results: list[Optional[LintResult]] = [None] * len(requests)
         try:
-            for future, indices in futures:
-                try:
-                    chunk_results, metrics, _spans, _profile = future.result()
-                except BrokenProcessPool:
-                    broken.extend(indices)
-                    continue
-                registry.merge_snapshot(metrics)
-                for index, result in zip(indices, chunk_results):
-                    results[index] = result
+            for index, result in self.iter_run(requests):
+                results[index] = result
         finally:
             with self._lock:
                 self._busy -= 1
-
-        if broken:
-            # A worker died; heal the pool for the next batch and re-run
-            # the lost chunks inline so this one still succeeds.
-            registry.inc("daemon.pool.rebuilds")
-            with self._lock:
-                if self._pool is pool and not self._closed:
-                    self._pool = None
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    self._build_pool()
-            request_at = dict(portable)
-            for index in broken:
-                results[index] = fallback(request_at[index])
         return results  # type: ignore[return-value]

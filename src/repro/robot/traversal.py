@@ -19,8 +19,7 @@ Link extraction and page callbacks always stay on the calling thread.
 Results are consumed in completion order, so the canonical outputs --
 the visited list returned by :meth:`Robot.crawl` and the poacher
 report -- are sorted by URL: a crawl's result is byte-identical at any
-worker count.  ``TraversalPolicy(frontier="wave")`` retains the old
-level-synchronous frontier as a benchmark comparator.
+worker count.
 
 ``max_pages`` is an *admission* budget: the scheduler stops admitting
 fetches at the cap and never discards one it has issued, so the number
@@ -47,7 +46,6 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Callable, Optional
@@ -61,7 +59,6 @@ from repro.robot.frontier import (
     FrontierJournal,
     FrontierScheduler,
     ResumeState,
-    request_fingerprint,
     shard_owns,
 )
 from repro.site.links import extract_links
@@ -96,9 +93,6 @@ class TraversalPolicy:
     per_host_delay_s: float = 0.0
     #: At most this many requests in flight against one host.
     max_in_flight_per_host: int = 4
-    #: ``"streaming"`` (the scheduler) or ``"wave"`` (the legacy
-    #: level-synchronous frontier, kept as a benchmark comparator).
-    frontier: str = "streaming"
     #: Sharded-audit partition: with ``shards > 1`` this crawl invokes
     #: ``on_page`` only for URLs whose request fingerprint falls in
     #: shard ``shard`` (``request_fingerprint % shards == shard``).
@@ -151,68 +145,6 @@ class CrawlStats:
             (url, latency_ms)
             for latency_ms, url in sorted(self.slowest_fetches, reverse=True)
         ]
-
-
-class _HostThrottle:
-    """Per-host politeness for the legacy wave frontier only.
-
-    The streaming scheduler replaces this with
-    :class:`repro.robot.frontier.HostSlot`, which parks ineligible
-    requests instead of blocking a worker thread.
-    """
-
-    __slots__ = ("_slots", "_lock", "_delay", "_next_ok")
-
-    def __init__(self, delay_s: float, max_in_flight: int) -> None:
-        self._slots = threading.BoundedSemaphore(max(1, max_in_flight))
-        self._lock = threading.Lock()
-        self._delay = max(0.0, delay_s)
-        self._next_ok = 0.0
-
-    def __enter__(self) -> "_HostThrottle":
-        self._slots.acquire()
-        if self._delay:
-            with self._lock:
-                now = time.monotonic()
-                wait = self._next_ok - now
-                self._next_ok = max(now, self._next_ok) + self._delay
-            if wait > 0:
-                get_registry().observe(
-                    "robot.frontier.host_wait_ms", wait * 1000.0
-                )
-                time.sleep(wait)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._slots.release()
-
-
-class _WaveFrontier:
-    """Queue + dupefilter adapter for the legacy wave driver.
-
-    Gives the wave path the same ``mark_seen``/``push`` surface as the
-    scheduler so both share :meth:`Robot._consume`.
-    """
-
-    __slots__ = ("queue", "_seen", "_next_seq")
-
-    def __init__(self) -> None:
-        self.queue: deque[tuple[str, int]] = deque()
-        self._seen: set[str] = set()
-        self._next_seq = 0
-
-    def mark_seen(self, url: str) -> bool:
-        fingerprint = request_fingerprint(url)
-        if fingerprint in self._seen:
-            return False
-        self._seen.add(fingerprint)
-        return True
-
-    def push(self, url: str, depth: int) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        self.queue.append((url, depth))
-        return seq
 
 
 class CrawlProgress:
@@ -335,7 +267,6 @@ class Robot:
         self._stats_lock = threading.Lock()
         self._in_flight = 0
         self._scheduler: Optional[FrontierScheduler] = None
-        self._wave_queue: Optional[deque] = None
 
     @property
     def in_flight(self) -> int:
@@ -346,10 +277,7 @@ class Robot:
     def frontier_size(self) -> int:
         """URLs queued and not yet admitted (0 outside a crawl)."""
         scheduler = self._scheduler
-        if scheduler is not None:
-            return scheduler.queued
-        queue = self._wave_queue
-        return len(queue) if queue is not None else 0
+        return scheduler.queued if scheduler is not None else 0
 
     def busiest_slot(self) -> Optional[tuple[str, int, int]]:
         """``(host, busy, capacity)`` of the busiest downloader slot."""
@@ -412,12 +340,6 @@ class Robot:
         processed: set[str] = set()  # final URLs handed to on_page
         visited: list[str] = []
 
-        if self.policy.frontier == "wave":
-            return self._crawl_wave(
-                start_url, start, start_str, processed, visited,
-                on_page, progress,
-            )
-
         scheduler = FrontierScheduler(
             max_pages=self.policy.max_pages,
             per_host_delay_s=self.policy.per_host_delay_s,
@@ -472,37 +394,6 @@ class Robot:
             if progress is not None:
                 progress.stop()
             self._scheduler = None
-        visited.sort()
-        return visited
-
-    def _crawl_wave(
-        self, start_url, start, start_str, processed, visited,
-        on_page, progress,
-    ) -> list[str]:
-        """The legacy level-synchronous frontier (benchmark comparator)."""
-        frontier = _WaveFrontier()
-        frontier.mark_seen(start_str)
-        frontier.push(start_str, 0)
-        self._wave_queue = frontier.queue
-        if progress is not None:
-            progress.start()
-        try:
-            with get_tracer().span(
-                "robot.crawl", start=start_url, workers=self.policy.concurrency
-            ) as crawl_span:
-                get_registry().gauge_max(
-                    "robot.frontier.workers", self.policy.concurrency
-                )
-                self._drive_wave(frontier, start, processed, visited, on_page)
-                crawl_span.annotate(
-                    pages=self.stats.pages_fetched,
-                    http_errors=self.stats.pages_http_error,
-                    transport_failures=self.stats.pages_failed,
-                )
-        finally:
-            if progress is not None:
-                progress.stop()
-            self._wave_queue = None
         visited.sort()
         return visited
 
@@ -575,61 +466,6 @@ class Robot:
                 scheduler.close()  # wake any parked workers so join ends
         for future in futures:
             future.result()  # surface unexpected worker crashes
-
-    def _drive_wave(
-        self, frontier, start, processed, visited, on_page
-    ) -> None:
-        """Level-synchronous BFS: fetch each wave in parallel, fold in order.
-
-        Kept only as the ``frontier="wave"`` comparator: every wave
-        barriers on its slowest fetch, and a ``max_pages`` cutoff
-        mid-wave discards already-issued fetches.
-        """
-        registry = get_registry()
-        tracer = get_tracer()
-        throttles: dict[str, _HostThrottle] = {}
-        throttles_lock = threading.Lock()
-
-        def fetch_one(url: str) -> Optional[Response]:
-            host = urlparse(url).host
-            with throttles_lock:
-                throttle = throttles.get(host)
-                if throttle is None:
-                    throttle = throttles[host] = _HostThrottle(
-                        self.policy.per_host_delay_s,
-                        self.policy.max_in_flight_per_host,
-                    )
-            with throttle:
-                return self._fetch(url)
-
-        with ThreadPoolExecutor(
-            max_workers=self.policy.concurrency,
-            thread_name_prefix="frontier",
-        ) as pool:
-            while frontier.queue and (
-                self.stats.pages_fetched < self.policy.max_pages
-            ):
-                wave = []
-                while frontier.queue:
-                    url, depth = frontier.queue.popleft()
-                    if self._admit(url, start):
-                        wave.append((url, depth))
-                if not wave:
-                    break
-                registry.inc("robot.frontier.waves")
-                registry.gauge_max("robot.frontier.wave_size", len(wave))
-                with tracer.span("robot.frontier.wave", urls=len(wave)):
-                    futures = [
-                        pool.submit(fetch_one, url) for url, _ in wave
-                    ]
-                    for (url, depth), future in zip(wave, futures):
-                        response = future.result()
-                        if self.stats.pages_fetched >= self.policy.max_pages:
-                            continue  # cutoff: drain remaining futures
-                        self._consume(
-                            url, depth, response, frontier, start,
-                            processed, visited, on_page,
-                        )
 
     # -- resume -------------------------------------------------------------
 

@@ -267,7 +267,9 @@ class TestResultCache:
         assert snapshot.get("cache.lint.bypassed") == 2
         assert "cache.lint.hits" not in snapshot
 
-    def test_parallel_warm_batch_hits_in_parent(self, tmp_path):
+    def test_parallel_warm_batch_hits_in_parent(self, tmp_path, monkeypatch):
+        import repro.core.service as service_module
+
         paths = []
         for index in range(6):
             path = tmp_path / f"p{index}.html"
@@ -275,9 +277,17 @@ class TestResultCache:
             paths.append(path)
         cold = LintService(cache=ResultCache(tmp_path / "cache"))
         before = cold.check_many([PathSource(p) for p in paths], jobs=2)
+        pools = []
+
+        def no_pool(*args, **kwargs):
+            pools.append(kwargs)
+            raise OSError("a fully warm batch must not start worker processes")
+
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", no_pool)
         warm = LintService(cache=ResultCache(tmp_path / "cache"))
         with use_registry() as registry:
             after = warm.check_many([PathSource(p) for p in paths], jobs=2)
+        assert pools == []
         assert registry.snapshot().get("cache.lint.hits") == 6
         assert [
             [str(d) for d in result.diagnostics] for result in before

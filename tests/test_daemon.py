@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 
 import pytest
 
 from repro.config.options import Options
-from repro.core.service import LintRequest, LintService, StringSource
+from repro.core.cache import ResultCache
+from repro.core.service import (
+    LintRequest,
+    LintService,
+    StringSource,
+    _worker_run_chunk,
+)
 from repro.daemon import (
     AdmissionGate,
     DaemonSaturated,
@@ -22,7 +29,7 @@ from repro.daemon import (
     encode_batch_response,
 )
 from repro.daemon.client import DaemonClientError, base_url, remote_check
-from repro.daemon.daemon import LifecycleJournal, options_from_dict
+from repro.daemon.daemon import FANOUT_THRESHOLD, LifecycleJournal, options_from_dict
 from repro.gateway.gateway import Gateway
 from repro.obs import use_registry
 from repro.www.server import HTTPServer, http_get, http_post
@@ -30,6 +37,14 @@ from repro.www.virtualweb import VirtualWeb
 from tests.conftest import PAPER_EXAMPLE, make_document
 
 GOOD_PAGE = make_document("<p>all fine here</p>")
+
+#: Four documents with different bytes, so each has its own cache key.
+DISTINCT_PAGES = [PAPER_EXAMPLE] + [
+    make_document(f"<p>page {i}<img src=x.gif></p>") for i in range(3)
+]
+
+#: The document :func:`crash_on_marker` kills its worker on.
+CRASH_MARKER = "crash-here.html"
 
 
 def _requests(count: int, text: str = PAPER_EXAMPLE) -> list[LintRequest]:
@@ -146,17 +161,38 @@ class TestLintDaemon:
     def test_batch_matches_sequential(self):
         service = LintService()
         expected = service.check_many(_requests(12))
-        with LintDaemon(jobs=2, fanout_threshold=2) as daemon:
+        with LintDaemon(jobs=2) as daemon:
             got = daemon.check_batch(_requests(12))
         assert [r.name for r in got] == [r.name for r in expected]
         assert [_diag_rows(r) for r in got] == [_diag_rows(r) for r in expected]
 
     def test_small_batches_run_inline(self):
-        with LintDaemon(jobs=2, fanout_threshold=100) as daemon:
-            results = daemon.check_batch(_requests(3))
-            assert daemon.pool is not None
-            assert daemon.pool.busy_workers == 0  # never fanned out
+        with use_registry() as registry:
+            with LintDaemon(jobs=2) as daemon:
+                results = daemon.check_batch(_requests(FANOUT_THRESHOLD - 1))
+                assert daemon.pool is not None
+            # Never fanned out: the pool's busy gauge was never raised.
+            assert "daemon.workers.busy" not in registry.snapshot()
         assert len(results) == 3 and all(r.ok for r in results)
+
+    def test_pooled_batches_use_the_cache(self, tmp_path):
+        """A repeated pooled request is served from the daemon's cache."""
+        requests = lambda: [  # noqa: E731
+            LintRequest(StringSource(page, name=f"doc{i}.html"))
+            for i, page in enumerate(DISTINCT_PAGES)
+        ]
+        with use_registry() as registry:
+            with LintDaemon(jobs=2, cache=ResultCache(tmp_path)) as daemon:
+                cold = daemon.check_batch(requests())
+                assert registry.value("cache.lint.misses") == 4
+                assert registry.value("cache.lint.stores") == 4
+                linted = registry.snapshot()["lint.check_ms"]["count"]
+                warm = daemon.check_batch(requests())
+            assert registry.value("cache.lint.hits") == 4
+            assert registry.value("cache.lint.misses") == 4
+            assert registry.snapshot()["lint.check_ms"]["count"] == linted == 4
+        assert [_diag_rows(r) for r in warm] == [_diag_rows(r) for r in cold]
+        assert all(r.diagnostics for r in warm)
 
     def test_unstarted_daemon_still_checks(self):
         daemon = LintDaemon(jobs=2)
@@ -219,38 +255,114 @@ class TestLintDaemon:
             options_from_dict(base, {"enable": ["no-such-message-id"]})
 
 
+def crash_on_marker(requests, collect_trace, collect_profile):
+    """A ``_worker_run_chunk`` stand-in: the worker dies on the marker."""
+    if any(request.source.name == CRASH_MARKER for request in requests):
+        os._exit(3)
+    return _worker_run_chunk(requests, collect_trace, collect_profile)
+
+
 class TestWarmPool:
     def test_pool_persists_across_batches(self):
-        service = LintService()
-        pool = WarmPool(service.specification(), workers=2)
-        try:
+        with WarmPool(LintService(), jobs=2) as pool:
             warmed = pool.prewarm(timeout_s=30.0)
             assert warmed >= 1
             for _ in range(3):
-                results = pool.check_batch(
-                    _requests(8), fallback=service.check
-                )
+                results = pool.check_batch(_requests(8))
                 assert len(results) == 8
                 assert all(r.diagnostics for r in results)
-        finally:
-            pool.shutdown()
 
     def test_closed_pool_falls_back(self):
-        service = LintService()
-        pool = WarmPool(service.specification(), workers=2)
+        pool = WarmPool(LintService(), jobs=2)
         pool.shutdown()
-        results = pool.check_batch(_requests(4), fallback=service.check)
+        with use_registry() as registry:
+            results = pool.check_batch(_requests(4))
+            assert registry.value("lint.pool.fallbacks") == 4
         assert len(results) == 4 and all(r.ok for r in results)
 
     def test_worker_metrics_merge_into_parent(self):
-        service = LintService()
         with use_registry() as registry:
-            pool = WarmPool(service.specification(), workers=2)
-            try:
-                pool.check_batch(_requests(8), fallback=service.check)
-            finally:
-                pool.shutdown()
+            with WarmPool(LintService(), jobs=2) as pool:
+                pool.check_batch(_requests(8))
             assert registry.value("lint.files") == 8
+
+    def test_concurrent_batches_share_one_pool(self, monkeypatch):
+        """Handler threads racing into a cold pool build it exactly once."""
+        import sys
+
+        import repro.core.service as service_module
+
+        built = []
+        real_pool = service_module.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            built.append(kwargs["max_workers"])
+            time.sleep(0.05)  # widen the window a check-then-build race needs
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", counting_pool)
+        outcomes: list[object] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_registry() as registry, WarmPool(LintService(), jobs=2) as pool:
+
+                def batch() -> None:
+                    try:
+                        outcomes.append(pool.check_batch(_requests(6)))
+                    except Exception as exc:  # pragma: no cover - failure detail
+                        outcomes.append(exc)
+
+                threads = [threading.Thread(target=batch) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert pool._busy == 0
+                assert registry.value("lint.files") == 36
+                assert registry.value("lint.pool.fallbacks") == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == [2]
+        assert len(outcomes) == 6
+        for results in outcomes:
+            assert [r.name for r in results] == [f"doc{i:02}.html" for i in range(6)]
+            assert all(r.diagnostics for r in results)
+
+    def test_crashed_worker_heals(self, monkeypatch):
+        """A worker killed mid-batch: the batch still matches the
+        sequential result, the lost documents re-run in the parent
+        (counted), and the next batch runs on a rebuilt pool."""
+        import repro.core.service as service_module
+
+        requests = _requests(8)
+        requests[5] = LintRequest(StringSource(GOOD_PAGE, name=CRASH_MARKER))
+        expected = LintService().check_many(requests)
+        service = LintService()
+        in_parent: list[str] = []
+        lint = service._lint
+
+        def lint_in_parent(request):
+            in_parent.append(request.source.name)
+            return lint(request)
+
+        monkeypatch.setattr(service, "_lint", lint_in_parent)
+        monkeypatch.setattr(service_module, "_worker_run_chunk", crash_on_marker)
+        with use_registry() as registry, WarmPool(service, jobs=2) as pool:
+            assert pool.prewarm(timeout_s=30.0) >= 1
+            got = pool.check_batch(requests)
+            assert [r.name for r in got] == [r.name for r in expected]
+            assert [_diag_rows(r) for r in got] == [_diag_rows(r) for r in expected]
+            assert CRASH_MARKER in in_parent
+            assert registry.value("lint.pool.fallbacks") == len(in_parent)
+
+            rerun = len(in_parent)
+            healed = pool.check_batch(_requests(8))
+            assert all(r.diagnostics for r in healed)
+            assert registry.value("lint.pool.rebuilds") == 1
+            assert registry.value("lint.pool.fallbacks") == rerun
+            assert len(in_parent) == rerun  # every document ran on a worker
 
 
 class TestLifecycleJournal:

@@ -350,20 +350,6 @@ class TestStreamingCrawl:
             ).crawl("http://h/index.html")
         assert visited == SITE_URLS
 
-    def test_wave_frontier_still_available(self):
-        web = VirtualWeb(sleep=no_sleep)
-        build_site(web)
-        with use_registry() as registry:
-            text = crawl_report_text(
-                web, TraversalPolicy(concurrency=4, frontier="wave")
-            )
-            assert registry.value("robot.frontier.waves") >= 3
-        fresh = VirtualWeb(sleep=no_sleep)
-        build_site(fresh)
-        with use_registry():
-            streaming = crawl_report_text(fresh, TraversalPolicy(concurrency=4))
-        assert text == streaming
-
 
 class TestKillAndResume:
     def _state(self, tmp_path, name):

@@ -149,6 +149,27 @@ class TestPoolFallback:
         assert event["level"] == "warn"
         assert event["documents"] == len(corpus_dir)
 
+    def test_cached_batch_falls_back_once_per_document(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        """A broken pool under a cache: each document misses, is linted
+        and is stored exactly once -- the fallback never re-looks it up."""
+        import repro.core.service as service_module
+        from repro.core.cache import ResultCache
+
+        paths = corpus_dir[:6]
+        sequential = LintService().check_many(map(PathSource, paths), jobs=1)
+        monkeypatch.setattr(service_module, "_worker_init", failing_worker_init)
+        service = LintService(cache=ResultCache(tmp_path / "cache"))
+        with use_registry() as registry:
+            degraded = service.check_many(map(PathSource, paths), jobs=2)
+        assert registry.value("cache.lint.misses") == 6
+        assert registry.value("cache.lint.stores") == 6
+        assert registry.value("lint.pool.fallbacks") == 6
+        assert list(map(diagnostic_keys, degraded)) == list(
+            map(diagnostic_keys, sequential)
+        )
+
     def test_healthy_pool_counts_no_fallback(self, corpus_dir):
         with use_registry() as registry:
             LintService().check_many(
