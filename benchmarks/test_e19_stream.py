@@ -3,9 +3,9 @@
 The streaming diagnostics pipeline (docs/architecture.md, "Streaming
 reports") claims the rollup-mode site check holds *bounded* memory: as
 a site grows 10x, the buffered :class:`SiteReport` path keeps every
-page's diagnostics and links until the end and its traced-heap
-high-water grows roughly linearly, while the rollup path keeps only
-the page-name index, a flat integer link graph and the
+page's diagnostics until the end and its traced-heap high-water grows
+roughly linearly, while the rollup path keeps only the site-check
+core's page-name index, flat integer link graph and
 currently-unresolved links, so its high-water barely moves.
 
 This benchmark measures both regimes on the same generated site at 50
@@ -13,8 +13,9 @@ and 500 pages (pages come straight out of
 :meth:`PageGenerator.iter_site`, never materialised as a dict) and
 asserts the headline property the ISSUE gates on:
 
-- the streaming high-water at 500 pages is at most 1.5x the high-water
-  at 50 pages, while the buffered high-water grows by well over 3x;
+- the streaming high-water at 500 pages is at most
+  ``MAX_STREAM_GROWTH`` times the high-water at 50 pages, while the
+  buffered high-water grows by well over 3x;
 - the rollup renders the *same* summary the buffered report renders
   (memory-bounded must not mean approximate).
 

@@ -15,8 +15,8 @@ One :class:`LintDaemon` owns
   work is refused (503) while in-flight requests complete;
 - a crash-safe lifecycle journal in the frontier's idiom: an
   append-only ``journal.jsonl`` flushed per record plus an atomic
-  ``state.json`` (tempfile + ``os.replace``), so a supervisor -- or the
-  next daemon start -- can tell a clean stop from a crash
+  ``state.json`` (:func:`repro.store.write_atomic`), so a supervisor
+  -- or the next daemon start -- can tell a clean stop from a crash
   (``daemon.unclean_starts``).
 
 Everything the daemon does is measured through :mod:`repro.obs`:
@@ -30,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -49,6 +48,7 @@ from repro.daemon.pool import WarmPool
 from repro.obs.events import get_event_log
 from repro.obs.metrics import get_registry
 from repro.obs.timeseries import get_timeseries
+from repro.store import write_atomic
 
 #: Batches smaller than this run inline on the (already warm) base
 #: service: for a handful of documents the lint work is cheaper than
@@ -153,17 +153,9 @@ class LifecycleJournal:
     def _write_state(self, state: dict[str, object]) -> None:
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                "w",
-                encoding="utf-8",
-                dir=self.directory,
-                prefix="state.",
-                suffix=".tmp",
-                delete=False,
+            write_atomic(
+                self.state_path, json.dumps(state, sort_keys=True).encode("utf-8")
             )
-            with handle:
-                json.dump(state, handle, sort_keys=True)
-            os.replace(handle.name, self.state_path)
         except OSError:
             get_registry().inc("daemon.journal_write_errors")
 

@@ -34,8 +34,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import os
-import tempfile
 import threading
 import time
 from collections import deque
@@ -44,6 +42,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 from repro.obs.metrics import get_registry
+from repro.store import write_atomic
 from repro.www.message import Response
 from repro.www.url import urljoin, urlparse
 
@@ -418,7 +417,7 @@ class FrontierJournal:
       line (the usual SIGTERM artefact) is silently dropped; any other
       corruption makes :meth:`resume` return ``None`` so the crawl
       restarts clean instead of crashing.
-    - ``checkpoint.json`` -- an atomic (tempfile + ``os.replace``)
+    - ``checkpoint.json`` -- an atomic (:func:`repro.store.write_atomic`)
       compaction of everything journaled so far, written at crawl end
       and every ``checkpoint_every`` completions; the journal is then
       truncated.  ``on_checkpoint`` lets the caller persist companion
@@ -582,17 +581,7 @@ class FrontierJournal:
         )
         self.directory.mkdir(parents=True, exist_ok=True)
         try:
-            handle = tempfile.NamedTemporaryFile(
-                "w",
-                encoding="utf-8",
-                dir=self.directory,
-                prefix=".checkpoint.",
-                suffix=".tmp",
-                delete=False,
-            )
-            with handle:
-                handle.write(payload)
-            os.replace(handle.name, self.checkpoint_path)
+            write_atomic(self.checkpoint_path, payload.encode("utf-8"))
         except OSError:
             get_registry().inc("robot.frontier.journal_write_errors")
             return

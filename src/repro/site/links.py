@@ -67,10 +67,28 @@ class Link:
 
 def extract_links(source: str) -> list[Link]:
     """All references in ``source``, in document order."""
+    return scan_page(source)[0]
+
+
+def extract_anchor_names(source: str) -> set[str]:
+    """All fragment targets defined in the page (<A NAME> and ID values)."""
+    return scan_page(source)[1]
+
+
+def scan_page(source: str) -> tuple[list[Link], set[str]]:
+    """``source``'s links and fragment targets, in one tokenizer pass."""
     links: list[Link] = []
+    names: set[str] = set()
     for token in tokenize(source):
         if not isinstance(token, StartTag):
             continue
+        if token.lowered == "a":
+            name_attr = token.get("name")
+            if name_attr is not None and name_attr.value:
+                names.add(name_attr.value)
+        id_attr = token.get("id")
+        if id_attr is not None and id_attr.value:
+            names.add(id_attr.value)
         mapping = _LINK_ATTRIBUTES.get(token.lowered)
         if mapping is None:
             continue
@@ -86,20 +104,4 @@ def extract_links(source: str) -> list[Link]:
                 kind=kind,
             )
         )
-    return links
-
-
-def extract_anchor_names(source: str) -> set[str]:
-    """All fragment targets defined in the page (<A NAME> and ID values)."""
-    names: set[str] = set()
-    for token in tokenize(source):
-        if not isinstance(token, StartTag):
-            continue
-        if token.lowered == "a":
-            name_attr = token.get("name")
-            if name_attr is not None and name_attr.value:
-                names.add(name_attr.value)
-        id_attr = token.get("id")
-        if id_attr is not None and id_attr.value:
-            names.add(id_attr.value)
-    return names
+    return links, names

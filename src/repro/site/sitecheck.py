@@ -1,11 +1,37 @@
 """The -R whole-site checker.
 
-Runs weblint over every HTML file under a root directory and adds the
-site-level analyses the paper attaches to the ``-R`` switch:
+Runs weblint over every page of a site and adds the site-level analyses
+the paper attaches to the ``-R`` switch:
 
-- ``directory-index``: directories without an index file;
+- ``directory-index``: directories without an index file (directory
+  walks only);
 - ``orphan-page``: pages no other checked page links to;
-- ``bad-link``: relative links whose target file does not exist.
+- ``bad-link``: relative links whose target does not exist;
+- ``bad-fragment``: ``#fragment`` links to an anchor the target page
+  does not define.
+
+The last three, and the link graph behind the navigation analysis, come
+from one core, :class:`_SiteCore`, whatever the entry point:
+:meth:`SiteChecker.check_directory` (``weblint -R``) feeds it pages as
+their lint results resolve, :meth:`SiteChecker.check_pages` as a
+stream delivers them.  Pages may arrive in any order; each link
+resolves as soon as both of its endpoints are known, so the core holds
+the page names, a compact link graph and the still-unresolved links --
+never every page's text or link list.  A :class:`SiteReport` is a
+materialised view of the core's findings; a
+:class:`~repro.site.rollup.SiteRollup` counts (and a
+:class:`~repro.site.rollup.PageSpill` spills) the same findings in
+bounded memory.
+
+The only differences between a directory walk and a page stream live in
+the target resolver (:class:`_FileResolver` vs
+:class:`_PageSetResolver`): how a link target is named, whether a
+target that never arrived as a page exists anyway (on disk vs never),
+that target's anchors and the ``bad-link`` status text.  The rest is
+one policy: ``#fragment`` and ``?query`` are stripped before resolving;
+a link to a directory names that directory's index page, with its
+fragment unchecked; and only the site root's index pages are exempt
+from ``orphan-page``.
 
 External (``http:`` ...) links are left to the poacher robot by default
 -- exactly the division of labour the paper describes between ``-R``
@@ -17,6 +43,7 @@ fetch path the robot uses.
 
 from __future__ import annotations
 
+import posixpath
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -24,10 +51,11 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.config.options import Options
+from repro.core import constants
 from repro.core.diagnostics import Diagnostic
 from repro.core.linter import Weblint
 from repro.core.service import LintRequest, LintService, PathSource, StringSource
-from repro.site.links import Link, extract_anchor_names, extract_links
+from repro.site.links import Link, extract_anchor_names, scan_page
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.site.orphans import build_incoming_counts, find_orphans
@@ -37,7 +65,11 @@ from repro.site.walker import find_html_files, has_index_file, iter_directories
 
 @dataclass
 class SiteReport:
-    """Everything the site check found."""
+    """Everything the site check found: a materialised view of the core.
+
+    ``page_diagnostics`` holds each page's lint diagnostics followed by
+    the cross-page findings that name it, in link order.
+    """
 
     root: str
     pages: list[str] = field(default_factory=list)
@@ -118,31 +150,36 @@ class SiteChecker:
         start = time.perf_counter()
         with tracer.span("site.check", root=str(root)):
             files = find_html_files(root)
-            page_links: dict[str, list[Link]] = {}
+            names = {str(path): _relative_name(path, root) for path in files}
+            core = _SiteCore(self, _FileResolver(root))
+            errors: dict[str, str] = {}
 
-            # One batch through the lint pipeline (parallel when jobs > 1).
-            # keep_text shares the single read between linting and link
-            # extraction; an unreadable page becomes a structured error
-            # instead of aborting the whole site check.
+            # One batch through the lint pipeline (parallel when jobs > 1),
+            # fed to the core in completion order.  keep_text shares the
+            # single read between linting and link extraction; an
+            # unreadable page becomes a structured error instead of
+            # aborting the whole site check.
             requests = [
                 LintRequest(PathSource(path), keep_text=True) for path in files
             ]
-            results = self.service.check_many(requests, jobs=self.jobs)
-            for path, result in zip(files, results):
+            for result in self.service.iter_check(requests, jobs=self.jobs):
                 if result.error is not None:
-                    report.page_errors.append(result.error)
+                    errors[result.name] = result.error
                     continue
-                relative = _relative_name(path, root)
-                report.pages.append(relative)
-                report.page_diagnostics[relative] = result.diagnostics
+                page = names[result.name]
+                report.page_diagnostics[page] = result.diagnostics
                 registry.inc("site.files.checked")
-                page_links[relative] = extract_links(result.text or "")
+                core.add_page(page, result.text or "")
+            # The report lists pages and errors in walk order.
+            report.pages = [
+                page for page in names.values() if page in report.page_diagnostics
+            ]
+            report.page_errors = [errors[name] for name in names if name in errors]
 
             with tracer.span("site.analyses", pages=len(report.pages)):
                 self._check_directory_indexes(root, report)
-                self._check_local_links(root, report, page_links)
-                self._check_external_links(report, page_links)
-                self._check_orphans(root, report, page_links)
+                core.finish()
+            core.materialise(report)
         registry.observe("site.check_ms", (time.perf_counter() - start) * 1000.0)
         return report
 
@@ -157,253 +194,62 @@ class SiteChecker:
 
         The streamed counterpart of :meth:`check_directory`, for pages
         that arrive one at a time -- e.g. fed out of a crawl frontier
-        as each fetch completes.  Each page is linted the moment it
-        arrives; the site-level analyses that need the complete page
-        set (``bad-link``, ``bad-fragment``, ``orphan-page``) resolve
-        once the stream ends.  Link targets resolve against the page
-        *names* (no filesystem), so the same report comes out whether
-        the pages were walked from disk or streamed from a crawl.
+        as each fetch completes.  Each page is linted and folded into
+        the site-check core the moment it arrives; findings that need
+        the complete page set resolve once the stream ends.  Link
+        targets resolve against the page *names* (no filesystem).
 
-        Two memory regimes:
+        Two sinks for the same findings:
 
-        - Default: returns a fully materialised :class:`SiteReport`
-          (every page's diagnostics and links held until the end).
+        - Default: returns a materialised :class:`SiteReport` (every
+          page's diagnostics held until the end), pages sorted by name.
         - ``rollup=``: the memory-bounded audit path.  Each page's
           diagnostics are tallied into the given
           :class:`~repro.site.rollup.SiteRollup` (and spilled to
-          ``spill`` when given) the moment the page resolves; links are
-          kept only until both endpoints are known, and the link graph
-          is a compact integer adjacency.  Returns the rollup, which
-          renders an identical summary to
+          ``spill`` when given) the moment the page resolves.  Returns
+          the rollup, which equals
           ``SiteRollup.from_report(<the SiteReport>)``.
         """
-        if rollup is not None:
-            return self._check_pages_rollup(pages, root, rollup, spill)
-        report = SiteReport(root=str(root))
         registry = get_registry()
         tracer = get_tracer()
         start = time.perf_counter()
-        page_links: dict[str, list[Link]] = {}
-        page_anchors: dict[str, set[str]] = {}
+        core = _SiteCore(self, _PageSetResolver())
+        report = SiteReport(root=str(root)) if rollup is None else None
+        # The rollup sink's lint message counts.  Only pages with
+        # problems take a slot: on a mostly-clean site it stays near-empty.
+        problem_counts: dict[str, int] = {}
         with tracer.span("site.check_stream", root=str(root)):
             for name, text in pages:
                 result = self.service.check(StringSource(text, name=name))
                 if result.error is not None:
-                    report.page_errors.append(result.error)
+                    if report is not None:
+                        report.page_errors.append(result.error)
+                    else:
+                        rollup.note_page_error()
+                        if spill is not None:
+                            spill.write_page(name, (), error=result.error)
                     continue
-                report.pages.append(name)
-                report.page_diagnostics[name] = result.diagnostics
                 registry.inc("site.files.checked")
-                page_links[name] = extract_links(text)
-                page_anchors[name] = extract_anchor_names(text)
-            report.pages.sort()
-            with tracer.span("site.analyses", pages=len(report.pages)):
-                self._check_streamed_links(report, page_links, page_anchors)
-                self._check_streamed_orphans(report, page_links)
-        registry.observe(
-            "site.check_ms", (time.perf_counter() - start) * 1000.0
-        )
-        return report
-
-    def _check_pages_rollup(
-        self,
-        pages,
-        root: str,
-        rollup: SiteRollup,
-        spill: Optional[PageSpill],
-    ) -> SiteRollup:
-        """The memory-bounded streamed check (see :meth:`check_pages`)."""
-        registry = get_registry()
-        tracer = get_tracer()
-        start = time.perf_counter()
-        follow = self.options.follow_links
-        state = _StreamState()
-        with tracer.span("site.check_stream", root=str(root)):
-            for name, text in pages:
-                result = self.service.check(StringSource(text, name=name))
-                if result.error is not None:
-                    rollup.note_page_error()
+                if report is not None:
+                    report.page_diagnostics[name] = result.diagnostics
+                else:
+                    rollup.count_diagnostics(result.diagnostics)
+                    if result.diagnostics:
+                        problem_counts[name] = len(result.diagnostics)
                     if spill is not None:
-                        spill.write_page(name, (), error=result.error)
-                    continue
-                registry.inc("site.files.checked")
-                rollup.count_diagnostics(result.diagnostics)
-                # Only pages with problems take a counter slot: on a
-                # mostly-clean site the table stays near-empty.
-                if result.diagnostics:
-                    state.problem_counts[name] = len(result.diagnostics)
-                if spill is not None:
-                    spill.write_page(name, result.diagnostics)
-                self._stream_page(
-                    state,
-                    name,
-                    extract_links(text),
-                    extract_anchor_names(text),
-                    follow,
-                )
-            with tracer.span("site.analyses", pages=len(state.names)):
-                self._finish_stream(state, rollup, spill, follow)
+                        spill.write_page(name, result.diagnostics)
+                core.add_page(name, text)
+            with tracer.span("site.analyses", pages=len(core.names)):
+                core.finish()
+                if report is None:
+                    core.roll_up(rollup, spill, problem_counts)
+                else:
+                    report.pages = sorted(core.known)
+                    core.materialise(report)
         registry.observe(
             "site.check_ms", (time.perf_counter() - start) * 1000.0
         )
-        return rollup
-
-    def _stream_page(
-        self,
-        state: "_StreamState",
-        page: str,
-        links: list[Link],
-        anchors: set[str],
-        follow: bool,
-    ) -> None:
-        """Fold one arrived page into the bounded cross-page state."""
-        page_id = state.add_page(page, anchors)
-
-        # Everything parked waiting for this page can now resolve: the
-        # links are not broken (and are dropped), deferred fragments
-        # check against the real anchor set, graph edges materialise.
-        state.pending_links.pop(page, None)
-        for source, line, url, fragment in state.pending_fragments.pop(
-            page, ()
-        ):
-            if fragment not in anchors:
-                state.find(self._make_site_diagnostic(
-                    "bad-fragment",
-                    filename=source,
-                    line=line,
-                    target=url.split("#", 1)[0] or "this page",
-                    fragment=fragment,
-                ))
-        for source_id in state.pending_edges.pop(page, ()):
-            state.add_edge(source_id, page_id)
-
-        for link in links:
-            if follow and not link.scheme:
-                self._stream_link_check(state, page, link, anchors)
-            # The graph channel (navigation + orphans) runs regardless
-            # of follow_links, mirroring the buffered streamed check.
-            if link.scheme or link.is_fragment_only:
-                continue
-            target_text = link.url.split("#", 1)[0].split("?", 1)[0]
-            if not target_text:
-                continue
-            target = _resolve_streamed_target(page, target_text)
-            target_id = state.known.get(target)
-            if target_id is not None:
-                state.add_edge(page_id, target_id)
-            else:
-                state.pending_edges.setdefault(target, []).append(page_id)
-
-    def _stream_link_check(
-        self,
-        state: "_StreamState",
-        page: str,
-        link: Link,
-        anchors: set[str],
-    ) -> None:
-        """bad-link / bad-fragment for one link, resolved or parked."""
-        target_text, _, fragment = link.url.partition("#")
-        if not target_text:
-            # Same-page fragment: #section must exist here.
-            if fragment and fragment not in anchors:
-                state.find(self._make_site_diagnostic(
-                    "bad-fragment",
-                    filename=page,
-                    line=link.line,
-                    target="this page",
-                    fragment=fragment,
-                ))
-            return
-        target = _resolve_streamed_target(page, target_text)
-        if target in state.known:
-            if fragment and fragment not in state.anchors.get(target, ()):
-                state.find(self._make_site_diagnostic(
-                    "bad-fragment",
-                    filename=page,
-                    line=link.line,
-                    target=link.url.split("#", 1)[0] or "this page",
-                    fragment=fragment,
-                ))
-            return
-        state.pending_links.setdefault(target, []).append(
-            (page, link.line, link.url)
-        )
-        if fragment:
-            state.pending_fragments.setdefault(target, []).append(
-                (page, link.line, link.url, fragment)
-            )
-
-    def _finish_stream(
-        self,
-        state: "_StreamState",
-        rollup: SiteRollup,
-        spill: Optional[PageSpill],
-        follow: bool,
-    ) -> None:
-        """End-of-stream analyses: broken links, orphans, navigation."""
-        from repro.site.navigation import analyse_navigation
-
-        # Links whose target never arrived are broken.  The buffered
-        # check's elif means a missing target suppresses its fragment
-        # check, so leftover pending fragments are simply dropped.
-        if follow:
-            for target in sorted(state.pending_links):
-                for source, line, url in state.pending_links[target]:
-                    state.find(self._make_site_diagnostic(
-                        "bad-link",
-                        filename=source,
-                        line=line,
-                        target=url,
-                        status="page not found",
-                    ))
-        state.pending_links.clear()
-        state.pending_fragments.clear()
-        state.pending_edges.clear()
-
-        pages_sorted = sorted(state.known)
-        incoming = build_incoming_counts(state.edge_pairs())
-        roots = [
-            page
-            for page in pages_sorted
-            if page.rsplit("/", 1)[-1] in self.options.index_filenames
-        ]
-        for orphan in find_orphans(pages_sorted, incoming, roots=roots):
-            state.find(self._make_site_diagnostic(
-                "orphan-page", filename=orphan, page=orphan
-            ))
-        # The incoming-count table is orphan-analysis scratch; release
-        # it before the navigation pass allocates its own O(pages)
-        # structures, so the two never stack on the high-water mark.
-        del incoming
-
-        # Fold the analysis findings in deterministically: every one
-        # attaches to the page it names, exactly like the buffered
-        # check's attach_to.
-        findings = sorted(state.findings, key=Diagnostic.sort_key)
-        rollup.count_diagnostics(findings)
-        for diagnostic in findings:
-            state.problem_counts[diagnostic.filename] = (
-                state.problem_counts.get(diagnostic.filename, 0) + 1
-            )
-        if spill is not None and findings:
-            by_page: dict[str, list[Diagnostic]] = {}
-            for diagnostic in findings:
-                by_page.setdefault(diagnostic.filename, []).append(diagnostic)
-            for page in sorted(by_page):
-                spill.write_page(page, by_page[page], phase="site")
-        for page in pages_sorted:
-            rollup.note_page(page, state.problem_counts.get(page, 0))
-        rollup.note_links(state.edges)
-        if pages_sorted:
-            nav_root = next(
-                (page for page in pages_sorted
-                 if page.rsplit("/", 1)[-1].startswith("index.")),
-                pages_sorted[0],
-            )
-            navigation = analyse_navigation(
-                pages_sorted, state.edge_pairs(), root=nav_root
-            )
-            rollup.navigation_lines = navigation.summary_lines()
+        return rollup if report is None else report
 
     # -- site-level checks ----------------------------------------------------------
 
@@ -424,327 +270,69 @@ class SiteChecker:
         get_registry().inc(f"site.diagnostics.{diagnostic.category.value}")
         return diagnostic
 
-    def _emit(
-        self,
-        report: SiteReport,
-        message_id: str,
-        *,
-        filename: str,
-        line: int = 0,
-        attach_to: Optional[str] = None,
-        **arguments: object,
-    ) -> None:
-        diagnostic = self._make_site_diagnostic(
-            message_id, filename=filename, line=line, **arguments
-        )
-        if diagnostic is None:
-            return
-        if attach_to is not None:
-            report.page_diagnostics.setdefault(attach_to, []).append(diagnostic)
-        else:
-            report.site_diagnostics.append(diagnostic)
-
     def _check_directory_indexes(self, root: Path, report: SiteReport) -> None:
         expected = ", ".join(self.options.index_filenames)
         for directory in iter_directories(root):
             # Only directories that actually hold pages need an index.
             holds_pages = any(
-                child.suffix.lower() in (".html", ".htm", ".shtml", ".xhtml")
+                child.suffix.lower() in constants.HTML_EXTENSIONS
                 for child in directory.iterdir()
                 if child.is_file()
             )
             if not holds_pages:
                 continue
             if not has_index_file(directory, tuple(self.options.index_filenames)):
-                self._emit(
-                    report,
+                diagnostic = self._make_site_diagnostic(
                     "directory-index",
                     filename=str(directory),
                     directory=_relative_name(directory, root) or ".",
                     expected=expected,
                 )
-
-    def _check_local_links(
-        self,
-        root: Path,
-        report: SiteReport,
-        page_links: dict[str, list[Link]],
-    ) -> None:
-        if not self.options.follow_links:
-            return
-        anchor_cache: dict[str, set[str]] = {}
-        for page, links in page_links.items():
-            page_path = root / page
-            for link in links:
-                if link.scheme:
-                    continue  # external links are the robot's job
-                target_text, _, fragment = link.url.partition("#")
-                if not target_text:
-                    # Same-page fragment: #section must exist here.
-                    if fragment:
-                        self._check_fragment(
-                            report, page, link, page_path, fragment,
-                            anchor_cache,
-                        )
-                    continue
-                if target_text.startswith("/"):
-                    target = root / target_text.lstrip("/")
-                else:
-                    target = page_path.parent / target_text
-                try:
-                    resolved = target.resolve()
-                except OSError:  # pragma: no cover - pathological names
-                    resolved = target
-                if not resolved.exists():
-                    self._emit(
-                        report,
-                        "bad-link",
-                        filename=page,
-                        line=link.line,
-                        attach_to=page,
-                        target=link.url,
-                        status="file not found",
-                    )
-                elif fragment and resolved.is_file():
-                    self._check_fragment(
-                        report, page, link, resolved, fragment, anchor_cache
-                    )
-
-    def _check_external_links(
-        self,
-        report: SiteReport,
-        page_links: dict[str, list[Link]],
-    ) -> None:
-        """HEAD-validate absolute ``http(s):`` links via ``self.agent``.
-
-        Uses the robot's :class:`LinkChecker` (one cached HEAD per
-        unique URL across the whole site), so a retry policy or circuit
-        breaker configured on the agent protects the site check too.
-        """
-        if self.agent is None or not self.options.follow_links:
-            return
-        from repro.robot.linkcheck import LinkChecker
-
-        checker = LinkChecker(self.agent)
-        for page, links in sorted(page_links.items()):
-            for link in links:
-                if link.scheme not in ("http", "https") or not link.checkable:
-                    continue
-                status = checker.check(link.url, link.url)
-                if status.broken:
-                    self._emit(
-                        report,
-                        "bad-link",
-                        filename=page,
-                        line=link.line,
-                        attach_to=page,
-                        target=link.url,
-                        status=status.describe(),
-                    )
-        get_registry().inc("site.external_links.checked", checker.checked_count)
-
-    def _check_fragment(
-        self,
-        report: SiteReport,
-        page: str,
-        link: Link,
-        target_path: Path,
-        fragment: str,
-        anchor_cache: dict[str, set[str]],
-    ) -> None:
-        """Does ``target_path`` define the anchor ``fragment``?"""
-        key = str(target_path)
-        if key not in anchor_cache:
-            try:
-                source = target_path.read_text(
-                    encoding="utf-8", errors="replace"
-                )
-            except OSError:
-                anchor_cache[key] = set()
-            else:
-                anchor_cache[key] = extract_anchor_names(source)
-        if fragment not in anchor_cache[key]:
-            self._emit(
-                report,
-                "bad-fragment",
-                filename=page,
-                line=link.line,
-                attach_to=page,
-                target=link.url.split("#", 1)[0] or "this page",
-                fragment=fragment,
-            )
-
-    def _check_streamed_links(
-        self,
-        report: SiteReport,
-        page_links: dict[str, list[Link]],
-        page_anchors: dict[str, set[str]],
-    ) -> None:
-        """bad-link / bad-fragment against the streamed page set."""
-        if not self.options.follow_links:
-            return
-        known = set(report.pages)
-        for page in report.pages:
-            for link in page_links.get(page, []):
-                if link.scheme:
-                    continue  # external links are the robot's job
-                target_text, _, fragment = link.url.partition("#")
-                if not target_text:
-                    if fragment and fragment not in page_anchors.get(
-                        page, set()
-                    ):
-                        self._emit(
-                            report,
-                            "bad-fragment",
-                            filename=page,
-                            line=link.line,
-                            attach_to=page,
-                            target="this page",
-                            fragment=fragment,
-                        )
-                    continue
-                target = _resolve_streamed_target(page, target_text)
-                if target not in known:
-                    self._emit(
-                        report,
-                        "bad-link",
-                        filename=page,
-                        line=link.line,
-                        attach_to=page,
-                        target=link.url,
-                        status="page not found",
-                    )
-                elif fragment and fragment not in page_anchors.get(
-                    target, set()
-                ):
-                    self._emit(
-                        report,
-                        "bad-fragment",
-                        filename=page,
-                        line=link.line,
-                        attach_to=page,
-                        target=link.url.split("#", 1)[0] or "this page",
-                        fragment=fragment,
-                    )
-
-    def _check_streamed_orphans(
-        self,
-        report: SiteReport,
-        page_links: dict[str, list[Link]],
-    ) -> None:
-        edges: list[tuple[str, str]] = []
-        known = set(report.pages)
-        for page in report.pages:
-            for link in page_links.get(page, []):
-                if link.scheme or link.is_fragment_only:
-                    continue
-                target_text = link.url.split("#", 1)[0].split("?", 1)[0]
-                if not target_text:
-                    continue
-                target = _resolve_streamed_target(page, target_text)
-                if target in known:
-                    edges.append((page, target))
-                    report.link_graph.append((page, target))
-        incoming = build_incoming_counts(edges)
-        roots = [
-            page
-            for page in report.pages
-            if page.rsplit("/", 1)[-1] in self.options.index_filenames
-        ]
-        for orphan in find_orphans(report.pages, incoming, roots=roots):
-            self._emit(
-                report,
-                "orphan-page",
-                filename=orphan,
-                attach_to=orphan,
-                page=orphan,
-            )
-
-    def _check_orphans(
-        self,
-        root: Path,
-        report: SiteReport,
-        page_links: dict[str, list[Link]],
-    ) -> None:
-        edges: list[tuple[str, str]] = []
-        known = set(report.pages)
-        for page, links in page_links.items():
-            page_path = root / page
-            for link in links:
-                if link.scheme or link.is_fragment_only:
-                    continue
-                target_text = link.url.split("#", 1)[0].split("?", 1)[0]
-                if not target_text:
-                    continue
-                if target_text.startswith("/"):
-                    candidate = (root / target_text.lstrip("/"))
-                else:
-                    candidate = page_path.parent / target_text
-                if candidate.is_dir():
-                    for index_name in self.options.index_filenames:
-                        if (candidate / index_name).is_file():
-                            candidate = candidate / index_name
-                            break
-                try:
-                    relative = _relative_name(candidate.resolve(), root.resolve())
-                except ValueError:
-                    continue  # points outside the site
-                if relative in known:
-                    edges.append((page, relative))
-                    report.link_graph.append((page, relative))
-
-        incoming = build_incoming_counts(edges)
-        roots = [
-            _relative_name(root / name, root)
-            for name in self.options.index_filenames
-            if (root / name).is_file()
-        ]
-        for orphan in find_orphans(report.pages, incoming, roots=roots):
-            self._emit(
-                report,
-                "orphan-page",
-                filename=orphan,
-                attach_to=orphan,
-                page=orphan,
-            )
+                if diagnostic is not None:
+                    report.site_diagnostics.append(diagnostic)
 
 
-class _StreamState:
-    """Bounded cross-page state for the rollup-mode streamed check.
+#: Where a finding sits among its page's findings: local links in
+#: document order, then external links, then ``orphan-page``.
+_LOCAL, _EXTERNAL, _ORPHAN = 0, 1, 2
 
-    The buffered streamed check holds every page's :class:`Link`
-    objects until the end; at audit scale that list *is* the memory
-    wall.  This state resolves each link the moment both endpoints are
-    known and parks the rest in pending tables keyed by target, so
-    steady-state memory is the page-name set, a compact integer link
+
+class _SiteCore:
+    """The one bad-link, bad-fragment, orphan-page and link-graph analysis.
+
+    Bounded cross-page state: each link resolves the moment both of its
+    endpoints are known and the rest park in one table keyed by target,
+    so steady-state memory is the page-name set, a compact integer link
     graph (for the navigation and orphan analyses) and the
-    currently-unresolved links -- not the full link list.
+    currently-unresolved links -- not every page's :class:`Link` list.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, checker: SiteChecker, resolver) -> None:
+        self.checker = checker
+        self.resolver = resolver
+        self.follow = checker.options.follow_links
         self.known: dict[str, int] = {}  # page name -> interned id
         self.names: list[str] = []
         #: The link graph as a flat (source id, target id) pair array:
         #: 8 bytes per edge instead of a Python list per page.
         self.edge_ids = array("L")
-        self.edges = 0
         #: Anchor-name sets, kept only when non-empty (absent == empty).
         self.anchors: dict[str, set[str]] = {}
-        #: target -> [(source, line, url)] for links whose target page
-        #: has not arrived yet; leftovers at the end are broken links.
-        self.pending_links: dict[str, list[tuple[str, int, str]]] = {}
-        #: target -> [(source, line, url, fragment)] fragment checks
-        #: deferred until the target's anchors are known.
-        self.pending_fragments: dict[
-            str, list[tuple[str, int, str, str]]
-        ] = {}
-        #: target -> [source ids] graph edges awaiting their endpoint.
-        self.pending_edges: dict[str, list[int]] = {}
-        self.problem_counts: dict[str, int] = {}
-        #: Analysis-phase diagnostics (bounded by the problem count).
-        self.findings: list[Diagnostic] = []
+        #: target -> [(source id, line, url, link index)] for links whose
+        #: target page has not arrived yet.
+        self.pending: dict[str, list[tuple[int, int, str, int]]] = {}
+        #: (page, link index, line, url) of absolute http(s) links,
+        #: HEAD-validated at the end when the checker has an agent.
+        self.external: list[tuple[str, int, int, str]] = []
+        #: ((kind, link index), diagnostic) findings, bounded by the
+        #: problem count; the key restores link order within a page.
+        self.findings: list[tuple[tuple[int, int], Diagnostic]] = []
 
-    def add_page(self, page: str, anchors: set[str]) -> int:
+    # -- feeding -----------------------------------------------------------
+
+    def add_page(self, page: str, text: str) -> None:
+        """Fold one arrived page into the cross-page state."""
+        links, anchors = scan_page(text)
         page_id = self.known.get(page)
         if page_id is None:
             page_id = len(self.names)
@@ -752,16 +340,152 @@ class _StreamState:
             self.names.append(page)
         if anchors:
             self.anchors[page] = anchors
-        return page_id
+        # Everything parked waiting for this page resolves now.
+        for entry in self.pending.pop(page, ()):
+            self._link_to(page_id, entry)
+        for index, link in enumerate(links):
+            self._add_link(page, page_id, index, link)
 
-    def add_edge(self, source_id: int, target_id: int) -> None:
+    def _add_link(self, page: str, page_id: int, index: int, link: Link) -> None:
+        if link.scheme:
+            # External links are the robot's job unless an agent is set.
+            if (
+                self.follow
+                and self.checker.agent is not None
+                and link.scheme in ("http", "https")
+                and link.checkable
+            ):
+                self.external.append((page, index, link.line, link.url))
+            return
+        target_text, _, fragment = link.url.partition("#")
+        path = target_text.partition("?")[0]
+        if not path:
+            # Same-page fragment: #section must exist here.
+            if self.follow and fragment and fragment not in self.anchors.get(
+                page, ()
+            ):
+                self._find(
+                    "bad-fragment", page, link.line, (_LOCAL, index),
+                    target="this page", fragment=fragment,
+                )
+            return
+        target = self.resolver.name(page, path)
+        entry = (page_id, link.line, link.url, index)
+        target_id = self.known.get(target)
+        if target_id is None:
+            self.pending.setdefault(target, []).append(entry)
+        else:
+            self._link_to(target_id, entry)
+
+    def _link_to(self, target_id: int, entry: tuple[int, int, str, int]) -> None:
+        """A link whose target is a checked page: an edge, and its fragment."""
+        source_id, line, url, index = entry
+        self._add_edge(source_id, target_id)
+        target_text, _, fragment = url.partition("#")
+        if self.follow and fragment and fragment not in self.anchors.get(
+            self.names[target_id], ()
+        ):
+            self._find(
+                "bad-fragment", self.names[source_id], line, (_LOCAL, index),
+                target=target_text or "this page", fragment=fragment,
+            )
+
+    def _add_edge(self, source_id: int, target_id: int) -> None:
         self.edge_ids.append(source_id)
         self.edge_ids.append(target_id)
-        self.edges += 1
 
-    def find(self, diagnostic: Optional[Diagnostic]) -> None:
+    def _find(
+        self,
+        message_id: str,
+        filename: str,
+        line: int,
+        order: tuple[int, int],
+        **arguments: object,
+    ) -> None:
+        diagnostic = self.checker._make_site_diagnostic(
+            message_id, filename=filename, line=line, **arguments
+        )
         if diagnostic is not None:
-            self.findings.append(diagnostic)
+            self.findings.append((order, diagnostic))
+
+    # -- end of the page set --------------------------------------------------
+
+    def finish(self) -> None:
+        """Resolve what is still pending, check external links, find orphans."""
+        for target, entries in self.pending.items():
+            index_id = self._index_page(target)
+            if index_id is not None:
+                # A directory link names the directory's index page; its
+                # fragment goes unchecked.
+                for source_id, *_ in entries:
+                    self._add_edge(source_id, index_id)
+            elif self.follow:
+                self._check_missing(target, entries)
+        self.pending.clear()
+        if self.follow and self.checker.agent is not None:
+            self._check_external()
+
+        incoming = build_incoming_counts(self.edge_pairs())
+        roots = [
+            name for name in self.checker.options.index_filenames
+            if name in self.known
+        ]
+        for orphan in find_orphans(self.names, incoming, roots=roots):
+            self._find("orphan-page", orphan, 0, (_ORPHAN, 0), page=orphan)
+
+    def _index_page(self, target: str) -> Optional[int]:
+        for name in self.checker.options.index_filenames:
+            page_id = self.known.get(
+                posixpath.normpath(posixpath.join(target, name))
+            )
+            if page_id is not None:
+                return page_id
+        return None
+
+    def _check_missing(
+        self, target: str, entries: list[tuple[int, int, str, int]]
+    ) -> None:
+        """Links to a target that never arrived as a page."""
+        exists = self.resolver.exists(target)
+        anchors: Optional[set[str]] = None
+        for source_id, line, url, index in entries:
+            page = self.names[source_id]
+            target_text, _, fragment = url.partition("#")
+            if not exists:
+                self._find(
+                    "bad-link", page, line, (_LOCAL, index),
+                    target=url, status=self.resolver.status,
+                )
+                continue
+            if not fragment:
+                continue
+            if anchors is None:
+                anchors = self.resolver.anchors(target)
+            if anchors is not None and fragment not in anchors:
+                self._find(
+                    "bad-fragment", page, line, (_LOCAL, index),
+                    target=target_text or "this page", fragment=fragment,
+                )
+
+    def _check_external(self) -> None:
+        """HEAD-validate absolute ``http(s):`` links via the checker's agent.
+
+        Uses the robot's :class:`LinkChecker` (one cached HEAD per
+        unique URL across the whole site), so a retry policy or circuit
+        breaker configured on the agent protects the site check too.
+        Pages are visited in name order, whatever order they arrived in.
+        """
+        from repro.robot.linkcheck import LinkChecker
+
+        checker = LinkChecker(self.checker.agent)
+        for page, index, line, url in sorted(self.external):
+            status = checker.check(url, url)
+            if status.broken:
+                self._find(
+                    "bad-link", page, line, (_EXTERNAL, index),
+                    target=url, status=status.describe(),
+                )
+        get_registry().inc("site.external_links.checked", checker.checked_count)
 
     def edge_pairs(self):
         """The materialised edges as ``(source, target)`` name pairs."""
@@ -769,25 +493,130 @@ class _StreamState:
         for index in range(0, len(ids), 2):
             yield self.names[ids[index]], self.names[ids[index + 1]]
 
+    # -- sinks ---------------------------------------------------------------
+
+    def _ordered_findings(self) -> list[Diagnostic]:
+        """Findings grouped by page, each page's in attach order."""
+        return [
+            diagnostic
+            for _, diagnostic in sorted(
+                self.findings, key=lambda item: (item[1].filename, item[0])
+            )
+        ]
+
+    def materialise(self, report: SiteReport) -> None:
+        """Attach every finding to its page and fill the link graph."""
+        for diagnostic in self._ordered_findings():
+            report.page_diagnostics.setdefault(diagnostic.filename, []).append(
+                diagnostic
+            )
+        report.link_graph = list(self.edge_pairs())
+
+    def roll_up(
+        self,
+        rollup: SiteRollup,
+        spill: Optional[PageSpill],
+        problem_counts: dict[str, int],
+    ) -> None:
+        """Count (and spill) the findings, pages, edges and navigation."""
+        from repro.site.navigation import analyse_navigation
+
+        findings = self._ordered_findings()
+        rollup.count_diagnostics(findings)
+        by_page: dict[str, list[Diagnostic]] = {}
+        for diagnostic in findings:
+            by_page.setdefault(diagnostic.filename, []).append(diagnostic)
+        for page, diagnostics in by_page.items():
+            problem_counts[page] = problem_counts.get(page, 0) + len(diagnostics)
+            if spill is not None:
+                spill.write_page(page, diagnostics, phase="site")
+        pages_sorted = sorted(self.known)
+        for page in pages_sorted:
+            rollup.note_page(page, problem_counts.get(page, 0))
+        rollup.note_links(len(self.edge_ids) // 2)
+        if pages_sorted:
+            nav_root = next(
+                (page for page in pages_sorted
+                 if page.rsplit("/", 1)[-1].startswith("index.")),
+                pages_sorted[0],
+            )
+            navigation = analyse_navigation(
+                pages_sorted, self.edge_pairs(), root=nav_root
+            )
+            rollup.navigation_lines = navigation.summary_lines()
+
+
+class _PageSetResolver:
+    """Link targets are page names; only pages that arrived exist."""
+
+    status = "page not found"
+
+    def name(self, page: str, path: str) -> str:
+        """Resolve ``path`` against page name ``page``, filesystem-free."""
+        if path.startswith("/"):
+            combined = path.lstrip("/")
+        else:
+            base = page.rsplit("/", 1)[0] if "/" in page else ""
+            combined = f"{base}/{path}" if base else path
+        parts: list[str] = []
+        for piece in combined.split("/"):
+            if piece in ("", "."):
+                continue
+            if piece == "..":
+                if parts:
+                    parts.pop()
+                continue
+            parts.append(piece)
+        return "/".join(parts)
+
+    def exists(self, target: str) -> bool:
+        return False
+
+    def anchors(self, target: str) -> Optional[set[str]]:
+        return None
+
+
+class _FileResolver:
+    """Link targets are paths under ``root``; outside it, absolute paths.
+
+    A target that never arrived as a checked page (an image, a text
+    file, a directory, a file outside the site) is looked up on disk.
+    """
+
+    status = "file not found"
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.resolved_root = root.resolve()
+
+    def name(self, page: str, path: str) -> str:
+        if path.startswith("/"):
+            candidate = self.root / path.lstrip("/")
+        else:
+            candidate = (self.root / page).parent / path
+        try:
+            candidate = candidate.resolve()
+        except OSError:  # pragma: no cover - pathological names
+            pass
+        try:
+            return _relative_name(candidate, self.resolved_root)
+        except ValueError:
+            return str(candidate)  # outside the site
+
+    def exists(self, target: str) -> bool:
+        return (self.resolved_root / target).exists()
+
+    def anchors(self, target: str) -> Optional[set[str]]:
+        """A regular file's anchors; ``None`` (unchecked) for anything else."""
+        path = self.resolved_root / target
+        if not path.is_file():
+            return None
+        try:
+            source = path.read_text(encoding="utf-8", errors="replace")
+        except OSError:
+            return set()
+        return extract_anchor_names(source)
+
 
 def _relative_name(path: Path, root: Path) -> str:
     return str(path.relative_to(root)).replace("\\", "/")
-
-
-def _resolve_streamed_target(page: str, target: str) -> str:
-    """Resolve ``target`` against page name ``page``, filesystem-free."""
-    if target.startswith("/"):
-        combined = target.lstrip("/")
-    else:
-        base = page.rsplit("/", 1)[0] if "/" in page else ""
-        combined = f"{base}/{target}" if base else target
-    parts: list[str] = []
-    for piece in combined.split("/"):
-        if piece in ("", "."):
-            continue
-        if piece == "..":
-            if parts:
-                parts.pop()
-            continue
-        parts.append(piece)
-    return "/".join(parts)

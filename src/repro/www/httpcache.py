@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +39,7 @@ from typing import Optional, Union
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from repro.store import write_atomic
 from repro.www.message import Response
 
 #: Bump when the index layout changes; old state dirs reload as cold.
@@ -203,7 +202,11 @@ class HttpCache:
     # -- persistence -------------------------------------------------------
 
     def save(self) -> None:
-        """Atomically write the index (bodies were persisted on store)."""
+        """Atomically write the index (bodies were persisted on store).
+
+        A failed write is counted in ``www.httpcache.write_errors``, not
+        raised: the crawl goes on, and the next one just starts colder.
+        """
         if self.directory is None:
             return
         with self._lock:
@@ -219,18 +222,11 @@ class HttpCache:
                 sort_keys=True,
             )
         with get_tracer().span("www.httpcache.save", entries=len(self)):
-            self.directory.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                "w",
-                encoding="utf-8",
-                dir=self.directory,
-                prefix=".index.",
-                suffix=".tmp",
-                delete=False,
-            )
-            with handle:
-                handle.write(payload)
-            os.replace(handle.name, self._index_path())
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                write_atomic(self._index_path(), payload.encode("utf-8"))
+            except OSError:
+                get_registry().inc("www.httpcache.write_errors")
 
     def load(self) -> int:
         """Read the index; corrupt or wrong-version state loads as empty.
@@ -278,17 +274,6 @@ class HttpCache:
             return  # content-addressed: same digest, same bytes
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                "w",
-                encoding="utf-8",
-                errors="surrogatepass",
-                dir=path.parent,
-                prefix=f".{digest[:8]}.",
-                suffix=".tmp",
-                delete=False,
-            )
-            with handle:
-                handle.write(body)
-            os.replace(handle.name, path)
-        except OSError:  # pragma: no cover - read-only state dir
+            write_atomic(path, body.encode("utf-8", errors="surrogatepass"))
+        except OSError:
             get_registry().inc("www.httpcache.write_errors")

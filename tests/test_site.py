@@ -238,3 +238,88 @@ class TestSiteChecker:
     def test_link_graph_recorded(self, site_dir):
         report = SiteChecker().check_directory(site_dir)
         assert ("index.html", "broken.html") in report.link_graph
+
+
+def _walk_and_stream(tmp_path, pages):
+    """The same pages checked as a directory walk and as a page stream."""
+    for name, text in pages.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    walked = SiteChecker().check_directory(tmp_path)
+    streamed = SiteChecker().check_pages(sorted(pages.items()))
+    return walked, streamed
+
+
+class TestOneSitePolicy:
+    """The walk and the stream share one link and orphan policy."""
+
+    def test_query_string_is_stripped_before_resolving(self, tmp_path):
+        pages = {
+            "index.html": make_document(
+                '<p><a href="page.html?x=1">a query</a>\n'
+                '<a href="page.html?y=2#sec">a query and a fragment</a></p>'
+            ),
+            "page.html": make_document("<p>no anchors here</p>"),
+        }
+        for report in _walk_and_stream(tmp_path, pages):
+            assert report.count("bad-link") == 0
+            [bad] = [
+                d for d in report.page_diagnostics["index.html"]
+                if d.message_id == "bad-fragment"
+            ]
+            assert bad.arguments["fragment"] == "sec"
+            assert bad.arguments["target"] == "page.html?y=2"
+            assert report.link_graph.count(("index.html", "page.html")) == 2
+
+    def test_directory_link_names_its_index_page(self, tmp_path):
+        pages = {
+            "index.html": make_document(
+                '<p><a href="sub/">sub</a> <a href="sub">again</a> '
+                '<a href="sub/#none">by fragment</a></p>'
+            ),
+            "sub/index.html": make_document(
+                '<p><a href="../index.html">home</a></p>'
+            ),
+        }
+        for report in _walk_and_stream(tmp_path, pages):
+            assert report.count("bad-link") == 0
+            # The fragment of a directory link goes unchecked.
+            assert report.count("bad-fragment") == 0
+            assert report.count("orphan-page") == 0
+            assert report.link_graph.count(
+                ("index.html", "sub/index.html")
+            ) == 3
+
+    def test_only_the_root_index_is_exempt_from_orphan_page(self, tmp_path):
+        pages = {
+            "index.html": make_document("<p>home</p>"),
+            "deep/index.html": make_document("<p>nobody links here</p>"),
+        }
+        for report in _walk_and_stream(tmp_path, pages):
+            orphans = [
+                d.filename for d in report.all_diagnostics()
+                if d.message_id == "orphan-page"
+            ]
+            assert orphans == ["deep/index.html"]
+
+    def test_resolver_owns_the_status_and_outside_targets(self, tmp_path):
+        (tmp_path / "outside.html").write_text(make_document("<p>x</p>"))
+        site = tmp_path / "site"
+        pages = {
+            "index.html": make_document(
+                '<p><a href="../outside.html">out</a> '
+                '<a href="gone.html">gone</a></p>'
+            ),
+        }
+        walked, streamed = _walk_and_stream(site, pages)
+        # On disk the outside file exists; a page stream has no outside.
+        assert [d.text for d in walked.all_diagnostics()
+                if d.message_id == "bad-link"] == [
+            "target gone.html for link not found (file not found)"
+        ]
+        assert [d.text for d in streamed.all_diagnostics()
+                if d.message_id == "bad-link"] == [
+            "target ../outside.html for link not found (page not found)",
+            "target gone.html for link not found (page not found)",
+        ]

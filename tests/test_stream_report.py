@@ -25,6 +25,7 @@ from repro.site.sitecheck import SiteChecker
 from repro.workload.generator import PageGenerator
 
 from .conftest import make_document
+from .edge_site import EDGE_PAGES
 
 BAD = make_document("<p>unclosed <b>bold\n<p>1 < 2</p>")
 CLEAN = make_document("<p>Nothing wrong here.</p>")
@@ -234,23 +235,25 @@ class TestSiteRollup:
         ]
 
     def test_streamed_rollup_is_arrival_order_independent(self):
-        pages = _site_pages()
-        report = _buffered_report(pages)
-        reference = SiteRollup.from_report(report)
-        rng = random.Random(4)
-        for _ in range(3):
-            shuffled = list(pages)
-            rng.shuffle(shuffled)
-            options = Options.with_defaults()
-            options.follow_links = True
-            rollup = SiteChecker(
-                service=LintService(options=options)
-            ).check_pages(
-                iter(shuffled),
-                root="prop-site",
-                rollup=SiteRollup(root="prop-site"),
-            )
-            assert rollup.to_payload() == reference.to_payload()
+        # A generated site, and the edge-case site's directory links,
+        # query strings, fragments and subdirectory index pages.
+        for pages in (_site_pages(), sorted(EDGE_PAGES.items())):
+            report = _buffered_report(pages)
+            reference = SiteRollup.from_report(report)
+            rng = random.Random(4)
+            for _ in range(3):
+                shuffled = list(pages)
+                rng.shuffle(shuffled)
+                options = Options.with_defaults()
+                options.follow_links = True
+                rollup = SiteChecker(
+                    service=LintService(options=options)
+                ).check_pages(
+                    iter(shuffled),
+                    root="prop-site",
+                    rollup=SiteRollup(root="prop-site"),
+                )
+                assert rollup.to_payload() == reference.to_payload()
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 4])
     def test_partitioned_rollups_merge_to_the_whole(self, shards):
