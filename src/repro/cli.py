@@ -21,9 +21,9 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.config import load_configuration
+from repro.config import load_configuration, options_from_dict
 from repro.config.options import Options, UnknownMessageError
-from repro.config.presets import apply_preset, available_presets
+from repro.config.presets import available_presets
 from repro.config.rcfile import ConfigError
 from repro.core import constants
 from repro.core.messages import CATALOG
@@ -286,16 +286,7 @@ def _build_options(args: argparse.Namespace) -> Options:
             site_file=args.site_config, user_file=args.rcfile
         )
     # Command-line switches override both configuration files.
-    if args.preset:
-        apply_preset(options, args.preset)
-    if args.pedantic:
-        apply_preset(options, "pedantic")
-    for chunk in args.enable:
-        options.enable(*[part for part in chunk.split(",") if part])
-    for chunk in args.disable:
-        options.disable(*[part for part in chunk.split(",") if part])
-    if args.extension:
-        options.spec_name = args.extension
+    options = options_from_dict(options, _option_overrides(args))
     if args.short:
         options.short_format = True
     if args.verbose:
@@ -335,6 +326,14 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_messages:
         _list_messages(out)
         return constants.EXIT_CLEAN
+
+    if args.daemon and (args.enable_rule or args.disable_rule):
+        # The protocol carries options, not rule-registry state.
+        err.write(
+            "weblint: --enable-rule/--disable-rule are not supported "
+            "with --daemon\n"
+        )
+        return constants.EXIT_USAGE
 
     try:
         registry = _build_registry(args)
@@ -409,11 +408,12 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
-def _remote_options(args) -> dict[str, object]:
-    """The protocol options dict a ``--daemon`` run forwards.
+def _option_overrides(args) -> dict[str, object]:
+    """The lint-option switches as a :func:`options_from_dict` dict.
 
-    Only command-line switches travel; the daemon's own configuration
-    (and rcfiles on *its* host) provide the base.
+    Applied locally on top of the configuration files, and forwarded
+    as the protocol options of a ``--daemon`` run, where the daemon's
+    own configuration (and rcfiles on *its* host) provide the base.
     """
     payload: dict[str, object] = {}
     if args.extension:
@@ -422,14 +422,10 @@ def _remote_options(args) -> dict[str, object]:
         payload["pedantic"] = True
     if args.preset:
         payload["preset"] = args.preset
-    enable = [part for chunk in args.enable for part in chunk.split(",") if part]
-    disable = [
-        part for chunk in args.disable for part in chunk.split(",") if part
-    ]
-    if enable:
-        payload["enable"] = enable
-    if disable:
-        payload["disable"] = disable
+    if args.enable:
+        payload["enable"] = list(args.enable)
+    if args.disable:
+        payload["disable"] = list(args.disable)
     return payload
 
 
@@ -461,7 +457,9 @@ def _check_remote(args, reporter, out, err) -> int:
     results = []
     if documents:
         try:
-            results = remote_check(args.daemon, documents, _remote_options(args))
+            results = remote_check(
+                args.daemon, documents, _option_overrides(args)
+            )
         except DaemonClientError as exc:
             err.write(f"weblint: {exc}\n")
             return constants.EXIT_USAGE

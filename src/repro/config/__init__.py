@@ -24,6 +24,7 @@ __all__ = [
     "apply_preset",
     "available_presets",
     "load_configuration",
+    "options_from_dict",
 ]
 
 import os
@@ -42,7 +43,7 @@ def load_configuration(
     ``user_file`` defaults to ``$WEBLINTRC`` or ``~/.weblintrc`` when not
     given; missing files are simply skipped.  Command-line overrides are
     applied afterwards by the caller (:mod:`repro.cli`), preserving the
-    paper's precedence order.
+    paper's precedence order (:func:`options_from_dict`).
     """
     options = defaults if defaults is not None else Options.with_defaults()
     if site_file and Path(site_file).is_file():
@@ -51,4 +52,36 @@ def load_configuration(
         user_file = os.environ.get("WEBLINTRC") or str(Path.home() / ".weblintrc")
     if user_file and Path(user_file).is_file():
         apply_rcfile(options, user_file)
+    return options
+
+
+def options_from_dict(base: Options, raw: dict[str, object]) -> Options:
+    """Apply command-line overrides, as a dict, on top of ``base``.
+
+    The one override policy of every front end: ``weblint`` (its
+    switches, locally or forwarded by ``--daemon``), the daemon's
+    ``POST /lint`` options and the gateway form.  Keys are ``preset``,
+    ``pedantic``, ``enable``, ``disable`` and ``spec``, applied in that
+    order, so ``--pedantic`` always wins over ``--preset`` whichever
+    comes first.  ``enable``/``disable`` hold one identifier or a list
+    of comma-separated chunks.  Raises ``ValueError`` for an unknown
+    preset and ``UnknownMessageError`` for an unknown message id; an
+    unknown spec fails (``KeyError``) when a service is built on the
+    result.
+    """
+    options = base.copy()
+    preset = raw.get("preset")
+    if preset:
+        apply_preset(options, str(preset))
+    if raw.get("pedantic"):
+        apply_preset(options, "pedantic")
+    for key, apply in (("enable", options.enable), ("disable", options.disable)):
+        chunks = raw.get(key) or []
+        if isinstance(chunks, str):
+            chunks = [chunks]
+        for chunk in chunks:
+            apply(*[part for part in str(chunk).split(",") if part])
+    spec = raw.get("spec")
+    if spec:
+        options.spec_name = str(spec)
     return options

@@ -16,8 +16,8 @@ key includes the rule *instances* (tables hold bound methods), so a
 long-lived checker hits the cache on every document.
 
 Profiling happens here, per hook invocation
-(:meth:`DispatchTable.run_hooks`), replacing the old ``TimedRule``
-whole-rule shim that swapped the engine's shared rule list mid-check.
+(:meth:`DispatchTable.run_hooks`) -- the one profiling path: no rule is
+wrapped and the engine's shared rule list is never swapped mid-check.
 All per-check state lives in the :class:`~repro.core.context.CheckContext`,
 so one engine can serve interleaved or nested checks.
 
@@ -209,8 +209,8 @@ def compile_table(
 
 # -- the table cache --------------------------------------------------------
 
-#: Compiled tables keyed by (spec id, options fingerprint, rule ids,
-#: naive).  Values hold strong references to the rule instances (through
+#: Compiled tables keyed by (spec id, options fingerprint, rule ids).
+#: Values hold strong references to the rule instances (through
 #: their bound methods), which pins the ids in the key while the entry
 #: lives.  Bounded FIFO keeps pathological churn (a new Weblint per
 #: document) from growing without limit.
@@ -219,25 +219,16 @@ _TABLE_CACHE_MAX = 64
 
 
 def get_table(
-    spec: HTMLSpec,
-    options: Options,
-    rules: Sequence[Rule],
-    *,
-    naive: bool = False,
+    spec: HTMLSpec, options: Options, rules: Sequence[Rule]
 ) -> DispatchTable:
     """Cached :func:`compile_table`; the per-document entry point."""
-    key = (
-        id(spec),
-        options.fingerprint(),
-        tuple(id(rule) for rule in rules),
-        naive,
-    )
+    key = (id(spec), options.fingerprint(), tuple(id(rule) for rule in rules))
     table = _TABLE_CACHE.get(key)
     registry = get_registry()
     if table is not None:
         registry.inc("engine.dispatch.tables.cached")
         return table
-    table = compile_table(spec, options, rules, naive=naive)
+    table = compile_table(spec, options, rules)
     registry.inc("engine.dispatch.tables.compiled")
     if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
         _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))

@@ -97,16 +97,11 @@ class Engine:
         options: Optional[Options] = None,
         rules: Optional[Sequence[Rule]] = None,
         cascade_heuristics: bool = True,
-        naive_dispatch: bool = False,
     ) -> None:
         self.options = options if options is not None else Options.with_defaults()
         self.spec = spec if spec is not None else get_spec(self.options.spec_name)
         self.rules: list[Rule] = list(rules) if rules is not None else default_rules()
         self.cascade_heuristics = cascade_heuristics
-        #: Call every rule for every event, ignoring subscriptions.  The
-        #: escape hatch behind the golden equivalence test and the
-        #: before/after dispatch benchmark -- not a production mode.
-        self.naive_dispatch = naive_dispatch
         # Vendor specs for "X is Netscape/Microsoft specific" -- built
         # eagerly so no engine state mutates during a check, and not
         # consulted when already checking a vendor spec.
@@ -121,9 +116,7 @@ class Engine:
 
     def dispatch_table(self) -> DispatchTable:
         """The compiled (cached) table for this engine's configuration."""
-        return get_table(
-            self.spec, self.options, tuple(self.rules), naive=self.naive_dispatch
-        )
+        return get_table(self.spec, self.options, tuple(self.rules))
 
     def check(self, source: str, filename: str = "-") -> CheckContext:
         """Run the stack machine over ``source``; returns the context."""

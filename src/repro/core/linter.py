@@ -61,7 +61,6 @@ class Weblint:
         reporter: Optional[Reporter] = None,
         cascade_heuristics: bool = True,
         registry: Optional[RuleRegistry] = None,
-        naive_dispatch: bool = False,
     ) -> None:
         self.service = LintService(
             options=options,
@@ -69,7 +68,6 @@ class Weblint:
             rules=rules,
             registry=registry,
             cascade_heuristics=cascade_heuristics,
-            naive_dispatch=naive_dispatch,
         )
         self.options = self.service.options
         self.spec = self.service.spec

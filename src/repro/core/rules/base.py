@@ -42,13 +42,11 @@ so third-party subclasses of the built-ins stay safe.
 
 from __future__ import annotations
 
-import time
-from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
+from typing import ClassVar, Iterable, Mapping, Optional, Union
 
 from repro.core.context import CheckContext, OpenElement
 from repro.html.spec import ElementDef
 from repro.html.tokens import Comment, Declaration, EndTag, StartTag, Text
-from repro.obs.profile import RuleProfiler
 
 #: Every hook a rule may implement, in invocation order.
 HOOK_NAMES: tuple[str, ...] = (
@@ -202,76 +200,3 @@ class Rule:
 
     def end_document(self, context: CheckContext) -> None:
         """Called once after the last token and final stack unwind."""
-
-
-class TimedRule(Rule):
-    """Transparent timing shim around another rule (legacy).
-
-    Every hook invocation is timed with ``perf_counter`` and accumulated
-    into a :class:`~repro.obs.profile.RuleProfiler` under the inner
-    rule's ``name``.  The engine used to wrap its rule list in these
-    while profiling; profiling now happens per hook invocation inside
-    the dispatch layer (:mod:`repro.core.dispatch`), which never mutates
-    the shared rule list.  The shim remains for embedders who wrap rule
-    lists themselves.
-    """
-
-    def __init__(self, inner: Rule, profiler: RuleProfiler) -> None:
-        self.inner = inner
-        self.profiler = profiler
-        self.name = inner.name
-
-    def subscriptions(self, spec=None, options=None) -> SubscriptionMap:
-        # Delegate interest to the wrapped rule so a wrapped list
-        # compiles to the same dispatch table as the bare one.
-        return self.inner.subscriptions(spec, options)
-
-    def _timed(self, method, *args) -> None:
-        start = time.perf_counter()
-        method(*args)
-        self.profiler.add(self.name, time.perf_counter() - start)
-
-    def start_document(self, context: CheckContext) -> None:
-        self._timed(self.inner.start_document, context)
-
-    def handle_start_tag(
-        self,
-        context: CheckContext,
-        tag: StartTag,
-        elem: Optional[ElementDef],
-    ) -> None:
-        self._timed(self.inner.handle_start_tag, context, tag, elem)
-
-    def handle_end_tag(self, context: CheckContext, tag: EndTag) -> None:
-        self._timed(self.inner.handle_end_tag, context, tag)
-
-    def handle_element_closed(
-        self,
-        context: CheckContext,
-        open_element: OpenElement,
-        end_tag: Optional[EndTag],
-        implicit: bool,
-    ) -> None:
-        self._timed(
-            self.inner.handle_element_closed, context, open_element, end_tag, implicit
-        )
-
-    def handle_text(self, context: CheckContext, token: Text) -> None:
-        self._timed(self.inner.handle_text, context, token)
-
-    def handle_comment(self, context: CheckContext, token: Comment) -> None:
-        self._timed(self.inner.handle_comment, context, token)
-
-    def handle_declaration(self, context: CheckContext, token: Declaration) -> None:
-        self._timed(self.inner.handle_declaration, context, token)
-
-    def end_document(self, context: CheckContext) -> None:
-        self._timed(self.inner.end_document, context)
-
-
-def wrap_rules(rules: Sequence[Rule], profiler: RuleProfiler) -> list[Rule]:
-    """Wrap every rule in a :class:`TimedRule` (idempotent)."""
-    return [
-        rule if isinstance(rule, TimedRule) else TimedRule(rule, profiler)
-        for rule in rules
-    ]

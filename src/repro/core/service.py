@@ -227,7 +227,6 @@ class ServiceSpecification:
     spec_name: str
     rule_state: tuple[tuple[str, bool], ...]
     cascade_heuristics: bool = True
-    naive_dispatch: bool = False
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -255,7 +254,6 @@ class LintService:
         rules: Optional[Sequence[Rule]] = None,
         registry: Optional[RuleRegistry] = None,
         cascade_heuristics: bool = True,
-        naive_dispatch: bool = False,
         cache=None,
     ) -> None:
         self.options = options if options is not None else Options.with_defaults()
@@ -263,7 +261,6 @@ class LintService:
             spec = get_spec(spec)
         self.spec = spec if spec is not None else get_spec(self.options.spec_name)
         self.cascade_heuristics = cascade_heuristics
-        self.naive_dispatch = naive_dispatch
         self._explicit_rules = rules is not None
         if rules is None:
             if registry is None:
@@ -282,7 +279,6 @@ class LintService:
             options=self.options,
             rules=self.rules,
             cascade_heuristics=cascade_heuristics,
-            naive_dispatch=naive_dispatch,
         )
 
     # -- worker portability ------------------------------------------------
@@ -315,7 +311,6 @@ class LintService:
                 for registration in self.registry.registrations()
             ),
             cascade_heuristics=self.cascade_heuristics,
-            naive_dispatch=self.naive_dispatch,
         )
 
     @classmethod
@@ -333,7 +328,6 @@ class LintService:
             spec=spec.spec_name,
             registry=registry,
             cascade_heuristics=spec.cascade_heuristics,
-            naive_dispatch=spec.naive_dispatch,
         )
 
     def warm(self) -> None:
@@ -365,7 +359,6 @@ class LintService:
                 self.spec.name,
                 rule_state,
                 self.cascade_heuristics,
-                self.naive_dispatch,
             )
         return self._fingerprint
 

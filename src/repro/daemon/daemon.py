@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro.config.options import Options
-from repro.config.presets import apply_preset
 from repro.core.service import (
     LintRequest,
     LintResult,
@@ -200,35 +199,6 @@ class LifecycleJournal:
         state = self.load_state() or {}
         state.update({"clean": True, "stopped_unix": round(time.time(), 3)})
         self._write_state(state)
-
-
-def options_from_dict(base: Options, raw: dict[str, object]) -> Options:
-    """Apply a protocol/gateway options dict on top of the daemon's.
-
-    Raises ``ValueError``/``KeyError``/``UnknownMessageError`` for
-    unknown specs, presets or message ids -- the server layer turns
-    those into a 400.
-    """
-    options = base.copy()
-    spec = raw.get("spec")
-    if spec:
-        options.spec_name = str(spec)
-    if raw.get("pedantic"):
-        apply_preset(options, "pedantic")
-    preset = raw.get("preset")
-    if preset:
-        apply_preset(options, str(preset))
-    enable = raw.get("enable", [])
-    disable = raw.get("disable", [])
-    if isinstance(enable, str):
-        enable = [enable]
-    if isinstance(disable, str):
-        disable = [disable]
-    for identifier in enable:
-        options.enable(str(identifier))
-    for identifier in disable:
-        options.disable(str(identifier))
-    return options
 
 
 class LintDaemon:

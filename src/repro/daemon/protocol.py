@@ -8,8 +8,12 @@ Request (``POST /lint``)::
 
     {"documents": [{"name": "a.html", "text": "<html>..."}, ...],
      "options": {"spec": "html40", "pedantic": false,
-                 "enable": ["id", ...], "disable": ["id", ...],
-                 "preset": "strict"}}
+                 "enable": ["id", ...], "disable": ["id,id", ...],
+                 "preset": "minimal"}}
+
+The options are ``weblint``'s switches, applied on top of the daemon's
+own by :func:`repro.config.options_from_dict` (``enable``/``disable``
+entries are ids or comma-separated lists of them, like ``-e``/``-d``).
 
 Response::
 

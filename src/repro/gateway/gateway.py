@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.config import options_from_dict
 from repro.config.options import Options, UnknownMessageError
-from repro.config.presets import apply_preset
 from repro.core.diagnostics import Diagnostic
 from repro.core.reporter import HTMLReporter
 from repro.core.service import LintRequest, LintService, StringSource, URLSource
@@ -152,20 +152,12 @@ class Gateway:
     # -- helpers -----------------------------------------------------------------------
 
     def _build_options(self, form: FormData) -> Options:
-        options = Options.with_defaults()
-        spec = form.get("spec")
-        if spec:
-            options.spec_name = spec
-        if form.get("pedantic"):
-            apply_preset(options, "pedantic")
-        preset = form.get("preset")
-        if preset:
-            apply_preset(options, preset)
-        for identifier in form.get_all("enable"):
-            options.enable(identifier)
-        for identifier in form.get_all("disable"):
-            options.disable(identifier)
-        return options
+        overrides: dict[str, object] = {
+            name: form.get(name) for name in ("spec", "pedantic", "preset")
+        }
+        for name in ("enable", "disable"):
+            overrides[name] = form.get_all(name)
+        return options_from_dict(Options.with_defaults(), overrides)
 
     def _render_report(
         self,

@@ -30,6 +30,7 @@ from typing import Callable, Optional, Union
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.store import write_atomic
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -102,9 +103,10 @@ class TelemetrySink:
     """A ``--telemetry-dir``: metrics.jsonl + metrics.prom + events.jsonl.
 
     ``flush()`` is cheap enough to call per tick on a long crawl and
-    harmless to call exactly once at the end of a short CLI run.  Write
-    failures degrade silently (telemetry must never fail the run) but
-    are counted under ``obs.telemetry.write_errors``.
+    harmless to call exactly once at the end of a short CLI run.
+    ``metrics.prom`` is replaced atomically, so a scraper never reads a
+    torn file.  Write failures degrade silently (telemetry must never
+    fail the run) but are counted under ``obs.telemetry.write_errors``.
     """
 
     def __init__(
@@ -136,8 +138,8 @@ class TelemetrySink:
         try:
             with self.metrics_path.open("a", encoding="utf-8") as handle:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self.prom_path.write_text(
-                render_openmetrics(snapshot), encoding="utf-8"
+            write_atomic(
+                self.prom_path, render_openmetrics(snapshot).encode("utf-8")
             )
         except OSError:
             get_registry().inc("obs.telemetry.write_errors")

@@ -13,11 +13,18 @@ throughput, latency and errors::
 ``python -m repro.tools.compare_runs`` diffs two such records and flags
 throughput/latency/error-rate regressions; BENCH_*.json artefacts go
 through the same comparator.
+
+The ledger is written after a run's work is done, so a ledger that
+cannot be written (a read-only state dir, ``runs.jsonl`` replaced by a
+directory) never fails that run: :func:`record_run` prints one warning
+naming the file on stderr and returns, and the tool keeps its output
+and exit status.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -166,8 +173,19 @@ def record_run(
     tool: str,
     wall_s: float,
     clock: Callable[[], float] = time.time,
-) -> dict[str, object]:
-    """Convenience: summarize ``snapshot`` and append it in one step."""
-    return RunLedger(directory).append(
-        summarize_run(snapshot, tool, wall_s, started_unix=clock())
-    )
+) -> Optional[dict[str, object]]:
+    """Summarize ``snapshot`` and append it to ``directory``'s ledger.
+
+    Returns the stamped record.  A failed append is not raised: it is
+    reported on stderr, naming the file, and ``None`` is returned.
+    """
+    ledger = RunLedger(directory)
+    record = summarize_run(snapshot, tool, wall_s, started_unix=clock())
+    try:
+        return ledger.append(record)
+    except OSError as exc:
+        sys.stderr.write(
+            f"{tool}: warning: run ledger {ledger.path} not written: "
+            f"{exc.strerror or exc}\n"
+        )
+        return None

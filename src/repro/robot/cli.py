@@ -69,6 +69,7 @@ from repro.robot.frontier import FrontierJournal
 from repro.robot.poacher import Poacher
 from repro.robot.traversal import CrawlProgress, TraversalPolicy
 from repro.site.report import render_text_report
+from repro.store import write_atomic
 from repro.www.client import CircuitBreaker, RetryPolicy, UserAgent
 from repro.www.httpcache import HttpCache
 from repro.www.virtualweb import VirtualWeb
@@ -286,6 +287,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         policy=policy,
         journal=journal,
     )
+    # The bounded streaming audit runs for --format jsonl and for
+    # --shards; with a state dir it leaves a mergeable report directory.
+    streaming = args.format == "jsonl" or args.shards is not None
+    report_dir = None
+    if streaming and args.state_dir:
+        report_dir = Path(args.state_dir) / "report"
+        if (args.shards or 1) > 1:
+            report_dir = report_dir / f"shard-{args.shard}-of-{args.shards}"
     sink = TelemetrySink(args.telemetry_dir) if args.telemetry_dir else None
     event_log = sink.open_event_log() if sink is not None else NULL_EVENT_LOG
     started = time.time()
@@ -296,96 +305,62 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             CrawlProgress(poacher.robot, sys.stderr)
             if args.progress else None
         )
-        if args.shards is not None or args.format == "jsonl":
-            return _run_stream(
-                args, poacher, http_cache, registry, sink, progress,
-                started, start_perf,
+        # Only sharded audits arm the memory sampler: that is the
+        # site-scale path whose flat-memory claim the
+        # report.memory.high_water_bytes gauge exists to prove, and
+        # tracemalloc tracing is not free.
+        sampler = MemorySampler().start() if args.shards is not None else None
+        reporter = None
+        if args.format == "jsonl":
+            reporter = JsonlReporter().begin(sys.stdout)
+        if streaming:
+            rollup = poacher.crawl_stream(
+                args.start,
+                report_dir=report_dir,
+                progress=progress,
+                resume=args.resume,
+                on_result=reporter.emit if reporter is not None else None,
             )
-        report = poacher.crawl(
-            args.start, progress=progress, resume=args.resume
-        )
+            problems = rollup.total_messages
+            text_report = render_text_report(rollup) + "\n"
+            output = text_report if reporter is None else ""
+        else:
+            report = poacher.crawl(
+                args.start, progress=progress, resume=args.resume
+            )
+            problems = report.total_problems()
+            output = "".join(
+                line + "\n" for line in report.summary_lines()
+            ) + "".join(
+                f"{diagnostic}\n"
+                for page in report.pages
+                for diagnostic in page.diagnostics
+            )
         if http_cache is not None:
             http_cache.save()
-
-        for line in report.summary_lines():
-            sys.stdout.write(line + "\n")
-        for page in report.pages:
-            for diagnostic in page.diagnostics:
-                sys.stdout.write(f"{diagnostic}\n")
+        if reporter is not None:
+            reporter.end()
+        sys.stdout.write(output)
         if args.stats:
             _print_stats(registry, poacher.robot.stats, sys.stderr)
+        if sampler is not None:
+            sampler.stop()  # final sample lands before the snapshot below
         wall_s = time.perf_counter() - start_perf
+        snapshot = registry.snapshot()
+        if report_dir is not None:
+            # crawl_stream saved rollup.json here already; report.txt and
+            # metrics.json complete the shard's mergeable report directory.
+            metrics = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+            write_atomic(report_dir / "report.txt", text_report.encode("utf-8"))
+            write_atomic(report_dir / "metrics.json", metrics.encode("utf-8"))
         ledger_dir = args.state_dir or args.telemetry_dir
         if ledger_dir:
             record_run(
-                ledger_dir, registry.snapshot(), "poacher", wall_s,
-                clock=lambda: started,
+                ledger_dir, snapshot, "poacher", wall_s, clock=lambda: started
             )
         if sink is not None:
             sink.close(registry)
-    return 1 if report.total_problems() else 0
-
-
-def _run_stream(
-    args, poacher, http_cache, registry, sink, progress, started, start_perf
-) -> int:
-    """The streaming audit: bounded rollup, optional shard partition.
-
-    Runs inside main()'s registry/event-log context.  The memory
-    sampler is only armed for sharded audits (``--shards``): that is
-    the site-scale path whose flat-memory claim the
-    ``report.memory.high_water_bytes`` gauge exists to prove, and
-    tracemalloc tracing is not free.
-    """
-    report_dir = None
-    if args.state_dir:
-        report_dir = Path(args.state_dir) / "report"
-        shards = args.shards or 1
-        if shards > 1:
-            report_dir = report_dir / f"shard-{args.shard}-of-{shards}"
-    sampler = MemorySampler().start() if args.shards is not None else None
-    reporter = None
-    on_result = None
-    if args.format == "jsonl":
-        reporter = JsonlReporter().begin(sys.stdout)
-        on_result = reporter.emit
-    rollup = poacher.crawl_stream(
-        args.start,
-        report_dir=report_dir,
-        progress=progress,
-        resume=args.resume,
-        on_result=on_result,
-    )
-    if http_cache is not None:
-        http_cache.save()
-    if reporter is not None:
-        reporter.end()
-    else:
-        sys.stdout.write(render_text_report(rollup) + "\n")
-    if args.stats:
-        _print_stats(registry, poacher.robot.stats, sys.stderr)
-    if sampler is not None:
-        sampler.stop()  # final sample lands before the snapshot below
-    wall_s = time.perf_counter() - start_perf
-    snapshot = registry.snapshot()
-    if report_dir is not None:
-        # crawl_stream saved rollup.json here already; report.txt and
-        # metrics.json complete the shard's mergeable report directory.
-        (report_dir / "report.txt").write_text(
-            render_text_report(rollup) + "\n", encoding="utf-8"
-        )
-        (report_dir / "metrics.json").write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    ledger_dir = args.state_dir or args.telemetry_dir
-    if ledger_dir:
-        record_run(
-            ledger_dir, snapshot, "poacher", wall_s, clock=lambda: started
-        )
-    if sink is not None:
-        sink.close(registry)
-    return 1 if rollup.total_messages else 0
+    return 1 if problems else 0
 
 
 def _print_stats(registry, crawl_stats, stream) -> None:
@@ -395,7 +370,6 @@ def _print_stats(registry, crawl_stats, stream) -> None:
             "robot.pages.fetched",
             "robot.frontier.admitted",
             "robot.frontier.resumed_pages",
-            "robot.fetch.retries",
             "robot.fetch.http_errors",
             "robot.fetch.latency_ms",
             "www.retry.attempts",

@@ -8,6 +8,13 @@ this class makes a one-liner::
 
     report = Poacher(agent).crawl("http://site/")
     report.total_problems()
+
+Every crawled page goes through one audit, :meth:`Poacher._audit`: lint
+the body, validate each link once in link order, and build the page's
+``bad-link`` / ``bad-fragment`` findings.  :meth:`Poacher.crawl` keeps
+the resulting :class:`PageResult` objects as a buffered
+:class:`CrawlReport`; :meth:`Poacher.crawl_stream` folds the same
+diagnostics into a bounded rollup as pages complete.
 """
 
 from __future__ import annotations
@@ -142,6 +149,70 @@ class Poacher:
         self.link_checker = LinkChecker(agent)
         self.fragment_checker = FragmentChecker(agent)
 
+    def _audit(
+        self, url: str, response: Response, links: list[Link]
+    ) -> tuple[PageResult, list[Diagnostic]]:
+        """Lint one crawled page and validate each of its links once.
+
+        The one per-page audit behind both crawl modes.  Returns the
+        page's :class:`PageResult` -- which alone also keeps the moved
+        links, because redirects are not problems -- and its
+        ``bad-link`` / ``bad-fragment`` diagnostics in link order.  Each
+        finding honours its message switch; with ``follow_links`` off
+        no link is checked at all.
+        """
+        result = PageResult(
+            url=url,
+            diagnostics=self.service.check(
+                StringSource(response.body, name=url)
+            ).diagnostics,
+            links=links,
+            size_bytes=len(response.body),
+        )
+        findings: list[Diagnostic] = []
+        if not self.options.follow_links:
+            return result, findings
+        check_links = self.options.is_enabled("bad-link")
+        check_fragments = self.options.is_enabled("bad-fragment")
+        fragment_defined = self.fragment_checker.fragment_defined
+
+        def check_fragment(link: Link) -> None:
+            if not check_fragments or fragment_defined(url, link.url) is not False:
+                return
+            result.bad_fragments.append(link)
+            target, _, fragment = link.url.partition("#")
+            findings.append(Diagnostic.build(
+                "bad-fragment",
+                line=link.line,
+                filename=url,
+                target=target or "this page",
+                fragment=fragment,
+            ))
+
+        for link in links:
+            if link.is_fragment_only:
+                check_fragment(link)
+                continue
+            if not link.checkable:
+                continue
+            status = self.link_checker.check(url, link.url)
+            if status.broken:
+                if check_links:
+                    result.broken_links.append((link, status))
+                    findings.append(Diagnostic.build(
+                        "bad-link",
+                        line=link.line,
+                        filename=url,
+                        target=link.url,
+                        status=status.describe(),
+                    ))
+                continue
+            if status.redirected_to:
+                result.moved_links.append((link, status))
+            if "#" in link.url:
+                check_fragment(link)
+        return result, findings
+
     def crawl(
         self,
         start_url: str,
@@ -157,48 +228,9 @@ class Poacher:
         the merged report is identical to an uninterrupted crawl's.
         """
         report = CrawlReport(start_url=start_url)
-        validate = self.options.follow_links
 
         def on_page(url: str, response: Response, links: list[Link]) -> None:
-            result = PageResult(
-                url=url,
-                diagnostics=self.service.check(
-                    StringSource(response.body, name=url)
-                ).diagnostics,
-                links=links,
-                size_bytes=len(response.body),
-            )
-            if validate:
-                check_fragments = self.options.is_enabled(
-                    "bad-fragment"
-                )
-                for link in links:
-                    if link.is_fragment_only:
-                        if check_fragments and (
-                            self.fragment_checker.fragment_defined(
-                                url, link.url
-                            )
-                            is False
-                        ):
-                            result.bad_fragments.append(link)
-                        continue
-                    if not link.checkable:
-                        continue
-                    status = self.link_checker.check(url, link.url)
-                    if status.broken:
-                        result.broken_links.append((link, status))
-                        continue
-                    if status.redirected_to:
-                        result.moved_links.append((link, status))
-                    if check_fragments and "#" in link.url:
-                        if (
-                            self.fragment_checker.fragment_defined(
-                                url, link.url
-                            )
-                            is False
-                        ):
-                            result.bad_fragments.append(link)
-            report.pages.append(result)
+            report.pages.append(self._audit(url, response, links)[0])
 
         self.robot.crawl(start_url, on_page, progress=progress, resume=resume)
         # Pages arrive in completion order; the canonical report sorts
@@ -222,16 +254,15 @@ class Poacher:
     ) -> SiteRollup:
         """Crawl and roll up, never holding the whole audit in memory.
 
-        The streaming counterpart of :meth:`crawl`: each page is linted
-        and link-checked the moment the frontier completes it, its link
-        problems become real ``bad-link`` / ``bad-fragment``
-        diagnostics, and everything folds into a bounded
-        :class:`~repro.site.rollup.SiteRollup`.  With ``report_dir``
-        the full per-page diagnostics spill to
-        ``report_dir/pages.jsonl`` and the rollup is saved as
-        ``rollup.json`` when the crawl ends.  ``on_result`` observes
-        every page as a ``LintResult`` in completion order -- what
-        ``poacher --format jsonl`` streams to stdout.
+        The streaming counterpart of :meth:`crawl`, over the same
+        per-page audit: each page's lint diagnostics and link findings
+        fold into a bounded :class:`~repro.site.rollup.SiteRollup` the
+        moment the frontier completes it.  With ``report_dir`` the full
+        per-page diagnostics spill to ``report_dir/pages.jsonl`` and the
+        rollup is saved as ``rollup.json`` when the crawl ends.
+        ``on_result`` observes every page as a ``LintResult`` in
+        completion order -- what ``poacher --format jsonl`` streams to
+        stdout.
 
         With ``TraversalPolicy.shards > 1`` only the owned partition of
         pages (and of crawl failures) is rolled up; merge the shard
@@ -244,53 +275,22 @@ class Poacher:
         if report_dir is not None:
             report_dir = Path(report_dir)
             spill = PageSpill(report_dir / PAGES_FILENAME)
-        validate = self.options.follow_links
-        check_fragments = validate and self.options.is_enabled("bad-fragment")
-        check_links = validate and self.options.is_enabled("bad-link")
 
-        def link_findings(url: str, links: list[Link]) -> list[Diagnostic]:
-            findings: list[Diagnostic] = []
-            for link in links:
-                if link.is_fragment_only:
-                    if check_fragments and (
-                        self.fragment_checker.fragment_defined(url, link.url)
-                        is False
-                    ):
-                        findings.append(self._fragment_diagnostic(url, link))
-                    continue
-                if not link.checkable:
-                    continue
-                status = self.link_checker.check(url, link.url)
-                if status.broken:
-                    if check_links:
-                        findings.append(Diagnostic.build(
-                            "bad-link",
-                            line=link.line,
-                            filename=url,
-                            target=link.url,
-                            status=status.describe(),
-                        ))
-                    continue
-                if check_fragments and "#" in link.url and (
-                    self.fragment_checker.fragment_defined(url, link.url)
-                    is False
-                ):
-                    findings.append(self._fragment_diagnostic(url, link))
-            return findings
+        def emit(
+            url: str, diagnostics: list[Diagnostic], error: Optional[str] = None
+        ) -> None:
+            if spill is not None:
+                spill.write_page(url, diagnostics, error=error)
+            if on_result is not None:
+                on_result(
+                    LintResult(name=url, diagnostics=diagnostics, error=error)
+                )
 
         def on_page(url: str, response: Response, links: list[Link]) -> None:
-            diagnostics = list(
-                self.service.check(
-                    StringSource(response.body, name=url)
-                ).diagnostics
-            )
-            if validate:
-                diagnostics.extend(link_findings(url, links))
+            result, findings = self._audit(url, response, links)
+            diagnostics = [*result.diagnostics, *findings]
             rollup.add_page(url, diagnostics)
-            if spill is not None:
-                spill.write_page(url, diagnostics)
-            if on_result is not None:
-                on_result(LintResult(name=url, diagnostics=diagnostics))
+            emit(url, diagnostics)
 
         try:
             self.robot.crawl(
@@ -299,38 +299,18 @@ class Poacher:
             # Crawl failures fold in at the end, filtered to this
             # shard's partition (every shard fetches everything, so
             # unfiltered counts would multiply under a merge).
-            shards, shard = self.policy.shards, self.policy.shard
             stats = self.robot.stats
-            for url, status in sorted(stats.http_error_urls.items()):
-                if not shard_owns(url, shards, shard):
-                    continue
-                error = f"HTTP {status}"
-                rollup.note_page_error()
-                if spill is not None:
-                    spill.write_page(url, (), error=error)
-                if on_result is not None:
-                    on_result(LintResult(name=url, error=error))
-            for url, error in sorted(stats.failed_urls.items()):
-                if not shard_owns(url, shards, shard):
-                    continue
-                rollup.note_page_error()
-                if spill is not None:
-                    spill.write_page(url, (), error=error)
-                if on_result is not None:
-                    on_result(LintResult(name=url, error=error))
+            failures = [
+                (url, f"HTTP {status}")
+                for url, status in sorted(stats.http_error_urls.items())
+            ] + sorted(stats.failed_urls.items())
+            for url, error in failures:
+                if shard_owns(url, self.policy.shards, self.policy.shard):
+                    rollup.note_page_error()
+                    emit(url, [], error)
         finally:
             if spill is not None:
                 spill.close()
         if report_dir is not None:
             rollup.save(Path(report_dir) / ROLLUP_FILENAME)
         return rollup
-
-    def _fragment_diagnostic(self, url: str, link: Link) -> Diagnostic:
-        target, _, fragment = link.url.partition("#")
-        return Diagnostic.build(
-            "bad-fragment",
-            line=link.line,
-            filename=url,
-            target=target or "this page",
-            fragment=fragment,
-        )

@@ -35,10 +35,10 @@ Fetch outcomes are classified, not collapsed: a URL that never produced
 an HTTP response (connection error, timeout, truncated transfer on every
 attempt) counts in ``CrawlStats.pages_failed`` / ``failed_urls``; a URL
 whose final response was a non-2xx HTTP status counts in
-``pages_http_error`` / ``http_error_urls``.  Retries at this level are
-attempt-count only and skip deterministic 4xx -- give the agent a
-:class:`~repro.www.client.RetryPolicy` for backoff and Retry-After
-handling at the transport layer.
+``pages_http_error`` / ``http_error_urls``.  The robot fetches each URL
+once; retries belong to the agent's
+:class:`~repro.www.client.RetryPolicy` (backoff, Retry-After, transient
+statuses only), the one retry layer.
 """
 
 from __future__ import annotations
@@ -62,11 +62,7 @@ from repro.robot.frontier import (
     shard_owns,
 )
 from repro.site.links import extract_links
-from repro.www.client import (
-    RETRYABLE_STATUSES,
-    FetchError,
-    UserAgent,
-)
+from repro.www.client import FetchError, UserAgent
 from repro.www.httpcache import body_digest
 from repro.www.message import Headers, Response
 from repro.www.robotstxt import RobotsTxt
@@ -84,9 +80,6 @@ class TraversalPolicy:
     obey_robots_txt: bool = True
     follow_resources: bool = False  # also fetch img/script/... targets
     agent_name: str = "poacher-repro/2.0"
-    #: Extra fetch attempts per URL on transport errors and transient
-    #: HTTP errors (5xx/429).  Deterministic 4xx are never re-fetched.
-    max_retries: int = 0
     #: Frontier worker threads; 1 drives the same scheduler inline.
     concurrency: int = 1
     #: Politeness: minimum seconds between fetch starts to the same host.
@@ -116,7 +109,6 @@ class CrawlStats:
     pages_http_error: int = 0
     urls_skipped_robots: int = 0
     urls_skipped_offsite: int = 0
-    retries: int = 0
     bytes_fetched: int = 0
     #: The slowest fetches seen, as a bounded ``(latency_ms, url)`` heap.
     #: Per-URL latency is otherwise summarized into the
@@ -659,13 +651,11 @@ class Robot:
         }
 
     def _fetch(self, url: str):
-        """One URL, with up to ``policy.max_retries`` re-attempts.
+        """Fetch one URL through the agent (and its retry policy).
 
-        Retries only outcomes that can change: transport errors and
-        transient HTTP statuses (5xx/429).  The last response -- OK or
-        not -- is returned so a persistent 404/500 is reported as an
-        HTTP error; ``None`` means no attempt produced a response.
-        The fetch's wall time (across all attempts) lands in the
+        Returns the response -- OK or not, so a persistent 404/500 is
+        reported as an HTTP error -- or ``None`` when the agent produced
+        no response.  The fetch's wall time lands in the
         ``robot.fetch.latency_ms`` histogram, the windowed time-series
         (when armed), the slow-op event log, and the crawl's bounded
         slowest-N list.  Safe to call from frontier worker threads.
@@ -673,32 +663,21 @@ class Robot:
         registry = get_registry()
         start = time.perf_counter()
         response = None
-        last_error: Optional[FetchError] = None
+        error: Optional[FetchError] = None
         with self._stats_lock:
             self._in_flight += 1
+        registry.inc("robot.fetch.requests")
         try:
-            # A negative max_retries must still mean one attempt.
-            for attempt in range(max(0, self.policy.max_retries) + 1):
-                if attempt:
-                    with self._stats_lock:
-                        self.stats.retries += 1
-                    registry.inc("robot.fetch.retries")
-                registry.inc("robot.fetch.requests")
-                try:
-                    candidate = self.agent.get(url)
-                except FetchError as error:
-                    last_error = error
-                    continue
-                response = candidate
-                if candidate.ok or candidate.status not in RETRYABLE_STATUSES:
-                    break
+            response = self.agent.get(url)
+        except FetchError as exc:
+            error = exc
         finally:
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             with self._stats_lock:
                 self._in_flight -= 1
                 self.stats.note_latency(url, elapsed_ms)
-                if response is None and last_error is not None:
-                    self.stats.failed_urls[url] = str(last_error)
+                if error is not None:
+                    self.stats.failed_urls[url] = str(error)
             registry.observe("robot.fetch.latency_ms", elapsed_ms)
             series = get_timeseries()
             if series is not None:

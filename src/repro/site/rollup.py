@@ -30,6 +30,7 @@ from typing import IO, Iterable, Optional, Union
 
 from repro.core.diagnostics import Diagnostic
 from repro.core.messages import Category
+from repro.store import write_atomic
 
 #: How many worst pages a rollup keeps (mirrors SLOWEST_FETCHES_KEPT).
 WORST_PAGES_KEPT = 10
@@ -254,7 +255,7 @@ class SiteRollup:
     def save(self, path: Union[str, Path]) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json(), encoding="utf-8")
+        write_atomic(path, self.to_json().encode("utf-8"))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SiteRollup":

@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 from repro.obs.metrics import MetricsRegistry
 from repro.site.report import render_text_report
 from repro.site.rollup import PAGES_FILENAME, ROLLUP_FILENAME, SiteRollup
+from repro.store import write_atomic
 
 _SHARD_DIR = re.compile(r"^shard-(\d+)-of-(\d+)$")
 
@@ -108,17 +109,16 @@ def merge_report_dirs(shards: Sequence[Path], out: Path) -> SiteRollup:
 
     out.mkdir(parents=True, exist_ok=True)
     merged.save(out / ROLLUP_FILENAME)
-    (out / "report.txt").write_text(
-        render_text_report(merged) + "\n", encoding="utf-8"
-    )
-    (out / PAGES_FILENAME).write_text(
-        "".join(line + "\n" for line in spill_lines), encoding="utf-8"
-    )
+    outputs = {
+        "report.txt": render_text_report(merged) + "\n",
+        PAGES_FILENAME: "".join(line + "\n" for line in spill_lines),
+    }
     if have_metrics:
-        (out / "metrics.json").write_text(
-            json.dumps(metrics.snapshot(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        outputs["metrics.json"] = (
+            json.dumps(metrics.snapshot(), indent=2, sort_keys=True) + "\n"
         )
+    for name, text in outputs.items():
+        write_atomic(out / name, text.encode("utf-8"))
     return merged
 
 

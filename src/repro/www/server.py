@@ -291,8 +291,9 @@ class HTTPServer:
         )
 
     def _respond_lint(self, method: str, body: bytes) -> bytes:
+        from repro.config import options_from_dict
         from repro.config.options import UnknownMessageError
-        from repro.daemon.daemon import DaemonSaturated, options_from_dict
+        from repro.daemon.daemon import DaemonSaturated
         from repro.daemon.protocol import (
             ProtocolError,
             decode_batch_request,

@@ -1,18 +1,24 @@
-"""An edge-case site for the site-check goldens and properties.
+"""Edge-case sites for the site-check and crawl goldens and properties.
 
-Every link shape the site-check core resolves differently: directory
-links with and without an index page, ``sub.html`` beside ``sub/`` (the
-walker lists ``sub/index.html`` first, name order lists ``sub.html``
-first), an existing and a missing image, a target outside the root, a
-fragment into a text file, good and bad fragments into a page and into
-the page itself, a ``bad-link`` and a ``bad-fragment`` on one line,
-query-string links and a never-linked ``deep/index.html``.
+``EDGE_PAGES`` / :func:`write_edge_site`: every link shape the
+site-check core resolves differently: directory links with and without
+an index page, ``sub.html`` beside ``sub/`` (the walker lists
+``sub/index.html`` first, name order lists ``sub.html`` first), an
+existing and a missing image, a target outside the root, a fragment
+into a text file, good and bad fragments into a page and into the page
+itself, a ``bad-link`` and a ``bad-fragment`` on one line, query-string
+links and a never-linked ``deep/index.html``.
+
+:func:`edge_web`: the shapes only a crawl meets -- redirects, a dead
+host, a page the crawl fetches and gets a 404 for -- on a
+:class:`~repro.www.virtualweb.VirtualWeb`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from repro.www.virtualweb import VirtualWeb
 from tests.conftest import make_document
 
 #: The site's pages (what a crawl would deliver), by name.
@@ -77,3 +83,64 @@ def write_edge_site(directory: Path) -> Path:
         make_document("<p>Outside the site.</p>")
     )
     return site
+
+
+#: The crawl edge site's start page.
+CRAWL_START = "http://edge.test/index.html"
+
+
+def edge_web() -> VirtualWeb:
+    """An edge-case site for poacher, on a :class:`VirtualWeb`.
+
+    ``index.html`` links: a redirect, redirects carrying a defined and an
+    undefined fragment, a broken link with and without a fragment, a bad
+    fragment into another page, a bad and a good same-page fragment, a
+    dead external host, a fragment into a text page, an image, a
+    ``?query`` alias of a page and a ``mailto:`` link.  ``other.html``
+    links a page that the crawl fetches and gets a 404 for.  Both
+    carry weblint problems of their own.
+    """
+    web = VirtualWeb()
+    web.add_site(
+        "http://edge.test/",
+        {
+            "index.html": make_document(
+                '<h1><a name="top">Edge-case crawl</a></h2>\n'
+                "<ul>\n"
+                '<li><a href="moved.html">a redirect</a></li>\n'
+                '<li><a href="moved.html#sec">a redirect, good fragment</a> '
+                'and <a href="moved.html#nowhere">bad fragment</a></li>\n'
+                '<li><a href="gone.html">gone</a> and '
+                '<a href="gone.html#x">gone, by fragment</a></li>\n'
+                '<li><a href="page.html#nowhere">a bad fragment</a></li>\n'
+                '<li><a href="#absent">a missing section</a> and '
+                '<a href="#top">the top</a></li>\n'
+                '<li><a href="http://dead.test/">a dead host</a></li>\n'
+                '<li><a href="notes.txt#x">plain notes</a></li>\n'
+                '<li><img src="images/logo.gif" alt="logo"></li>\n'
+                '<li><a href="page.html?q=1">a query</a></li>\n'
+                '<li><a href="mailto:webmaster@edge.test">mail</a></li>\n'
+                '<li><a href="other.html">the other page</a></li>\n'
+                "</ul>"
+            ),
+            "page.html": make_document(
+                '<p><a name="sec">Section</a>, back '
+                '<a href="index.html">home</a>.</p>'
+            ),
+            "other.html": make_document(
+                '<p><b>Unclosed bold, a link to '
+                '<a href="missing.html">a missing page</a> and '
+                '<a href="page.html#sec">a good fragment</a>.</p>'
+            ),
+        },
+    )
+    web.add_redirect("http://edge.test/moved.html", "http://edge.test/page.html")
+    web.add_page(
+        "http://edge.test/notes.txt", "plain text, no anchors\n",
+        content_type="text/plain",
+    )
+    web.add_page(
+        "http://edge.test/images/logo.gif", "GIF89a", content_type="image/gif"
+    )
+    web.kill_host("dead.test")
+    return web

@@ -368,7 +368,6 @@ class TestPoacherCli:
         err = capsys.readouterr().err
         assert "poacher stats:" in err
         assert "robot.pages.fetched: 2" in err
-        assert "robot.fetch.retries: 0" in err
         # Latency is summarized (histogram percentiles + a bounded
         # slowest-N list), not stored per URL.
         assert "robot.fetch.latency_ms: count=2" in err

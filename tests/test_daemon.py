@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.config import options_from_dict
 from repro.config.options import Options
 from repro.core.cache import ResultCache
 from repro.core.service import (
@@ -29,7 +30,7 @@ from repro.daemon import (
     encode_batch_response,
 )
 from repro.daemon.client import DaemonClientError, base_url, remote_check
-from repro.daemon.daemon import FANOUT_THRESHOLD, LifecycleJournal, options_from_dict
+from repro.daemon.daemon import FANOUT_THRESHOLD, LifecycleJournal
 from repro.gateway.gateway import Gateway
 from repro.obs import use_registry
 from repro.www.server import HTTPServer, http_get, http_post
@@ -665,6 +666,50 @@ class TestWeblintDaemonFlag:
         document = next(record for record in lines if "diagnostics" in record)
         assert document["file"] == str(page)
         assert document["count"] == len(document["diagnostics"]) > 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            (),
+            ("--pedantic",),
+            ("--preset", "minimal", "--pedantic"),
+            ("--pedantic", "--preset", "minimal"),
+            ("-x", "netscape", "-d", "img-alt"),
+            ("-e", "upper-case,lower-case"),
+        ],
+    )
+    def test_cli_daemon_matches_local(
+        self, served_daemon, tmp_path, capsys, flags
+    ):
+        from repro.cli import main
+
+        _daemon, server = served_daemon
+        page = tmp_path / "page.html"
+        page.write_text(PAPER_EXAMPLE)
+        local = main(["--no-config", "--no-cache", *flags, str(page)])
+        local_out = capsys.readouterr().out
+        remote = main([
+            "--no-config", "--daemon", f"127.0.0.1:{server.port}",
+            *flags, str(page),
+        ])
+        assert (remote, capsys.readouterr().out) == (local, local_out)
+
+    @pytest.mark.parametrize("flag", ["--enable-rule", "--disable-rule"])
+    def test_cli_daemon_refuses_rule_flags(
+        self, served_daemon, tmp_path, capsys, flag
+    ):
+        from repro.cli import main
+
+        _daemon, server = served_daemon
+        page = tmp_path / "page.html"
+        page.write_text(PAPER_EXAMPLE)
+        code = main([
+            "--daemon", f"127.0.0.1:{server.port}", flag, "images", str(page),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "not supported with --daemon" in captured.err
+        assert captured.out == ""
 
     def test_cli_missing_file_is_usage_error(self, served_daemon, capsys):
         from repro.cli import main

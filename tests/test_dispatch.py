@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro import Options, Weblint
-from repro.core.dispatch import clear_table_cache, compile_table, get_table
+from repro.core.dispatch import (
+    DispatchTable,
+    clear_table_cache,
+    compile_table,
+    get_table,
+)
 from repro.core.engine import Engine
 from repro.core.rules import default_rules
 from repro.core.rules.base import Rule
@@ -27,6 +32,21 @@ def _default_table(**option_values):
 
 def _names(handlers) -> list[str]:
     return [name for name, _method in handlers]
+
+
+class NaiveEngine(Engine):
+    """The seed's dispatch: every rule on every hook, subscriptions ignored.
+
+    The reference the compiled tables are checked against; production
+    engines always dispatch through :func:`get_table`.
+    """
+
+    def dispatch_table(self) -> DispatchTable:
+        return compile_table(self.spec, self.options, self.rules, naive=True)
+
+
+def _naive_check(source: str, options=None) -> list:
+    return NaiveEngine(options=options).check(source).sorted_diagnostics()
 
 
 class TestCompilation:
@@ -120,34 +140,27 @@ class TestGoldenEquivalence:
         "sample", SAMPLES, ids=[sample.name for sample in SAMPLES]
     )
     def test_sample_output_identical(self, sample):
-        outputs = []
-        for naive in (False, True):
-            options = Options.with_defaults()
-            options.spec_name = sample.spec
-            if sample.enable:
-                options.enable(*sample.enable)
-            weblint = Weblint(options=options, naive_dispatch=naive)
-            outputs.append(_diagnostics_key(weblint.check_string(sample.html)))
-        assert outputs[0] == outputs[1]
+        options = Options.with_defaults()
+        options.spec_name = sample.spec
+        if sample.enable:
+            options.enable(*sample.enable)
+        compiled = Weblint(options=options).check_string(sample.html)
+        naive = _naive_check(sample.html, options)
+        assert _diagnostics_key(compiled) == _diagnostics_key(naive)
 
     def test_paper_example_identical(self):
         compiled = Weblint().check_string(PAPER_EXAMPLE)
-        naive = Weblint(naive_dispatch=True).check_string(PAPER_EXAMPLE)
+        naive = _naive_check(PAPER_EXAMPLE)
         assert _diagnostics_key(compiled) == _diagnostics_key(naive)
 
     def test_generated_page_identical_pedantic(self):
         page = PageGenerator(seed=7, config=GeneratorConfig(paragraphs=30)).page()
-        outputs = []
-        for naive in (False, True):
-            options = Options.with_defaults()
-            options.enable("all")
-            options.disable("upper-case")
-            outputs.append(
-                _diagnostics_key(
-                    Weblint(options=options, naive_dispatch=naive).check_string(page)
-                )
-            )
-        assert outputs[0] == outputs[1]
+        options = Options.with_defaults()
+        options.enable("all")
+        options.disable("upper-case")
+        compiled = Weblint(options=options).check_string(page)
+        naive = _naive_check(page, options)
+        assert _diagnostics_key(compiled) == _diagnostics_key(naive)
 
 
 class TestDispatchMetrics:
@@ -168,7 +181,7 @@ class TestDispatchMetrics:
         token_count = len(tokenize(page))
         rule_count = len(default_rules())
         with use_registry() as registry:
-            Weblint(naive_dispatch=True).check_string(page)
+            _naive_check(page)
             calls = registry.value("engine.dispatch.calls")
         # start/end_document and element-closed events push it past N*T.
         assert calls >= rule_count * token_count

@@ -158,6 +158,24 @@ class TestGateway:
         )
         assert "STRONG" in response.body
 
+    @pytest.mark.parametrize(
+        "fields, flags",
+        [
+            ({"preset": "minimal", "pedantic": "1"},
+             ["--preset", "minimal", "--pedantic"]),
+            ({"spec": "netscape", "enable": ["img-alt", "style"],
+              "disable": "img-size"},
+             ["-x", "netscape", "-e", "img-alt", "-e", "style",
+              "-d", "img-size"]),
+        ],
+    )
+    def test_options_match_the_command_line(self, fields, flags):
+        from repro.cli import _build_options, build_parser
+
+        args = build_parser().parse_args(["--no-config", *flags, "x.html"])
+        gateway = Gateway()._build_options(_form(**fields))
+        assert gateway.fingerprint() == _build_options(args).fingerprint()
+
     def test_bad_option_is_400(self):
         response = Gateway().handle(
             _form(html="<p>", enable=["no-such-message"])

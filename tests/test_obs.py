@@ -23,7 +23,6 @@ from repro.core.reporter import (
     StatsReporter,
     get_reporter,
 )
-from repro.core.rules.base import TimedRule, wrap_rules
 from repro.obs import (
     NULL_SPAN,
     MetricsRegistry,
@@ -41,7 +40,7 @@ from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.robot.traversal import Robot, TraversalPolicy
 from repro.site.walker import find_html_files, iter_directories
 from repro.workload import PageGenerator, build_pathological_corpus
-from repro.www.client import UserAgent
+from repro.www.client import RetryPolicy, UserAgent
 from repro.www.virtualweb import VirtualWeb
 from tests.conftest import PAPER_EXAMPLE, make_document
 
@@ -369,20 +368,11 @@ class TestRuleProfiler:
 
     def test_engine_restores_unwrapped_rules(self):
         engine = Engine(options=Options.with_defaults())
+        rules = list(engine.rules)
         with use_profiler():
             engine.check(PAPER_EXAMPLE)
-        assert not any(isinstance(rule, TimedRule) for rule in engine.rules)
-
-    def test_wrap_rules_is_idempotent(self):
-        engine = Engine(options=Options.with_defaults())
-        profiler = RuleProfiler()
-        wrapped = wrap_rules(engine.rules, profiler)
-        again = wrap_rules(wrapped, profiler)
-        assert all(
-            not isinstance(rule.inner, TimedRule)
-            for rule in again
-            if isinstance(rule, TimedRule)
-        )
+        assert len(engine.rules) == len(rules)
+        assert all(a is b for a, b in zip(engine.rules, rules))
 
 
 # -- instrumented subsystems ----------------------------------------------------
@@ -555,18 +545,17 @@ class TestRobotAndClientMetrics:
             self._web(), flaky={"http://localhost/page1.html"}
         )
         robot = Robot(
-            UserAgent(web),
-            policy=TraversalPolicy(obey_robots_txt=False, max_retries=1),
+            UserAgent(web, retry=RetryPolicy(max_retries=1, backoff_base_s=0)),
+            policy=TraversalPolicy(obey_robots_txt=False),
         )
         with use_registry() as registry:
             visited = robot.crawl("http://localhost/index.html")
             assert len(visited) == 2
             assert registry.value("robot.pages.fetched") == 2
-            assert registry.value("robot.fetch.retries") == 1
+            assert registry.value("www.retry.attempts") == 1
             assert registry.value("robot.fetch.failures") == 0
             latency = registry.snapshot()["robot.fetch.latency_ms"]
             assert latency["count"] == 2
-        assert robot.stats.retries == 1
         # Per-URL latency is bounded: a slowest-N list, not a dict that
         # grows with the site.
         assert set(url for url, _ms in robot.stats.slowest()) == set(visited)

@@ -303,7 +303,6 @@ def crawl_policy(concurrency: int) -> TraversalPolicy:
         same_host_only=False,
         obey_robots_txt=False,
         concurrency=concurrency,
-        max_retries=1,
     )
 
 

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.store`: the atomic whole-file write and its callers."""
+"""Tests for :mod:`repro.store`'s atomic write, its callers and the run ledger."""
 
 from __future__ import annotations
 
@@ -8,12 +8,14 @@ import re
 import pytest
 
 from repro.daemon.daemon import LifecycleJournal
-from repro.obs import use_registry
+from repro.obs import TelemetrySink, use_registry
 from repro.robot.frontier import FrontierJournal
+from repro.site.rollup import SiteRollup
 from repro.store import write_atomic
 from repro.workload import PageGenerator
 from repro.www.httpcache import HttpCache
 from repro.www.message import Response
+from tests.conftest import make_document
 
 
 def _temp_files(root):
@@ -113,3 +115,150 @@ class TestFailedWritesAreCounted:
             lifecycle.started(workers=1, queue_limit=4)
             assert registry.value("daemon.journal_write_errors") == 1
         assert _temp_files(tmp_path) == []
+
+
+def _refuse_replace(monkeypatch, name=None):
+    """Make ``os.replace`` fail (only onto files called ``name``, if given)."""
+    real_replace = os.replace
+
+    def refuse(source, target):
+        if name is None or os.path.basename(target) == name:
+            raise OSError("no space left on device")
+        return real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", refuse)
+
+
+class TestAtomicReports:
+    """A report rewrite that fails keeps the previous file, no temp file."""
+
+    def test_rollup_save(self, tmp_path, monkeypatch):
+        path = tmp_path / "rollup.json"
+        SiteRollup(root="http://h/").save(path)
+        before = path.read_text()
+        rollup = SiteRollup(root="http://h/")
+        rollup.add_page("http://h/a.html", [])
+        _refuse_replace(monkeypatch)
+        with pytest.raises(OSError):
+            rollup.save(path)
+        assert path.read_text() == before
+        assert _temp_files(tmp_path) == []
+
+    def test_telemetry_prom(self, tmp_path, monkeypatch):
+        sink = TelemetrySink(tmp_path)
+        with use_registry() as registry:
+            registry.inc("lint.files")
+            sink.flush(registry)
+            before = sink.prom_path.read_text()
+            registry.inc("lint.files")
+            _refuse_replace(monkeypatch)
+            sink.flush(registry)
+            assert registry.value("obs.telemetry.write_errors") == 1
+        assert sink.prom_path.read_text() == before
+        assert _temp_files(tmp_path) == []
+
+    @pytest.fixture
+    def site(self, tmp_path):
+        site = tmp_path / "site"
+        site.mkdir()
+        for name, body in PageGenerator(seed=5).site(4).items():
+            (site / name).write_text(body)
+        return site
+
+    def test_poacher_shard_report(self, site, tmp_path, monkeypatch, capsys):
+        from repro.robot.cli import main
+
+        state = tmp_path / "state"
+        args = ["--shards", "1", "--state-dir", str(state), str(site)]
+        main(args)
+        report = state / "report" / "report.txt"
+        before = report.read_text()
+        (site / "index.html").write_text("<p>changed")
+        _refuse_replace(monkeypatch, "report.txt")
+        with pytest.raises(OSError):
+            main(args)
+        capsys.readouterr()
+        assert report.read_text() == before
+        assert _temp_files(tmp_path) == []
+
+    def test_merge_shards_outputs(self, site, tmp_path, monkeypatch, capsys):
+        from repro.robot.cli import main
+        from repro.tools.merge_shards import main as merge_main
+
+        state = tmp_path / "state"
+        main(["--shards", "1", "--state-dir", str(state), str(site)])
+        assert merge_main([str(state)]) == 0
+        merged = state / "report" / "merged"
+        before = {path.name: path.read_text() for path in merged.iterdir()}
+        (state / "report" / "pages.jsonl").write_text("")
+        _refuse_replace(monkeypatch, "pages.jsonl")
+        assert merge_main([str(state)]) == 2
+        capsys.readouterr()
+        assert {
+            path.name: path.read_text() for path in merged.iterdir()
+        } == before
+        assert _temp_files(tmp_path) == []
+
+
+class TestUnwritableLedger:
+    """A run ledger that cannot be appended never fails a finished run.
+
+    ``runs.jsonl`` is made a directory; each tool keeps the output and
+    exit status it has with a writable ledger and warns once on stderr.
+    """
+
+    def test_poacher_keeps_its_report_and_exit(self, tmp_path, capsys):
+        from repro.robot.cli import main
+
+        site = tmp_path / "site"
+        site.mkdir()
+        for name, body in PageGenerator(seed=3).site(4).items():
+            (site / name).write_text(body)
+
+        def poacher(state):
+            code = main(["--state-dir", str(state), str(site)])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        code, out, err = poacher(tmp_path / "writable")
+        broken = tmp_path / "broken"
+        (broken / "runs.jsonl").mkdir(parents=True)
+        broken_code, broken_out, broken_err = poacher(broken)
+        assert (broken_code, broken_out) == (code, out)
+        assert err == ""
+        assert broken_err.count("warning") == 1
+        assert str(broken / "runs.jsonl") in broken_err
+
+    def test_weblint_telemetry_run(self, tmp_path, capsys):
+        from repro.cli import main
+
+        page = tmp_path / "clean.html"
+        page.write_text(make_document("<p>Nothing wrong here.</p>"))
+        telemetry = tmp_path / "telemetry"
+        (telemetry / "runs.jsonl").mkdir(parents=True)
+        code = main([
+            "--no-config", "--no-cache", "--telemetry-dir", str(telemetry),
+            str(page),
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (0, "")
+        assert captured.err.count(str(telemetry / "runs.jsonl")) == 1
+        prom = (telemetry / "metrics.prom").read_text()
+        assert "lint_files_total 1" in prom
+
+    def test_daemon_shutdown(self, tmp_path, capsys, monkeypatch):
+        import signal
+
+        from repro.daemon.cli import main
+
+        # Keep the test runner's own signal handlers.
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        state = tmp_path / "state"
+        (state / "runs.jsonl").mkdir(parents=True)
+        code = main([
+            "--jobs", "1", "--state-dir", str(state), "--max-seconds", "0.2",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "weblint daemon stopped" in captured.out
+        assert captured.err.count(str(state / "runs.jsonl")) == 1

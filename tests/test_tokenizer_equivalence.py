@@ -2,12 +2,13 @@
 
 The batched tokenizer (`repro.html.tokenizer`) replaced the seed's
 char-by-char scanner for speed; the old scanner survives verbatim as
-`repro.html._tokenizer_naive`, the behaviour oracle (same pattern as
-``naive_dispatch`` for the compiled dispatch tables).  These tests pin
-full field-by-field equivalence -- token types, kinds, positions, raw
-spans, names, attribute details, entity records and lexical issues --
-across every document the repo's corpora can produce, plus a curated
-set of edge strings targeting the fast-path/slow-path seams.
+`repro.html._tokenizer_naive`, the behaviour oracle (the same pattern
+as ``compile_table(naive=True)``, which ``tests/test_dispatch.py``
+checks the compiled dispatch tables against).  These tests pin full
+field-by-field equivalence -- token types, kinds, positions, raw spans,
+names, attribute details, entity records and lexical issues -- across
+every document the repo's corpora can produce, plus a curated set of
+edge strings targeting the fast-path/slow-path seams.
 
 If a test here fails, the batched scanner is wrong, whatever the
 benchmarks say: fix the fast path, never the oracle.
