@@ -1,15 +1,20 @@
 """E18 -- the cost of always-on telemetry (continuous observability).
 
 The telemetry pipeline (docs/observability.md) is designed so a run can
-keep the windowed time-series and the structured event log *armed* the
-whole time: per document the hot path pays two global reads, one ring-
-buffer add and one level check -- no I/O unless something is slow or
-notable.  This benchmark holds that claim against the E10 corpus:
+keep the structured event log *armed* the whole time: per document the
+hot path pays one global read and one level check -- no I/O unless
+something is slow or notable.  This benchmark holds that claim against
+the E10 corpus:
 
-- throughput with telemetry armed (time-series installed, event log
-  streaming at ``info`` level, progress off) must be within 3% of the
+- throughput with telemetry armed (the event log streaming at ``info``
+  level, as ``--telemetry-dir`` arms it) must be within 3% of the
   bare-metrics baseline;
 - the OpenMetrics exposition of the armed run renders deterministically.
+
+The two sides are timed as interleaved pairs of passes, alternating
+which side runs first, and the budget holds the *median* per-pair
+overhead: a best-of-N of each side taken one after the other reads
+drift of the host as overhead (the committed figure once read -7.4%).
 
 ``BENCH_telemetry.json`` records both throughputs and the measured
 overhead so ``python -m repro.tools.compare_runs`` can track the cost
@@ -19,16 +24,16 @@ across PRs.
 from __future__ import annotations
 
 import io
+import statistics
 import time
 
 from repro.core.service import LintService, StringSource
 from repro.obs import (
     EventLog,
-    TimeSeries,
+    MetricsRegistry,
     render_openmetrics,
     use_event_log,
     use_registry,
-    use_timeseries,
 )
 from repro.workload import GeneratorConfig, PageGenerator
 
@@ -39,6 +44,9 @@ MAX_OVERHEAD = 0.03
 
 #: Documents checked per timed pass.
 DOCS_PER_PASS = 30
+
+#: Interleaved baseline/armed pass pairs; odd, so the median is a pair.
+PAIRS = 21
 
 
 def _corpus() -> list[str]:
@@ -56,10 +64,6 @@ def _timed_pass(service: LintService, corpus: list[str]) -> float:
     return time.perf_counter() - start
 
 
-def _best_of(runs: int, service: LintService, corpus: list[str]) -> float:
-    return min(_timed_pass(service, corpus) for _ in range(runs))
-
-
 def test_e18_telemetry_overhead(benchmark):
     corpus = _corpus()
     service = LintService()
@@ -69,34 +73,40 @@ def test_e18_telemetry_overhead(benchmark):
     with use_registry():
         _timed_pass(service, corpus)
 
-    with use_registry():
-        baseline_s = _best_of(5, service, corpus)
-
     events_stream = io.StringIO()
-    with use_registry() as registry:
-        with use_timeseries(TimeSeries()) as series, use_event_log(
-            EventLog(stream=events_stream, level="info")
-        ):
-            armed_s = _best_of(5, service, corpus)
-        armed_snapshot = registry.snapshot()
+    armed_log = EventLog(stream=events_stream, level="info")
+    baseline_registry = MetricsRegistry()
+    armed_registry = MetricsRegistry()
+    baseline_times: list[float] = []
+    armed_times: list[float] = []
+    for pair in range(PAIRS):
+        for armed in (False, True) if pair % 2 == 0 else (True, False):
+            if armed:
+                with use_registry(armed_registry), use_event_log(armed_log):
+                    armed_times.append(_timed_pass(service, corpus))
+            else:
+                with use_registry(baseline_registry):
+                    baseline_times.append(_timed_pass(service, corpus))
+    armed_snapshot = armed_registry.snapshot()
 
     benchmark(service.check, StringSource(corpus[0], name="bench.html"))
 
-    overhead = (armed_s - baseline_s) / baseline_s
+    overhead = statistics.median(
+        (armed - baseline) / baseline
+        for baseline, armed in zip(baseline_times, armed_times)
+    )
+    baseline_s = statistics.median(baseline_times)
+    armed_s = statistics.median(armed_times)
     assert overhead < MAX_OVERHEAD, (
-        f"armed telemetry costs {overhead * 100:.2f}% "
-        f"(budget {MAX_OVERHEAD * 100:.0f}%): "
+        f"armed telemetry costs {overhead * 100:.2f}% over {PAIRS} pairs "
+        f"(median; budget {MAX_OVERHEAD * 100:.0f}%): "
         f"baseline {baseline_s * 1000:.2f} ms, armed {armed_s * 1000:.2f} ms"
     )
 
-    # The armed run really was armed: every check landed in the ring
-    # buffers, and no per-document event paid for I/O (debug-level
-    # lint.file events drop before formatting; nothing was slow).
-    _total, windowed_count = series.series["lint.check_ms"].totals(
-        series.clock()
-    )
-    assert windowed_count >= DOCS_PER_PASS
-    assert armed_snapshot["lint.files"] >= DOCS_PER_PASS
+    # The armed passes really were armed and checked every document,
+    # and no per-document event paid for I/O (debug-level lint.file
+    # events drop before formatting; nothing was slow).
+    assert armed_snapshot["lint.files"] == DOCS_PER_PASS * PAIRS
     assert events_stream.getvalue() == ""
 
     # The exposition of the armed run is byte-deterministic.
@@ -123,10 +133,13 @@ def test_e18_telemetry_overhead(benchmark):
         [
             ("bare metrics", f"{baseline_s * 1000:.2f} ms",
              f"{baseline_kb_s:.0f} KB/s"),
-            ("armed (series + events)", f"{armed_s * 1000:.2f} ms",
+            ("armed (event log at info)", f"{armed_s * 1000:.2f} ms",
              f"{armed_kb_s:.0f} KB/s"),
-            ("overhead", f"{overhead * 100:+.2f}%",
+            ("overhead (median pair)", f"{overhead * 100:+.2f}%",
              f"budget {MAX_OVERHEAD * 100:.0f}%"),
         ],
-        headers=("configuration", f"{DOCS_PER_PASS} docs", "throughput"),
+        headers=(
+            "configuration", f"{DOCS_PER_PASS} docs, median of {PAIRS}",
+            "throughput",
+        ),
     )

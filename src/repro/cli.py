@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,16 +34,7 @@ from repro.core.service import (
     StdinSource,
 )
 from repro.html.spec import available_specs
-from repro.obs import (
-    TelemetrySink,
-    TimeSeries,
-    record_run,
-    use_event_log,
-    use_profiler,
-    use_registry,
-    use_timeseries,
-    use_tracer,
-)
+from repro.obs import run_scope, use_profiler, use_tracer
 
 
 def _default_jobs() -> int:
@@ -376,35 +366,23 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
 
     # Every invocation records into its own registry, so --stats (and the
     # stats reporter) report this run, not the process's whole history.
-    with use_registry() as registry, contextlib.ExitStack() as stack:
-        started = time.perf_counter()
-        started_unix = time.time()
+    with run_scope("weblint", telemetry_dir=args.telemetry_dir) as run, \
+            contextlib.ExitStack() as stack:
         tracer = stack.enter_context(use_tracer()) if args.trace else None
         profiler = stack.enter_context(use_profiler()) if args.profile else None
-        sink = None
-        if args.telemetry_dir:
-            sink = TelemetrySink(args.telemetry_dir)
-            stack.enter_context(use_timeseries(TimeSeries()))
-            stack.enter_context(use_event_log(sink.open_event_log()))
 
         if args.daemon:
             code = _check_remote(args, reporter, out, err)
         else:
             code = _check_paths(args, options, service, reporter, out, err)
-        wall_seconds = time.perf_counter() - started
+        wall_seconds = run.wall_s
 
         if tracer is not None and not _write_trace(tracer, args.trace, err):
             code = max(code, constants.EXIT_USAGE)
         if profiler is not None:
             err.write(profiler.render_report() + "\n")
         if args.stats:
-            _print_stats(registry, reporter, wall_seconds, err)
-        if sink is not None:
-            record_run(
-                args.telemetry_dir, registry.snapshot(), "weblint",
-                wall_seconds, clock=lambda: started_unix,
-            )
-            sink.close(registry)
+            _print_stats(run.registry, reporter, wall_seconds, err)
     return code
 
 

@@ -60,7 +60,6 @@ from repro.html.spec import HTMLSpec, get_spec
 from repro.obs.events import get_event_log
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry, use_registry
 from repro.obs.profile import RuleProfiler, get_profiler, set_profiler, use_profiler
-from repro.obs.timeseries import get_timeseries
 from repro.obs.trace import Tracer, get_tracer, set_tracer, use_tracer
 
 
@@ -450,11 +449,7 @@ class LintService:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         registry.inc("lint.files")
         registry.observe("lint.check_ms", elapsed_ms)
-        # Continuous-telemetry feeds: both are no-ops (one global read,
-        # one test) unless a run armed them.
-        series = get_timeseries()
-        if series is not None:
-            series.observe("lint.check_ms", elapsed_ms)
+        # A no-op (one global read, one test) unless a run armed it.
         events = get_event_log()
         if events.enabled:
             events.note_operation("lint.file", elapsed_ms, file=source.name)

@@ -19,7 +19,6 @@ exit.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import signal
 import sys
@@ -30,14 +29,7 @@ from typing import Optional, Sequence
 from repro.config.options import Options
 from repro.daemon.daemon import LintDaemon
 from repro.html.spec import available_specs
-from repro.obs import (
-    TelemetrySink,
-    TimeSeries,
-    record_run,
-    use_event_log,
-    use_registry,
-    use_timeseries,
-)
+from repro.obs import run_scope
 
 
 def _default_jobs() -> int:
@@ -99,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry-dir",
         metavar="DIR",
         default=os.environ.get("WEBLINT_TELEMETRY_DIR") or None,
-        help="stream events/metric snapshots to DIR while serving "
-        "(default from WEBLINT_TELEMETRY_DIR)",
+        help="stream events to DIR while serving and write the metric "
+        "snapshot there at exit; /metrics is the live view (default from "
+        "WEBLINT_TELEMETRY_DIR)",
     )
     parser.add_argument(
         "--site-dir",
@@ -162,27 +155,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.www.server import HTTPServer
     from repro.www.virtualweb import VirtualWeb
 
-    with use_registry() as registry, contextlib.ExitStack() as stack:
-        started = time.perf_counter()
-        started_unix = time.time()
-        sink = None
-        if args.telemetry_dir:
-            sink = TelemetrySink(args.telemetry_dir)
-            stack.enter_context(use_timeseries(TimeSeries()))
-            stack.enter_context(use_event_log(sink.open_event_log()))
+    # The daemon is built outside the run scope: a bad option (-x bogus)
+    # fails here and the run leaves no ledger record.
+    try:
+        daemon = LintDaemon(
+            options=options,
+            jobs=args.jobs,
+            queue_limit=args.queue_limit,
+            cache=cache,
+            state_dir=args.state_dir,
+        )
+    except (KeyError, ValueError) as exc:
+        sys.stderr.write(f"weblint-daemon: {exc}\n")
+        return 2
 
-        try:
-            daemon = LintDaemon(
-                options=options,
-                jobs=args.jobs,
-                queue_limit=args.queue_limit,
-                cache=cache,
-                state_dir=args.state_dir,
-            ).start()
-        except (KeyError, ValueError) as exc:
-            sys.stderr.write(f"weblint-daemon: {exc}\n")
-            return 2
-
+    with run_scope(
+        "weblint-daemon",
+        state_dir=args.state_dir,
+        telemetry_dir=args.telemetry_dir,
+    ) as run:
+        daemon.start()
         web = VirtualWeb()
         agent = None
         if args.site_dir:
@@ -222,19 +214,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             daemon.gate.wait_idle(args.drain_timeout)
             server.stop()
             daemon.shutdown(drain=True, timeout_s=1.0)
-            wall_seconds = time.perf_counter() - started
-            ledger_dir = args.state_dir or args.telemetry_dir
-            if ledger_dir:
-                record_run(
-                    ledger_dir, registry.snapshot(), "weblint-daemon",
-                    wall_seconds, clock=lambda: started_unix,
-                )
-            if sink is not None:
-                sink.close(registry)
             out.write(
                 f"weblint daemon stopped "
-                f"({registry.value('daemon.requests')} requests served, "
-                f"{registry.value('daemon.rejected')} rejected)\n"
+                f"({run.registry.value('daemon.requests')} requests served, "
+                f"{run.registry.value('daemon.rejected')} rejected)\n"
             )
             out.flush()
     return 0

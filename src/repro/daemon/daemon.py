@@ -46,7 +46,6 @@ from repro.core.service import (
 from repro.daemon.pool import WarmPool
 from repro.obs.events import get_event_log
 from repro.obs.metrics import get_registry
-from repro.obs.timeseries import get_timeseries
 from repro.store import write_atomic
 
 #: Batches smaller than this run inline on the (already warm) base
@@ -376,9 +375,6 @@ class LintDaemon:
         registry.inc("daemon.requests")
         registry.inc("daemon.documents", len(requests))
         registry.observe("daemon.request_ms", elapsed_ms)
-        series = get_timeseries()
-        if series is not None:
-            series.observe("daemon.requests", 1.0)
         events = get_event_log()
         if events.enabled:
             events.note_operation("daemon.request", elapsed_ms)

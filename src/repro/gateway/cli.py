@@ -3,7 +3,9 @@
 Reads a urlencoded form from ``QUERY_STRING``, stdin, or a command-line
 argument, and writes the CGI response to stdout.  This is the "standard
 gateway distribution, particularly for installation behind firewalls"
-users kept asking the author for (section 4.6).
+users kept asking the author for (section 4.6).  To serve the same form
+over HTTP, run ``weblint-daemon --site-dir DIR``: it answers at
+``/weblint``.
 """
 
 from __future__ import annotations
@@ -39,32 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print only the HTML body, without the CGI header block",
     )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="serve the gateway over HTTP instead of acting as a CGI "
-        "(the 'standard gateway distribution' of paper section 4.6)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port for --serve (default: an ephemeral port)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --serve: pre-warmed lint workers (0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        metavar="N",
-        help="with --serve: max in-flight requests before 429",
-    )
     return parser
 
 
@@ -84,31 +60,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         agent = UserAgent(web)
 
     gateway = Gateway(agent=agent)
-
-    if args.serve:
-        # The served gateway is daemon-backed: warm per-options services
-        # and admission control, not a LintService rebuilt per request.
-        from repro.daemon.daemon import LintDaemon
-        from repro.www.server import HTTPServer
-
-        daemon = LintDaemon(jobs=args.jobs, queue_limit=args.queue_limit).start()
-        gateway.service_provider = daemon.service_for
-        with HTTPServer(web, port=args.port, gateway=gateway, daemon=daemon) as server:
-            sys.stdout.write(
-                f"weblint gateway listening on "
-                f"{server.base_url}/weblint (Ctrl-C to stop)\n"
-            )
-            sys.stdout.flush()
-            try:
-                import time
-
-                while True:
-                    time.sleep(1)
-            except KeyboardInterrupt:
-                pass
-            finally:
-                daemon.shutdown()
-        return 0
     response = gateway.handle(parse_query_string(form_text.strip()))
     if args.no_header:
         sys.stdout.write(response.body)

@@ -1,15 +1,15 @@
 """``repro.obs`` -- the checker's continuous telemetry pipeline.
 
-Layered cheapest-first; each layer is independently installable:
+Layered cheapest-first:
 
 - **metrics** (always on): process-local counters/gauges/histograms in a
   :class:`~repro.obs.metrics.MetricsRegistry`; instrumented code records
   a handful of values per document, never per token.  Histograms expose
   interpolated p50/p95/p99 estimates.
-- **time-series** (off by default): per-second ring buffers via
-  :func:`~repro.obs.timeseries.get_timeseries` -- rolling rates and
-  windowed means for live progress views, flat memory however long the
-  run is.
+- **time-series** (per view): a :class:`~repro.obs.timeseries.TimeSeries`
+  of per-second ring buffers, flat memory however long the run is; the
+  crawl's ``--progress`` line samples the registry into its own for a
+  rolling pages-per-second rate.
 - **events** (off by default): a levelled, sampled JSON-lines event log
   via :func:`~repro.obs.events.get_event_log`, including the automatic
   ``slow_op`` log for any instrumented duration over a threshold.
@@ -21,9 +21,11 @@ Layered cheapest-first; each layer is independently installable:
 
 Export surfaces live in :mod:`repro.obs.export` (OpenMetrics text,
 ``--telemetry-dir`` sinks) and :mod:`repro.obs.ledger` (the cross-run
-``runs.jsonl`` ledger).  See docs/observability.md for the metric/event
-namespace and usage recipes.  This package imports nothing from the
-rest of ``repro``; every layer may depend on it without cycles.
+``runs.jsonl`` ledger).  :func:`~repro.obs.run.run_scope` ties them to
+one tool run: ``weblint``, ``poacher`` and ``weblint-daemon`` each run
+inside it.  See docs/observability.md for the metric/event namespace
+and usage recipes.  This package imports nothing from the rest of
+``repro``; every layer may depend on it without cycles.
 """
 
 from repro.obs.events import (
@@ -49,12 +51,8 @@ from repro.obs.profile import (
     set_profiler,
     use_profiler,
 )
-from repro.obs.timeseries import (
-    TimeSeries,
-    get_timeseries,
-    set_timeseries,
-    use_timeseries,
-)
+from repro.obs.run import Run, run_scope
+from repro.obs.timeseries import TimeSeries
 from repro.obs.trace import (
     NULL_SPAN,
     NullTracer,
@@ -71,9 +69,6 @@ __all__ = [
     "set_registry",
     "use_registry",
     "TimeSeries",
-    "get_timeseries",
-    "set_timeseries",
-    "use_timeseries",
     "EventLog",
     "NullEventLog",
     "NULL_EVENT_LOG",
@@ -88,6 +83,8 @@ __all__ = [
     "RunLedger",
     "record_run",
     "summarize_run",
+    "Run",
+    "run_scope",
     "RuleProfiler",
     "get_profiler",
     "set_profiler",

@@ -124,8 +124,15 @@ class TelemetrySink:
         self.flushes = 0
 
     def open_event_log(self, **kwargs) -> EventLog:
-        """An event log streaming JSON lines to ``events.jsonl``."""
-        self._event_stream = self.events_path.open("a", encoding="utf-8")
+        """An event log streaming JSON lines to ``events.jsonl``.
+
+        The file is line-buffered, so each event is on disk as soon as
+        it is emitted: a long-lived daemon's events can be read while it
+        serves, and a killed process loses none.
+        """
+        self._event_stream = self.events_path.open(
+            "a", encoding="utf-8", buffering=1
+        )
         kwargs.setdefault("clock", self.clock)
         return EventLog(stream=self._event_stream, **kwargs)
 

@@ -134,10 +134,18 @@ class RunLedger:
         self.path = Path(directory) / self.FILENAME
 
     def append(self, record: dict[str, object]) -> dict[str, object]:
-        """Append one record, stamping its 1-based ``run`` sequence."""
+        """Append one record, stamping its 1-based ``run`` sequence.
+
+        A last line without its newline -- an append cut short by a
+        crash -- is cut off first, so the new record starts a line of
+        its own instead of being glued onto the fragment and lost too.
+        """
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self.path.open("a+b") as handle:
+            handle.seek(0)
+            handle.truncate(handle.read().rfind(b"\n") + 1)
         existing = self.load()
         stamped = {"run": len(existing) + 1, **record}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(stamped, sort_keys=True) + "\n")
         return stamped

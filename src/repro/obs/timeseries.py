@@ -1,20 +1,21 @@
 """Windowed time-series: per-second ring buffers over the live run.
 
 The :class:`~repro.obs.metrics.MetricsRegistry` answers "how much, in
-total?"; long-running workloads (a site crawl, the future lint daemon)
-also need "how fast, *right now*?".  This module holds that windowed
-view: a :class:`TimeSeries` keeps one fixed ring of per-second buckets
-per metric, so rolling rates and means over the last N seconds cost a
-60-slot scan and the memory stays flat no matter how long the run is.
+total?"; a live view of a long-running workload also needs "how fast,
+*right now*?".  This module holds that windowed view: a
+:class:`TimeSeries` keeps one fixed ring of per-second buckets per
+metric, so a rolling rate over the last N seconds costs a 60-slot scan
+and the memory stays flat no matter how long the run is.
+
+There is no process-wide series: a view owns its own and samples the
+registry into it (:meth:`TimeSeries.sample_registry`), so the
+instrumented hot paths record into the registry alone.  The crawl's
+``--progress`` line (:class:`~repro.robot.traversal.CrawlProgress`) is
+the one reader.
 
 Everything is driven by an injectable clock (any zero-argument callable
 returning seconds) so tests and golden renderings are deterministic;
 the default is :func:`time.monotonic`.
-
-Like the other obs layers there is a process-wide slot: instrumented
-code asks :func:`get_timeseries` and records only when a series is
-installed (``None`` by default), so the always-off cost is one global
-read and an ``is None`` test per document -- never per token.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ class RingSeries:
 class TimeSeries:
     """Create-on-first-use ring buffers keyed by metric name.
 
-    ``observe`` drops a value into the current per-second bucket;
-    ``rate``/``mean`` aggregate over the trailing window.  Names follow
-    the registry's dotted convention so the two views line up (e.g. the
-    crawl records ``robot.pages.fetched`` into both).
+    ``observe`` drops a value into the current per-second bucket and
+    ``sample_registry`` folds in counter growth; ``rate`` sums over the
+    trailing window.  Names follow the registry's dotted convention, so
+    a sampled counter keeps its name (``robot.pages.fetched``).
     """
 
     def __init__(
@@ -129,61 +130,3 @@ class TimeSeries:
         window = min(self.window_s, window_s or self.window_s)
         total, _count = ring.totals(now, window)
         return total / window
-
-    def mean(
-        self, name: str, window_s: Optional[int] = None, t: Optional[float] = None
-    ) -> float:
-        """Mean observed value over the trailing window (0 when empty)."""
-        ring = self.series.get(name)
-        if ring is None:
-            return 0.0
-        now = self.clock() if t is None else t
-        total, count = ring.totals(now, window_s)
-        return total / count if count else 0.0
-
-    def snapshot(self, t: Optional[float] = None) -> dict[str, dict[str, float]]:
-        """Windowed view of every tracked name, sorted, JSON-able."""
-        now = self.clock() if t is None else t
-        result: dict[str, dict[str, float]] = {}
-        for name in sorted(self.series):
-            total, count = self.series[name].totals(now)
-            result[name] = {
-                "window_s": self.window_s,
-                "sum": round(total, 6),
-                "count": count,
-                "rate_per_s": round(total / self.window_s, 6),
-            }
-        return result
-
-
-# -- the process-wide active time-series (None = windowing off) -------------
-
-_timeseries: Optional[TimeSeries] = None
-
-
-def get_timeseries() -> Optional[TimeSeries]:
-    """The active time-series, or ``None`` when windowing is off."""
-    return _timeseries
-
-
-def set_timeseries(series: Optional[TimeSeries]) -> Optional[TimeSeries]:
-    """Install (or clear, with ``None``) the series; returns the previous."""
-    global _timeseries
-    previous = _timeseries
-    _timeseries = series
-    return previous
-
-
-class use_timeseries:
-    """Context manager: window a region with a fresh (or given) series."""
-
-    def __init__(self, series: Optional[TimeSeries] = None) -> None:
-        self.series = series if series is not None else TimeSeries()
-        self._previous: Optional[TimeSeries] = None
-
-    def __enter__(self) -> TimeSeries:
-        self._previous = set_timeseries(self.series)
-        return self.series
-
-    def __exit__(self, *exc_info: object) -> None:
-        set_timeseries(self._previous)

@@ -47,7 +47,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -55,16 +54,7 @@ from repro.config.options import Options
 from repro.core.cache import ResultCache
 from repro.core.reporter import JsonlReporter
 from repro.core.service import LintService
-from repro.obs import (
-    MemorySampler,
-    TelemetrySink,
-    TimeSeries,
-    record_run,
-    use_event_log,
-    use_registry,
-    use_timeseries,
-)
-from repro.obs.events import NULL_EVENT_LOG
+from repro.obs import MemorySampler, run_scope
 from repro.robot.frontier import FrontierJournal
 from repro.robot.poacher import Poacher
 from repro.robot.traversal import CrawlProgress, TraversalPolicy
@@ -295,12 +285,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report_dir = Path(args.state_dir) / "report"
         if (args.shards or 1) > 1:
             report_dir = report_dir / f"shard-{args.shard}-of-{args.shards}"
-    sink = TelemetrySink(args.telemetry_dir) if args.telemetry_dir else None
-    event_log = sink.open_event_log() if sink is not None else NULL_EVENT_LOG
-    started = time.time()
-    start_perf = time.perf_counter()
-    with use_registry() as registry, use_timeseries(TimeSeries()), \
-            use_event_log(event_log):
+    with run_scope(
+        "poacher", state_dir=args.state_dir, telemetry_dir=args.telemetry_dir
+    ) as run:
         progress = (
             CrawlProgress(poacher.robot, sys.stderr)
             if args.progress else None
@@ -342,24 +329,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             reporter.end()
         sys.stdout.write(output)
         if args.stats:
-            _print_stats(registry, poacher.robot.stats, sys.stderr)
+            _print_stats(run.registry, poacher.robot.stats, sys.stderr)
         if sampler is not None:
-            sampler.stop()  # final sample lands before the snapshot below
-        wall_s = time.perf_counter() - start_perf
-        snapshot = registry.snapshot()
+            sampler.stop()  # final sample lands before the snapshots below
         if report_dir is not None:
             # crawl_stream saved rollup.json here already; report.txt and
             # metrics.json complete the shard's mergeable report directory.
-            metrics = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+            metrics = json.dumps(
+                run.registry.snapshot(), indent=2, sort_keys=True
+            ) + "\n"
             write_atomic(report_dir / "report.txt", text_report.encode("utf-8"))
             write_atomic(report_dir / "metrics.json", metrics.encode("utf-8"))
-        ledger_dir = args.state_dir or args.telemetry_dir
-        if ledger_dir:
-            record_run(
-                ledger_dir, snapshot, "poacher", wall_s, clock=lambda: started
-            )
-        if sink is not None:
-            sink.close(registry)
     return 1 if problems else 0
 
 

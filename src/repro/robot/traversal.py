@@ -53,7 +53,7 @@ from typing import IO, Callable, Optional
 from repro.obs.events import get_event_log
 from repro.obs.export import Ticker
 from repro.obs.metrics import get_registry
-from repro.obs.timeseries import TimeSeries, get_timeseries
+from repro.obs.timeseries import TimeSeries
 from repro.obs.trace import get_tracer
 from repro.robot.frontier import (
     FrontierJournal,
@@ -603,10 +603,6 @@ class Robot:
         self.stats.bytes_fetched += len(response.body)
         registry.inc("robot.pages.fetched")
         registry.inc("robot.fetch.bytes", len(response.body))
-        if live:
-            series = get_timeseries()
-            if series is not None:
-                series.observe("robot.pages.fetched")
         visited.append(response.url)
         if not response.is_html:
             if live and self.journal is not None:
@@ -679,9 +675,6 @@ class Robot:
                 if error is not None:
                     self.stats.failed_urls[url] = str(error)
             registry.observe("robot.fetch.latency_ms", elapsed_ms)
-            series = get_timeseries()
-            if series is not None:
-                series.observe("robot.fetch.latency_ms", elapsed_ms)
             events = get_event_log()
             if events.enabled:
                 events.note_operation("robot.fetch", elapsed_ms, url=url)

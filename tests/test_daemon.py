@@ -6,6 +6,7 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -739,43 +740,66 @@ class TestWeblintDaemonFlag:
         assert "cannot reach lint daemon" in capsys.readouterr().err
 
 
+#: The checkout under test; the daemon subprocess imports its ``src``.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _spawn_daemon(*args: str):
+    """``weblint-daemon ARGS`` as a subprocess; returns it and its port."""
+    import re
+    import subprocess
+    import sys
+
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.daemon.cli", "--jobs", "1",
+         "--max-seconds", "30", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        cwd=REPO_ROOT,
+    )
+    banner = process.stdout.readline()
+    match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
+    if match is None:  # pragma: no cover - startup failure
+        process.kill()
+        process.wait()
+        raise AssertionError(f"daemon did not start: {banner!r}")
+    return process, int(match.group(1))
+
+
+def _stop_daemon(process) -> str:
+    """SIGTERM (a graceful drain); returns the rest of its stdout."""
+    import signal
+
+    try:
+        process.send_signal(signal.SIGTERM)
+        out, _err = process.communicate(timeout=20)
+    finally:
+        if process.poll() is None:  # pragma: no cover - cleanup
+            process.kill()
+            process.communicate()
+    return out
+
+
 class TestDaemonCLI:
     def test_daemon_cli_serves_and_drains(self, tmp_path):
-        """weblint-daemon as a subprocess: serve, SIGTERM, clean ledger."""
-        import re
-        import signal
-        import subprocess
-        import sys
-
+        """weblint-daemon as a subprocess: serve, SIGTERM, clean ledger,
+        and one lifetime's telemetry files."""
         state_dir = tmp_path / "state"
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.daemon.cli",
-                "--jobs", "1", "--state-dir", str(state_dir),
-                "--max-seconds", "30",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env={**__import__("os").environ, "PYTHONPATH": "src"},
-            cwd="/root/repo",
+        telemetry = tmp_path / "telemetry"
+        process, port = _spawn_daemon(
+            "--state-dir", str(state_dir), "--telemetry-dir", str(telemetry)
         )
         try:
-            banner = process.stdout.readline()
-            match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
-            assert match, banner
-            port = int(match.group(1))
             results = remote_check(
                 f"127.0.0.1:{port}", [("d.html", PAPER_EXAMPLE)]
             )
             assert results[0].diagnostics
-            process.send_signal(signal.SIGTERM)
-            process.wait(timeout=20)
         finally:
-            if process.poll() is None:  # pragma: no cover - cleanup
-                process.kill()
-                process.wait()
+            stopped = _stop_daemon(process)
         assert process.returncode == 0
+        assert stopped == "weblint daemon stopped (1 requests served, 0 rejected)\n"
         state = LifecycleJournal(state_dir).load_state()
         assert state and state["clean"] is True
         ledger = (state_dir / "runs.jsonl").read_text().splitlines()
@@ -783,3 +807,36 @@ class TestDaemonCLI:
         assert record["tool"] == "weblint-daemon"
         assert record["requests"] == 1
         assert record["rejected"] == 0
+        # The state dir holds the ledger; the telemetry dir holds the
+        # lifetime's one metric snapshot and its events.
+        assert not (telemetry / "runs.jsonl").exists()
+        [snapshot] = (telemetry / "metrics.jsonl").read_text().splitlines()
+        assert json.loads(snapshot)["metrics"]["daemon.requests"] == 1
+        assert (telemetry / "metrics.prom").read_text().endswith("# EOF\n")
+        events = [
+            json.loads(line)["event"]
+            for line in (telemetry / "events.jsonl").read_text().splitlines()
+        ]
+        assert events[-2:] == ["daemon.draining", "daemon.stopped"]
+
+    def test_site_dir_serves_the_gateway_form(self, tmp_path, capsys):
+        """/weblint?url= on ``--site-dir`` answers with the page's report,
+        the body the CGI gateway prints for the same form."""
+        from repro.gateway.cli import main as gateway_main
+
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "x.html").write_text(PAPER_EXAMPLE)
+        form = "url=http%3A%2F%2Flocalhost%2Fx.html"
+        assert gateway_main(["--site-dir", str(site), "--no-header", form]) == 0
+        report = capsys.readouterr().out
+        assert "7 problem(s) found." in report
+        process, port = _spawn_daemon("--site-dir", str(site))
+        try:
+            status, _headers, body = http_get(
+                f"http://127.0.0.1:{port}/weblint?{form}"
+            )
+        finally:
+            _stop_daemon(process)
+        assert status == 200
+        assert body == report

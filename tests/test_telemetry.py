@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -23,13 +24,13 @@ from repro.obs import (
     TimeSeries,
     Tracer,
     get_event_log,
-    get_timeseries,
+    get_registry,
     record_run,
     render_openmetrics,
+    run_scope,
     summarize_run,
     use_event_log,
     use_registry,
-    use_timeseries,
     use_tracer,
 )
 from repro.obs.timeseries import RingSeries
@@ -92,13 +93,6 @@ class TestTimeSeries:
     def test_rate_unknown_name_is_zero(self):
         assert TimeSeries(clock=FakeClock()).rate("nope") == 0.0
 
-    def test_mean_of_observed_values(self):
-        clock = FakeClock(100.0)
-        series = TimeSeries(clock=clock, window_s=10)
-        series.observe("latency_ms", 10.0)
-        series.observe("latency_ms", 30.0)
-        assert series.mean("latency_ms") == pytest.approx(20.0)
-
     def test_sample_registry_folds_counter_deltas(self):
         clock = FakeClock(100.0)
         series = TimeSeries(clock=clock, window_s=10)
@@ -111,23 +105,6 @@ class TestTimeSeries:
         total, count = series.series["robot.pages.fetched"].totals(clock())
         assert total == 10.0
         assert count == 10
-
-    def test_snapshot_shape(self):
-        clock = FakeClock(100.0)
-        series = TimeSeries(clock=clock, window_s=10)
-        series.observe("pages", 3.0)
-        snap = series.snapshot()
-        assert snap == {
-            "pages": {
-                "window_s": 10, "sum": 3.0, "count": 1, "rate_per_s": 0.3,
-            }
-        }
-
-    def test_use_timeseries_installs_and_restores(self):
-        assert get_timeseries() is None
-        with use_timeseries() as series:
-            assert get_timeseries() is series
-        assert get_timeseries() is None
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +247,20 @@ class TestTelemetrySink:
         record = json.loads((tmp_path / "events.jsonl").read_text())
         assert record == {"t": 9.0, "event": "crawl.start", "level": "info"}
 
+    def test_events_reach_disk_while_the_sink_is_open(self, tmp_path):
+        # A daemon's events must be readable while it serves, and a
+        # killed process must not take its buffered events with it.
+        sink = TelemetrySink(tmp_path, clock=FakeClock(9.0))
+        log = sink.open_event_log()
+        log.emit("daemon.started", workers=2)
+        try:
+            text = (tmp_path / "events.jsonl").read_text()
+        finally:
+            sink.close()
+        assert json.loads(text) == {
+            "t": 9.0, "event": "daemon.started", "level": "info", "workers": 2,
+        }
+
     def test_ticker_fires_final_tick_on_stop(self):
         calls = []
         ticker = Ticker(60.0, lambda: calls.append(1))
@@ -326,6 +317,20 @@ class TestRunLedger:
         ledger.append({"tool": "weblint"})
         assert len(ledger.load()) == 2
 
+    def test_torn_last_line_keeps_the_next_run(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        for _ in range(4):
+            ledger.append({"tool": "poacher"})
+        data = ledger.path.read_bytes()
+        fourth = data[:-1].rfind(b"\n") + 1
+        # A crash cut record 4 in half; the next run must not be glued
+        # onto the fragment and lost with it.
+        ledger.path.write_bytes(data[: fourth + (len(data) - fourth) // 2])
+        fifth = ledger.append({"tool": "poacher", "wall_s": 5.0})
+        assert fifth["run"] == 4
+        assert [r["run"] for r in ledger.load()] == [1, 2, 3, 4]
+        assert ledger.load()[-1] == fifth
+
     def test_record_run_convenience(self, tmp_path):
         stamped = record_run(
             tmp_path, _snapshot_for_run(1, [1.0]), "weblint", 0.5,
@@ -334,6 +339,77 @@ class TestRunLedger:
         assert stamped["run"] == 1
         assert stamped["started_unix"] == 77.0
         assert RunLedger(tmp_path).last(1) == [stamped]
+
+
+# ---------------------------------------------------------------------------
+# Run scope
+
+
+class TestRunScope:
+    def test_installs_a_fresh_registry_then_restores(self):
+        before = get_registry()
+        with run_scope("weblint") as run:
+            assert get_registry() is run.registry
+            assert run.registry is not before
+        assert get_registry() is before
+
+    def test_state_dir_wins_over_telemetry_dir_for_the_ledger(self, tmp_path):
+        state, tele = tmp_path / "state", tmp_path / "tele"
+        with run_scope("poacher", state_dir=state, telemetry_dir=tele) as run:
+            run.registry.inc("lint.files", 3)
+        assert not (tele / "runs.jsonl").exists()
+        [record] = RunLedger(state).load()
+        assert record["tool"] == "poacher"
+        assert record["documents"] == 3
+        assert record["wall_s"] == round(run.wall_s, 4)
+        with run_scope("weblint", telemetry_dir=tele):
+            pass
+        assert [r["tool"] for r in RunLedger(tele).load()] == ["weblint"]
+
+    def test_no_dir_writes_no_ledger(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with run_scope("weblint") as run:
+            run.registry.inc("lint.files")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_wall_time_covers_the_scope_then_stops(self):
+        with run_scope("weblint") as run:
+            time.sleep(0.02)
+        wall = run.wall_s
+        time.sleep(0.02)
+        assert 0.02 <= wall == run.wall_s
+
+    def test_body_that_raises_writes_no_ledger_but_closes_the_sink(
+        self, tmp_path
+    ):
+        state, tele = tmp_path / "state", tmp_path / "tele"
+        before, events_before = get_registry(), get_event_log()
+        with pytest.raises(RuntimeError, match="crawl died"):
+            with run_scope(
+                "poacher", state_dir=state, telemetry_dir=tele
+            ) as run:
+                run.registry.inc("lint.files")
+                raise RuntimeError("crawl died")
+        assert not (state / "runs.jsonl").exists()
+        assert not (tele / "runs.jsonl").exists()
+        prom = (tele / "metrics.prom").read_text()
+        assert "lint_files_total 1" in prom
+        assert prom.endswith("# EOF\n")
+        assert len((tele / "metrics.jsonl").read_text().splitlines()) == 1
+        assert get_registry() is before
+        assert get_event_log() is events_before
+
+    def test_event_log_only_with_a_telemetry_dir(self, tmp_path):
+        before = get_event_log()
+        with run_scope("weblint-daemon", state_dir=tmp_path / "state"):
+            assert get_event_log() is before
+        with run_scope("weblint-daemon", telemetry_dir=tmp_path / "tele"):
+            log = get_event_log()
+            assert log is not before and log.enabled
+            log.emit("daemon.started")
+        assert get_event_log() is before
+        events = (tmp_path / "tele" / "events.jsonl").read_text()
+        assert json.loads(events)["event"] == "daemon.started"
 
 
 class TestCompareRuns:
