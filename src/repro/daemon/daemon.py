@@ -13,9 +13,9 @@ One :class:`LintDaemon` owns
   past the limit the front end answers 429 with a ``Retry-After``
   estimate instead of queueing without bound, and during drain new
   work is refused (503) while in-flight requests complete;
-- a crash-safe lifecycle journal in the frontier's idiom: an
-  append-only ``journal.jsonl`` flushed per record plus an atomic
-  ``state.json`` (:func:`repro.store.write_atomic`), so a supervisor
+- a crash-safe lifecycle journal: an append-only ``journal.jsonl``
+  (:class:`repro.store.JsonLog`) plus an atomic ``state.json``
+  (:func:`repro.store.write_atomic`), so a supervisor
   -- or the next daemon start -- can tell a clean stop from a crash
   (``daemon.unclean_starts``).
 
@@ -46,7 +46,7 @@ from repro.core.service import (
 from repro.daemon.pool import WarmPool
 from repro.obs.events import get_event_log
 from repro.obs.metrics import get_registry
-from repro.store import write_atomic
+from repro.store import JsonLog, write_atomic
 
 #: Batches smaller than this run inline on the (already warm) base
 #: service: for a handful of documents the lint work is cheaper than
@@ -126,11 +126,11 @@ class AdmissionGate:
 class LifecycleJournal:
     """Crash-safe daemon lifecycle state under ``DIR/daemon/``.
 
-    Same idioms as the frontier journal: events append to
-    ``journal.jsonl`` (flushed per record, tolerant load), the current
-    state rewrites ``state.json`` atomically.  ``started()`` reports
-    whether the previous lifetime ended cleanly, so an operator can see
-    crash loops in the journal and in ``daemon.unclean_starts``.
+    Events append to ``journal.jsonl`` (a :class:`repro.store.JsonLog`,
+    like the frontier journal), the current state rewrites
+    ``state.json`` atomically.  ``started()`` reports whether the
+    previous lifetime ended cleanly, so an operator can see crash loops
+    in the journal and in ``daemon.unclean_starts``.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -141,10 +141,8 @@ class LifecycleJournal:
     def _append(self, event: str, **fields: object) -> None:
         record = {"event": event, "unix": round(time.time(), 3), **fields}
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with self.journal_path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
+            with JsonLog(self.journal_path) as log:
+                log.append(record)
         except OSError:
             get_registry().inc("daemon.journal_write_errors")
 

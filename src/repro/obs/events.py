@@ -140,10 +140,6 @@ class EventLog:
                 **fields,
             )
 
-    def flush(self) -> None:
-        if self.stream is not None:
-            self.stream.flush()
-
 
 # -- the process-wide active event log --------------------------------------
 

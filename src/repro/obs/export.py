@@ -21,7 +21,6 @@ directly with an injected clock instead of sleeping.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 import time
@@ -30,7 +29,7 @@ from typing import Callable, Optional, Union
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.store import write_atomic
+from repro.store import JsonLog, write_atomic
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -116,25 +115,23 @@ class TelemetrySink:
     ) -> None:
         self.directory = Path(directory)
         self.clock = clock
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.metrics_path = self.directory / "metrics.jsonl"
         self.prom_path = self.directory / "metrics.prom"
         self.events_path = self.directory / "events.jsonl"
-        self._event_stream = None
+        self._events: Optional[JsonLog] = None
         self.flushes = 0
 
     def open_event_log(self, **kwargs) -> EventLog:
         """An event log streaming JSON lines to ``events.jsonl``.
 
-        The file is line-buffered, so each event is on disk as soon as
-        it is emitted: a long-lived daemon's events can be read while it
-        serves, and a killed process loses none.
+        Each event is one append to a :class:`~repro.store.JsonLog`, so
+        it is on disk as soon as it is emitted: a long-lived daemon's
+        events can be read while it serves, and a killed process loses
+        none.
         """
-        self._event_stream = self.events_path.open(
-            "a", encoding="utf-8", buffering=1
-        )
+        self._events = JsonLog(self.events_path)
         kwargs.setdefault("clock", self.clock)
-        return EventLog(stream=self._event_stream, **kwargs)
+        return EventLog(stream=self._events, **kwargs)
 
     def flush(self, registry: Optional[MetricsRegistry] = None) -> None:
         """Append one metrics record and rewrite the OpenMetrics file."""
@@ -143,8 +140,8 @@ class TelemetrySink:
         ).snapshot()
         record = {"t": round(self.clock(), 3), "metrics": snapshot}
         try:
-            with self.metrics_path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            with JsonLog(self.metrics_path) as log:
+                log.append(record)
             write_atomic(
                 self.prom_path, render_openmetrics(snapshot).encode("utf-8")
             )
@@ -155,12 +152,9 @@ class TelemetrySink:
 
     def close(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.flush(registry)
-        if self._event_stream is not None:
-            try:
-                self._event_stream.close()
-            except OSError:  # pragma: no cover - close failure
-                pass
-            self._event_stream = None
+        if self._events is not None:
+            self._events.close()
+            self._events = None
 
 
 class Ticker:

@@ -23,11 +23,12 @@ and exit status.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Optional, Union
+
+from repro.store import JsonLog, read_log
 
 
 def _histogram_summary(
@@ -136,40 +137,17 @@ class RunLedger:
     def append(self, record: dict[str, object]) -> dict[str, object]:
         """Append one record, stamping its 1-based ``run`` sequence.
 
-        A last line without its newline -- an append cut short by a
-        crash -- is cut off first, so the new record starts a line of
-        its own instead of being glued onto the fragment and lost too.
+        The log's lock is held from the count to the append, so runs
+        that share one ledger concurrently never stamp the same ``run``.
         """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a+b") as handle:
-            handle.seek(0)
-            handle.truncate(handle.read().rfind(b"\n") + 1)
-        existing = self.load()
-        stamped = {"run": len(existing) + 1, **record}
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(stamped, sort_keys=True) + "\n")
+        with JsonLog(self.path) as log, log.locked():
+            stamped = {"run": len(self.load()) + 1, **record}
+            log.append(stamped)
         return stamped
 
     def load(self) -> list[dict[str, object]]:
         """Every parseable record, oldest first (corrupt lines skipped)."""
-        if not self.path.exists():
-            return []
-        records = []
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        return read_log(self.path)[0]
 
     def last(self, n: int = 2) -> list[dict[str, object]]:
         return self.load()[-n:]

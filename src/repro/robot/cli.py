@@ -35,10 +35,11 @@ the buffered summary, and ``--shards N --shard K`` runs the bounded
 streaming pipeline over the K-th of N URL partitions, writing
 ``rollup.json`` + ``pages.jsonl`` + ``report.txt`` + ``metrics.json``
 under ``--state-dir``'s report directory.  Run every shard (they can
-share the state dir -- the caches make the overlap cheap), then fold
-the shard directories into one canonical report with ``python -m
-repro.tools.merge_shards STATE_DIR``.  See docs/architecture.md
-("Streaming reports").
+share the state dir, even concurrently: each keeps its own frontier
+journal and report directory, and the caches make the overlap cheap),
+then fold the shard directories into one canonical report with
+``python -m repro.tools.merge_shards STATE_DIR``.  See
+docs/architecture.md ("Streaming reports").
 """
 
 from __future__ import annotations
@@ -235,6 +236,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.fault_rate > 0.0:
         web.faults.seed = args.fault_seed
         web.add_fault(rate=args.fault_rate, status=503, times=None)
+    # A sharded run keeps its own frontier journal and report directory.
+    shard_dir = (
+        f"shard-{args.shard}-of-{args.shards}" if (args.shards or 1) > 1 else ""
+    )
     http_cache = None
     result_cache = None
     journal = None
@@ -247,7 +252,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # kill between checkpoints costs at most checkpoint_every pages
         # of conditional refetches -- never completed-page bodies.
         journal = FrontierJournal(
-            state / "frontier", on_checkpoint=lambda: http_cache.save()
+            state / "frontier" / shard_dir,
+            on_checkpoint=lambda: http_cache.save(),
         )
     agent = UserAgent(
         web,
@@ -282,9 +288,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     streaming = args.format == "jsonl" or args.shards is not None
     report_dir = None
     if streaming and args.state_dir:
-        report_dir = Path(args.state_dir) / "report"
-        if (args.shards or 1) > 1:
-            report_dir = report_dir / f"shard-{args.shard}-of-{args.shards}"
+        report_dir = Path(args.state_dir) / "report" / shard_dir
     with run_scope(
         "poacher", state_dir=args.state_dir, telemetry_dir=args.telemetry_dir
     ) as run:

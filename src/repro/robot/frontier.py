@@ -17,11 +17,10 @@ scheduler/dupefilter/downloader-slot shape popularised by Scrapy:
   parked (per-host, still priority-ordered) while lower-priority
   requests for other hosts proceed.
 - :class:`FrontierJournal` -- a disk-backed, resumable frontier under
-  ``--state-dir``: an append-only JSON-lines journal (flushed per
-  record, so a SIGTERM loses at most the torn last line) compacted into
-  an atomic ``checkpoint.json`` written like ``httpcache``'s versioned
-  index.  ``poacher --state-dir D --resume`` replays it and continues a
-  killed crawl without refetching completed pages.
+  ``--state-dir``: one append-only JSON-lines journal (one write per
+  record, so a SIGTERM loses at most the torn last line, fsynced at
+  checkpoints).  ``poacher --state-dir D --resume`` replays it and
+  continues a killed crawl without refetching completed pages.
 
 Ordering contract: the queue is *consumed* in completion order (that is
 the whole point), so the crawl's canonical outputs -- the visited list
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import threading
 import time
 from collections import deque
@@ -42,12 +40,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 from repro.obs.metrics import get_registry
-from repro.store import write_atomic
+from repro.store import JsonLog, read_log
 from repro.www.message import Response
 from repro.www.url import urljoin, urlparse
 
-#: Bump when the journal/checkpoint layout changes; old state resumes cold.
-JOURNAL_VERSION = 1
+#: Bump when the journal layout changes; old state resumes cold.
+JOURNAL_VERSION = 2
 
 
 def request_fingerprint(url: str) -> str:
@@ -396,7 +394,6 @@ class FrontierScheduler:
 class ResumeState:
     """What a loaded journal knows: enough to continue, nothing more."""
 
-    start: str
     #: (depth, seq, url) enqueued but never completed, priority order.
     pending: list[tuple[int, int, str]] = field(default_factory=list)
     #: Dupefilter fingerprints of every request ever enqueued.
@@ -407,21 +404,20 @@ class ResumeState:
 
 
 class FrontierJournal:
-    """Disk-backed frontier state under ``<state-dir>/frontier/``.
+    """Disk-backed frontier state: ``journal.jsonl`` in ``directory``.
 
-    Two tiers, both tolerant of a kill at any byte:
+    One append-only :class:`repro.store.JsonLog`: a header naming the
+    start URL, then one ``enq`` line per admitted-into-queue URL and one
+    completion line (``ok``/``dup``/``err``/``fail``) per settled fetch.
+    A kill at any byte loses at most the torn last line, which the next
+    open cuts off; any other corrupt line makes :meth:`resume` return
+    ``None`` so the crawl restarts clean instead of crashing.
+    :meth:`resume` keeps appending to the journal it replayed.
 
-    - ``journal.jsonl`` -- append-only, flushed per record.  One
-      ``enq`` line per admitted-into-queue URL and one completion line
-      (``ok``/``dup``/``err``/``fail``) per settled fetch.  A torn final
-      line (the usual SIGTERM artefact) is silently dropped; any other
-      corruption makes :meth:`resume` return ``None`` so the crawl
-      restarts clean instead of crashing.
-    - ``checkpoint.json`` -- an atomic (:func:`repro.store.write_atomic`)
-      compaction of everything journaled so far, written at crawl end
-      and every ``checkpoint_every`` completions; the journal is then
-      truncated.  ``on_checkpoint`` lets the caller persist companion
-      state (poacher saves the HTTP index) at the same instants.
+    Every ``checkpoint_every`` completions and at crawl end,
+    :meth:`checkpoint` fsyncs the journal and runs ``on_checkpoint``,
+    which lets the caller persist companion state (poacher saves the
+    HTTP index) at the same instants.
 
     ``ok`` records carry the body's sha256, not the body: on resume the
     bytes come back from :class:`repro.www.httpcache.HttpCache`'s
@@ -439,41 +435,26 @@ class FrontierJournal:
         self.directory = Path(directory)
         self.checkpoint_every = max(1, checkpoint_every)
         self.on_checkpoint = on_checkpoint
-        self._handle = None
-        self._start: Optional[str] = None
-        #: url -> (depth, seq) for every enqueued request.
-        self._enqueued: dict[str, tuple[int, int]] = {}
-        self._done: set[str] = set()
-        self._outcomes: list[dict] = []
+        self._log: Optional[JsonLog] = None
         self._since_checkpoint = 0
-        self._loaded_seen: set[str] = set()
-        self._loaded_next_seq = 0
 
     @property
     def journal_path(self) -> Path:
         return self.directory / "journal.jsonl"
 
-    @property
-    def checkpoint_path(self) -> Path:
-        return self.directory / "checkpoint.json"
-
     # -- lifecycle ----------------------------------------------------------
+
+    def _open(self, fresh: bool) -> None:
+        self.close()
+        self._since_checkpoint = 0
+        try:
+            self._log = JsonLog(self.journal_path, fresh=fresh)
+        except OSError:
+            get_registry().inc("robot.frontier.journal_write_errors")
 
     def start(self, start_url: str) -> None:
         """Begin a fresh crawl: wipe any previous frontier state."""
-        self._start = start_url
-        self._enqueued.clear()
-        self._done.clear()
-        self._outcomes.clear()
-        self._since_checkpoint = 0
-        self._loaded_seen = set()
-        self._loaded_next_seq = 0
-        self.directory.mkdir(parents=True, exist_ok=True)
-        try:
-            self.checkpoint_path.unlink()
-        except OSError:
-            pass
-        self._handle = self.journal_path.open("w", encoding="utf-8")
+        self._open(fresh=True)
         self._append(
             {"t": "frontier", "v": JOURNAL_VERSION, "start": start_url}
         )
@@ -486,113 +467,45 @@ class FrontierJournal:
         corrupt or belongs to a different crawl.
         """
         state = self.load(start_url)
-        if state is None:
-            return None
-        self._start = start_url
-        self._enqueued = {
-            url: (depth, seq) for depth, seq, url in state.pending
-        }
-        self._done = set()
-        self._outcomes = list(state.outcomes)
-        self._since_checkpoint = 0
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # Everything loaded is folded into the next checkpoint, so the
-        # journal restarts at just a header.
-        self._handle = self.journal_path.open("w", encoding="utf-8")
-        self._append(
-            {"t": "frontier", "v": JOURNAL_VERSION, "start": start_url}
-        )
-        self.checkpoint(
-            pending=state.pending, seen=state.seen, next_seq=state.next_seq
-        )
+        if state is not None:
+            self._open(fresh=False)
         return state
 
     def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
-    # -- appends (flushed immediately) --------------------------------------
+    # -- appends ------------------------------------------------------------
 
     def enqueued(self, url: str, depth: int, seq: int) -> None:
-        self._enqueued[url] = (depth, seq)
         self._append({"t": "enq", "url": url, "d": depth, "s": seq})
 
     def completed(self, record: dict) -> None:
         """One settled fetch: ``{"t": "ok"|"dup"|"err"|"fail", "url": ...}``."""
-        self._done.add(record["url"])
-        self._outcomes.append(record)
         self._append(record)
         self._since_checkpoint += 1
         if self._since_checkpoint >= self.checkpoint_every:
             self.checkpoint()
 
     def _append(self, record: dict) -> None:
-        if self._handle is None:
+        if self._log is None:
             return
         try:
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._handle.flush()
-        except (OSError, ValueError):
+            self._log.append(record)
+        except OSError:
             get_registry().inc("robot.frontier.journal_write_errors")
 
-    # -- checkpoints --------------------------------------------------------
-
-    def pending(self) -> list[tuple[int, int, str]]:
-        """Enqueued-but-not-completed requests, priority order."""
-        return sorted(
-            (depth, seq, url)
-            for url, (depth, seq) in self._enqueued.items()
-            if url not in self._done
-        )
-
-    def checkpoint(
-        self,
-        pending: Optional[list[tuple[int, int, str]]] = None,
-        seen: Optional[set[str]] = None,
-        next_seq: Optional[int] = None,
-    ) -> None:
-        """Atomically compact journal + prior checkpoint into one file."""
-        if self._start is None:
+    def checkpoint(self) -> None:
+        """Fsync the journal, then run ``on_checkpoint``."""
+        if self._log is None:
             return
-        if pending is None:
-            pending = self.pending()
-        if seen is None:
-            seen = self._loaded_seen | {
-                request_fingerprint(url) for url in self._enqueued
-            }
-        if next_seq is None:
-            seqs = [seq for _, seq in self._enqueued.values()]
-            next_seq = max(seqs, default=-1) + 1
-            next_seq = max(next_seq, self._loaded_next_seq)
-        payload = json.dumps(
-            {
-                "version": JOURNAL_VERSION,
-                "start": self._start,
-                "next_seq": next_seq,
-                "pending": [list(item) for item in pending],
-                "seen": sorted(seen),
-                "outcomes": self._outcomes,
-            },
-            sort_keys=True,
-        )
-        self.directory.mkdir(parents=True, exist_ok=True)
         try:
-            write_atomic(self.checkpoint_path, payload.encode("utf-8"))
+            self._log.sync()
         except OSError:
             get_registry().inc("robot.frontier.journal_write_errors")
             return
         get_registry().inc("robot.frontier.checkpoints")
-        # The checkpoint now owns everything; restart the journal.
-        if self._handle is not None:
-            self.close()
-            self._handle = self.journal_path.open("w", encoding="utf-8")
-            self._append(
-                {"t": "frontier", "v": JOURNAL_VERSION, "start": self._start}
-            )
         self._since_checkpoint = 0
         if self.on_checkpoint is not None:
             self.on_checkpoint()
@@ -600,78 +513,26 @@ class FrontierJournal:
     # -- loading ------------------------------------------------------------
 
     def load(self, start_url: str) -> Optional[ResumeState]:
-        """Fold checkpoint + journal into a :class:`ResumeState`.
+        """Replay the journal into a :class:`ResumeState`.
 
         Pure read; does not open the journal for writing.  ``None``
         means "nothing usable": no state, corrupt state (counted in
-        ``robot.frontier.journal_corrupt``), or a different start URL.
+        ``robot.frontier.journal_corrupt``), another layout version or
+        a different start URL.
         """
         registry = get_registry()
-        state = ResumeState(start=start_url)
-        has_checkpoint = False
-        if self.checkpoint_path.exists():
-            try:
-                data = json.loads(
-                    self.checkpoint_path.read_text(encoding="utf-8")
-                )
-                if (
-                    not isinstance(data, dict)
-                    or data.get("version") != JOURNAL_VERSION
-                    or not isinstance(data.get("outcomes"), list)
-                ):
-                    raise ValueError("bad checkpoint layout")
-                if data.get("start") != start_url:
-                    return None
-                state.pending = [
-                    (int(d), int(s), str(u)) for d, s, u in data["pending"]
-                ]
-                state.seen = set(data.get("seen", []))
-                state.next_seq = int(data.get("next_seq", 0))
-                state.outcomes = [
-                    dict(rec) for rec in data["outcomes"]
-                    if isinstance(rec, dict)
-                ]
-                has_checkpoint = True
-            except (OSError, ValueError, TypeError, KeyError):
-                registry.inc("robot.frontier.journal_corrupt")
-                return None
-        records: list[dict] = []
-        if self.journal_path.exists():
-            try:
-                lines = self.journal_path.read_text(
-                    encoding="utf-8"
-                ).splitlines()
-            except OSError:
-                lines = []
-            for index, line in enumerate(lines):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    if not isinstance(record, dict) or "t" not in record:
-                        raise ValueError("bad journal record")
-                except ValueError:
-                    if index == len(lines) - 1:
-                        break  # torn final line: the expected kill artefact
-                    registry.inc("robot.frontier.journal_corrupt")
-                    return None
-                records.append(record)
-        if records:
-            header, records = records[0], records[1:]
-            if (
-                header.get("t") != "frontier"
-                or header.get("v") != JOURNAL_VERSION
-                or header.get("start") != start_url
-            ):
-                if not has_checkpoint:
-                    return None
-                registry.inc("robot.frontier.journal_corrupt")
-                return None
-        elif not has_checkpoint:
+        records, corrupt = read_log(self.journal_path)
+        if corrupt:
+            registry.inc("robot.frontier.journal_corrupt")
             return None
-        enqueued = {url: (depth, seq) for depth, seq, url in state.pending}
+        if not records or records[0] != {
+            "t": "frontier", "v": JOURNAL_VERSION, "start": start_url
+        }:
+            return None
+        state = ResumeState()
+        enqueued: dict[str, tuple[int, int]] = {}
         try:
-            for record in records:
+            for record in records[1:]:
                 kind = record["t"]
                 if kind == "enq":
                     url = str(record["url"])
@@ -689,8 +550,6 @@ class FrontierJournal:
         state.pending = sorted(
             (depth, seq, url) for url, (depth, seq) in enqueued.items()
         )
-        self._loaded_seen = set(state.seen)
-        self._loaded_next_seq = state.next_seq
         if not state.outcomes and not state.pending:
             return None
         return state

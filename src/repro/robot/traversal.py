@@ -87,7 +87,7 @@ class TraversalPolicy:
     #: At most this many requests in flight against one host.
     max_in_flight_per_host: int = 4
     #: Sharded-audit partition: with ``shards > 1`` this crawl invokes
-    #: ``on_page`` only for URLs whose request fingerprint falls in
+    #: ``on_page`` only for pages whose final URL's fingerprint falls in
     #: shard ``shard`` (``request_fingerprint % shards == shard``).
     #: Every shard still *fetches* and follows links on all pages --
     #: discovery needs the whole graph -- but the shared HTTP cache
@@ -614,9 +614,11 @@ class Robot:
             # Sharded audits: only the owning shard processes the page;
             # link extraction still runs so every shard discovers the
             # whole frontier (the partition is of the *work*, not the
-            # graph).  Ownership keys on the request URL -- the same
-            # fingerprint the dupefilter admitted.
-            if self._owns(url):
+            # graph).  Ownership keys on the final URL, the page's one
+            # identity: whichever of its aliases (a redirect, ``dir``
+            # for ``dir/``) a concurrent crawl completes first, exactly
+            # one shard processes the page.
+            if self._owns(response.url):
                 on_page(response.url, response, links)
             else:
                 registry.inc("robot.frontier.shard_skipped")

@@ -26,11 +26,11 @@ from __future__ import annotations
 import json
 from bisect import insort
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.core.diagnostics import Diagnostic
 from repro.core.messages import Category
-from repro.store import write_atomic
+from repro.store import JsonLog, write_atomic
 
 #: How many worst pages a rollup keeps (mirrors SLOWEST_FETCHES_KEPT).
 WORST_PAGES_KEPT = 10
@@ -290,13 +290,12 @@ class PageSpill:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._handle: Optional[IO[str]] = None
+        self._log: Optional[JsonLog] = None
 
     def _write(self, record: dict[str, object]) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("w", encoding="utf-8")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        if self._log is None:
+            self._log = JsonLog(self.path, fresh=True)
+        self._log.append(record)
 
     def write_page(
         self,
@@ -317,9 +316,9 @@ class PageSpill:
         })
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "PageSpill":
         return self

@@ -31,6 +31,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.store import read_log
+
 #: Key suffixes/names where a *drop* is a regression.
 HIGHER_IS_BETTER = ("_per_s", "speedup", "bandwidth_bytes_per_s", "kb_per_s")
 
@@ -100,9 +102,10 @@ def classify(key: str) -> Optional[str]:
 def load_records(path: Path) -> list[dict[str, object]]:
     """Every run-like record in ``path``, oldest first.
 
-    Accepts a ``runs.jsonl`` ledger (one JSON object per line), a single
-    JSON object, or a BENCH_*.json artefact (whose ``results`` section
-    is flattened into one record so bench keys compare like run keys).
+    Accepts a ``runs.jsonl`` ledger (read with
+    :func:`repro.store.read_log`), a single JSON object, or a
+    BENCH_*.json artefact (whose ``results`` section is flattened into
+    one record so bench keys compare like run keys).
     """
     text = path.read_text(encoding="utf-8")
     try:
@@ -122,18 +125,7 @@ def load_records(path: Path) -> list[dict[str, object]]:
         return [payload]
     if isinstance(payload, list):
         return [record for record in payload if isinstance(record, dict)]
-    records = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records
+    return read_log(path)[0]
 
 
 def _base_key(key: str) -> str:

@@ -32,11 +32,13 @@ a retryable transport failure.
 
 from __future__ import annotations
 
+import mimetypes
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
+from repro.core.constants import HTML_EXTENSIONS, INDEX_FILENAMES
 from repro.www.faults import (
     ConnectionFault,
     FaultInjector,
@@ -65,6 +67,13 @@ def _etag_for(body: str) -> str:
 
     digest = hashlib.sha256(body.encode("utf-8", errors="surrogatepass"))
     return f'"{digest.hexdigest()[:16]}"'
+
+
+def _content_type(path: str) -> str:
+    """The Content-Type a static web server sends for the file at ``path``."""
+    if Path(path).suffix.lower() in HTML_EXTENSIONS:
+        return "text/html"
+    return mimetypes.guess_type(path)[0] or "application/octet-stream"
 
 
 def _key(url: Union[str, URL]) -> tuple[str, Optional[int], str]:
@@ -152,37 +161,49 @@ class VirtualWeb:
         base_url: str,
         pages: Union[Mapping[str, str], Path, str],
     ) -> list[str]:
-        """Mount many pages under ``base_url``.
+        """Mount many files under ``base_url``, like a static web server.
 
         ``pages`` is either a mapping of relative paths to bodies, or a
-        directory whose ``*.html`` files are served with their relative
-        paths.  Returns the list of absolute URLs added.
+        directory whose files are served with their relative paths.
+        Content-Type follows the extension: ``text/html`` for
+        ``HTML_EXTENSIONS``, else :func:`mimetypes.guess_type`, else
+        ``application/octet-stream``.  A directory (the mount root
+        included) holding one of ``INDEX_FILENAMES`` serves the first of
+        them, in that order, at ``dir/``, and ``dir`` answers a 301 to
+        ``dir/``.  Returns the absolute URLs of the files added.
         """
         base = urlparse(base_url).normalised()
         prefix = base.path.rstrip("/")
-        added: list[str] = []
-
-        def _add(relative: str, body: str) -> None:
-            relative = relative.lstrip("/")
-            url = str(
-                URL(scheme=base.scheme or "http", host=base.host,
-                    port=base.port, path=f"{prefix}/{relative}")
-            )
-            self.add_page(url, body)
-            added.append(url)
-
         if isinstance(pages, (str, Path)):
             root = Path(pages)
-            for path in sorted(root.rglob("*")):
-                if path.is_file():
-                    _add(
-                        str(path.relative_to(root)).replace("\\", "/"),
-                        path.read_text(encoding="utf-8", errors="replace"),
-                    )
-        else:
-            for relative, body in pages.items():
-                _add(relative, body)
-        return added
+            pages = {
+                str(path.relative_to(root)).replace("\\", "/"):
+                    path.read_text(encoding="utf-8", errors="replace")
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+
+        def url(path: str) -> str:
+            return str(URL(scheme=base.scheme or "http", host=base.host,
+                           port=base.port, path=path))
+
+        files = {
+            f"{prefix}/{relative.lstrip('/')}": body
+            for relative, body in pages.items()
+        }
+        for path, body in files.items():
+            self.add_page(url(path), body, content_type=_content_type(path))
+        for directory in {path.rpartition("/")[0] for path in files}:
+            for name in INDEX_FILENAMES:
+                index = files.get(f"{directory}/{name}")
+                if index is not None:
+                    self.add_page(url(f"{directory}/"), index)
+                    if directory:
+                        self.add_redirect(
+                            url(directory), url(f"{directory}/"), permanent=True
+                        )
+                    break
+        return [url(path) for path in files]
 
     def remove(self, url: str) -> None:
         self._resources.pop(_key(url), None)

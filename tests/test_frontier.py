@@ -1,7 +1,7 @@
 """Tests for the streaming crawl frontier.
 
 Covers the scheduler (priority order, dupefilter, per-host downloader
-slots, admission budget), the disk-backed journal (round-trip, atomic
+slots, admission budget), the disk-backed journal (round-trip, fsync
 checkpoints, corruption tolerance), kill/resume end to end (a resumed
 crawl's report is byte-identical to an uninterrupted one and refetches
 no completed page), and the streamed site checker.
@@ -9,7 +9,12 @@ no completed page), and the streamed site checker.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config.options import Options
 from repro.obs import use_registry
@@ -20,6 +25,7 @@ from repro.robot.frontier import (
 )
 from repro.robot.poacher import Poacher
 from repro.robot.traversal import Robot, TraversalPolicy
+from repro.store import read_log
 from repro.www.client import UserAgent
 from repro.www.httpcache import HttpCache, body_digest
 from repro.www.virtualweb import VirtualWeb
@@ -178,15 +184,21 @@ class TestFrontierJournal:
             assert state.next_seq == 2
 
     def test_checkpoint_compacts_and_survives(self, tmp_path):
-        with use_registry():
+        with use_registry() as registry:
             journal = self._journal(tmp_path)
             journal.start(self.START)
             journal.enqueued(self.START, 0, 0)
             journal.completed({"t": "err", "url": self.START, "status": 404})
+            before = journal.journal_path.read_bytes()
             journal.checkpoint()
-            # The journal is now just a header; the checkpoint owns it all.
-            lines = journal.journal_path.read_text().splitlines()
-            assert len(lines) == 1
+            # A checkpoint is an fsync point: the journal stays whole and
+            # is the only frontier file.
+            assert journal.journal_path.read_bytes() == before
+            assert len(before.splitlines()) == 3
+            assert registry.value("robot.frontier.checkpoints") == 1
+            assert sorted(p.name for p in journal.directory.iterdir()) == [
+                "journal.jsonl"
+            ]
             journal.close()
 
             state = self._journal(tmp_path).load(self.START)
@@ -222,6 +234,19 @@ class TestFrontierJournal:
             assert state is not None
             assert state.pending == [(0, 0, self.START)]
 
+    def test_unparseable_whole_last_line_is_corrupt(self, tmp_path):
+        # Only an unterminated last line is a torn append; a whole line
+        # that does not parse is corruption wherever it sits.
+        with use_registry() as registry:
+            journal = self._journal(tmp_path)
+            journal.start(self.START)
+            journal.enqueued(self.START, 0, 0)
+            journal.close()
+            with journal.journal_path.open("a") as handle:
+                handle.write('{"t": "ok", "url": "http\n')
+            assert self._journal(tmp_path).load(self.START) is None
+            assert registry.value("robot.frontier.journal_corrupt") == 1
+
     def test_corrupt_interior_line_means_clean_restart(self, tmp_path):
         with use_registry() as registry:
             journal = self._journal(tmp_path)
@@ -231,17 +256,6 @@ class TestFrontierJournal:
             lines = journal.journal_path.read_text().splitlines()
             lines.insert(1, "not json at all")
             journal.journal_path.write_text("\n".join(lines) + "\n")
-            assert self._journal(tmp_path).load(self.START) is None
-            assert registry.value("robot.frontier.journal_corrupt") == 1
-
-    def test_corrupt_checkpoint_means_clean_restart(self, tmp_path):
-        with use_registry() as registry:
-            journal = self._journal(tmp_path)
-            journal.start(self.START)
-            journal.completed({"t": "dup", "url": self.START})
-            journal.checkpoint()
-            journal.close()
-            journal.checkpoint_path.write_text("{broken")
             assert self._journal(tmp_path).load(self.START) is None
             assert registry.value("robot.frontier.journal_corrupt") == 1
 
@@ -442,9 +456,10 @@ class TestKillAndResume:
             self._poacher(web, http_cache, journal, max_pages=3).crawl(
                 "http://h/index.html"
             )
-        (tmp_path / "state" / "frontier" / "checkpoint.json").write_text(
-            "{nope"
-        )
+        journal_path = tmp_path / "state" / "frontier" / "journal.jsonl"
+        lines = journal_path.read_text().splitlines(keepends=True)
+        lines[2] = "{nope\n"
+        journal_path.write_text("".join(lines))
 
         http_cache, journal = self._state(tmp_path, "state")
         with use_registry() as registry:
@@ -481,6 +496,100 @@ class TestKillAndResume:
             assert registry.value("robot.frontier.resumed_pages") == 2
         assert len(resumed.pages) == 6
         assert page_gets(web, "http://h/a.html") == 2
+
+
+    def test_abort_resume_abort_resume(self, tmp_path):
+        baseline_web = VirtualWeb(sleep=no_sleep)
+        build_site(baseline_web)
+        http_cache, journal = self._state(tmp_path, "baseline")
+        with use_registry():
+            baseline = self._poacher(
+                baseline_web, http_cache, journal
+            ).crawl("http://h/index.html")
+
+        web = VirtualWeb(sleep=no_sleep)
+        build_site(web)
+        serve = web.handle
+
+        def killed_at(url):
+            def handle(request):
+                if request.method == "GET" and request.url == url:
+                    raise RuntimeError(f"simulated kill fetching {url}")
+                return serve(request)
+            return handle
+
+        state = tmp_path / "state"
+        for kill_url in ("http://h/b.html", "http://h/sub/d.html", None):
+            web.handle = killed_at(kill_url) if kill_url else serve
+            http_cache = HttpCache(state / "http")
+            journal = FrontierJournal(
+                state / "frontier", checkpoint_every=2,
+                on_checkpoint=http_cache.save,
+            )
+            poacher = self._poacher(web, http_cache, journal)
+            with use_registry() as registry:
+                if kill_url is None:
+                    resumed = poacher.crawl("http://h/index.html", resume=True)
+                else:
+                    with pytest.raises(RuntimeError):
+                        poacher.crawl("http://h/index.html", resume=True)
+                assert registry.value("robot.frontier.checkpoints") >= 1
+        assert resumed.summary_lines() == baseline.summary_lines()
+        # A killed fetch never reached the server, and every completed
+        # page was restored: each page was served exactly once.
+        for url in SITE_URLS + ["http://h/missing.html"]:
+            assert page_gets(web, url) == 1, url
+        # Both resumes appended to the journal they replayed.
+        records, corrupt = read_log(journal.journal_path)
+        assert corrupt == 0
+        assert [r["t"] for r in records].count("frontier") == 1
+        assert sorted(r["url"] for r in records if r["t"] == "ok") == SITE_URLS
+
+
+@pytest.fixture(scope="class")
+def finished_crawl(tmp_path_factory):
+    """A finished crawl's state dir and its report."""
+    state = tmp_path_factory.mktemp("finished")
+    web = VirtualWeb(sleep=no_sleep)
+    build_site(web)
+    with use_registry():
+        report = resume_poacher(web, state).crawl("http://h/index.html")
+    return state, report.summary_lines()
+
+
+def resume_poacher(web, state):
+    http_cache = HttpCache(state / "http")
+    return Poacher(
+        UserAgent(web, http_cache=http_cache),
+        options=lint_options(),
+        journal=FrontierJournal(state / "frontier"),
+    )
+
+
+class TestResumeFromAnyCut:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cut_journal_resumes_to_the_same_report(self, finished_crawl, data):
+        finished, summary = finished_crawl
+        with tempfile.TemporaryDirectory() as tmp:
+            state = Path(tmp) / "state"
+            shutil.copytree(finished, state)
+            journal_path = state / "frontier" / "journal.jsonl"
+            whole = journal_path.read_bytes()
+            cut = data.draw(st.integers(0, len(whole)), label="cut")
+            journal_path.write_bytes(whole[:cut])
+            survived = [
+                record["url"] for record in read_log(journal_path)[0]
+                if record["t"] == "ok"
+            ]
+            web = VirtualWeb(sleep=no_sleep)
+            build_site(web)
+            with use_registry():
+                resumed = resume_poacher(web, state).crawl(
+                    "http://h/index.html", resume=True
+                )
+            assert resumed.summary_lines() == summary
+            assert [url for url in survived if page_gets(web, url)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
-"""Tests for :mod:`repro.store`'s atomic write, its callers and the run ledger."""
+"""Tests for :mod:`repro.store`'s atomic write and append log, their
+callers and the run ledger."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import re
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.daemon.daemon import LifecycleJournal
-from repro.obs import TelemetrySink, use_registry
+from repro.obs import RunLedger, TelemetrySink, use_registry
 from repro.robot.frontier import FrontierJournal
 from repro.site.rollup import SiteRollup
-from repro.store import write_atomic
+from repro.store import JsonLog, read_log, write_atomic
 from repro.workload import PageGenerator
 from repro.www.httpcache import HttpCache
 from repro.www.message import Response
@@ -52,12 +59,118 @@ class TestWriteAtomic:
         assert list(tmp_path.iterdir()) == []
 
 
+def _record(index):
+    return {"i": index, "text": "é" * (index % 3)}
+
+
+def _append_runs(directory, count, barrier):
+    barrier.wait(60)  # every process is up: their appends overlap
+    ledger = RunLedger(directory)
+    for _ in range(count):
+        ledger.append({"tool": "poacher", "pid": os.getpid()})
+
+
+class TestJsonLog:
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(0, 6), data=st.data())
+    def test_cut_anywhere_then_append(self, count, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.jsonl"
+            with JsonLog(path) as log:
+                for index in range(count):
+                    log.append(_record(index))
+            whole = path.read_bytes()
+            cut = data.draw(st.integers(0, len(whole)), label="cut")
+            path.write_bytes(whole[:cut])
+            kept = whole[:cut].count(b"\n")
+            with JsonLog(path) as log:
+                log.append({"i": "new"})
+            assert read_log(path) == (
+                [_record(index) for index in range(kept)] + [{"i": "new"}],
+                0,
+            )
+
+    def test_fresh_truncates(self, tmp_path):
+        path = tmp_path / "deep" / "log.jsonl"
+        with JsonLog(path) as log:
+            log.append({"a": 1})
+        with JsonLog(path, fresh=True) as log:
+            log.append({"b": 2})
+        assert path.read_bytes() == b'{"b": 2}\n'
+
+    def test_read_log_counts_corrupt_lines(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"a": 1}\nnot json\n[1, 2]\n\n{"b": 2}\n{"torn": ')
+        assert read_log(path) == ([{"a": 1}, {"b": 2}], 3)
+
+    def test_unreadable_log_is_empty(self, tmp_path):
+        assert read_log(tmp_path / "absent.jsonl") == ([], 0)
+        (tmp_path / "dir.jsonl").mkdir()
+        assert read_log(tmp_path / "dir.jsonl") == ([], 0)
+
+    def test_threads_and_openers_lose_no_record(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = JsonLog(path)
+        done = threading.Event()
+
+        def append(worker):
+            for index in range(100):
+                # Some records cross a page boundary.
+                log.append({"w": worker, "i": index, "pad": "x" * (index * 53)})
+
+        def reopen():
+            while not done.is_set():
+                JsonLog(path).close()  # each open may cut a torn tail
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            opener = threading.Thread(target=reopen)
+            opener.start()
+            writers = [
+                threading.Thread(target=append, args=(worker,))
+                for worker in range(8)
+            ]
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(60)
+                assert not writer.is_alive()
+            done.set()
+            opener.join(60)
+            assert not opener.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            log.close()
+        records, corrupt = read_log(path)
+        assert corrupt == 0
+        assert sorted((r["w"], r["i"]) for r in records) == [
+            (worker, index) for worker in range(8) for index in range(100)
+        ]
+
+    def test_concurrent_ledger_runs_are_distinct(self, tmp_path):
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(4)
+        workers = [
+            context.Process(target=_append_runs, args=(tmp_path, 50, barrier))
+            for _ in range(4)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+            assert worker.exitcode == 0
+        runs = [record["run"] for record in RunLedger(tmp_path).load()]
+        assert sorted(runs) == list(range(1, 201))
+
+
 class TestFailedWritesAreCounted:
     """Each caller counts its own failures and leaves no temp file."""
 
-    def test_unwritable_http_index_does_not_kill_the_crawl(
-        self, tmp_path, capsys
-    ):
+    def _poacher_with_broken_file(self, tmp_path, capsys, broken_file):
+        """Crawl with a writable state dir, then with ``broken_file`` a
+        directory; returns both runs' ``(code, stdout)`` and the broken
+        run's ``--stats``."""
         from repro.robot.cli import main
 
         site = tmp_path / "site"
@@ -74,13 +187,33 @@ class TestFailedWritesAreCounted:
 
         code, out, _ = poacher(tmp_path / "writable")
         broken = tmp_path / "broken"
-        # The validator index cannot be replaced: it is a directory.
-        (broken / "http" / "index.json").mkdir(parents=True)
+        (broken / broken_file).mkdir(parents=True)
         broken_code, broken_out, broken_err = poacher(broken)
-        assert (broken_code, broken_out) == (code, out)
-        errors = re.search(r"www\.httpcache\.write_errors: (\d+)", broken_err)
-        assert errors is not None and int(errors.group(1)) >= 1
         assert _temp_files(broken) == []
+        return (code, out), (broken_code, broken_out), broken_err
+
+    def test_unwritable_http_index_does_not_kill_the_crawl(
+        self, tmp_path, capsys
+    ):
+        # The validator index cannot be replaced: it is a directory.
+        writable, broken, stats = self._poacher_with_broken_file(
+            tmp_path, capsys, "http/index.json"
+        )
+        assert broken == writable
+        errors = re.search(r"www\.httpcache\.write_errors: (\d+)", stats)
+        assert errors is not None and int(errors.group(1)) >= 1
+
+    def test_unopenable_frontier_journal_does_not_kill_the_crawl(
+        self, tmp_path, capsys
+    ):
+        writable, broken, stats = self._poacher_with_broken_file(
+            tmp_path, capsys, "frontier/journal.jsonl"
+        )
+        assert broken == writable
+        errors = re.search(
+            r"robot\.frontier\.journal_write_errors: (\d+)", stats
+        )
+        assert errors is not None and int(errors.group(1)) >= 1
 
     def test_http_cache_body(self, tmp_path, monkeypatch):
         cache = HttpCache(tmp_path / "http")
@@ -99,9 +232,10 @@ class TestFailedWritesAreCounted:
 
     def test_frontier_checkpoint(self, tmp_path):
         journal = FrontierJournal(tmp_path / "frontier")
-        journal.start("http://h/index.html")
-        journal.checkpoint_path.mkdir()
+        journal.journal_path.mkdir(parents=True)
         with use_registry() as registry:
+            journal.start("http://h/index.html")
+            journal.enqueued("http://h/index.html", 0, 0)
             journal.checkpoint()
             assert registry.value("robot.frontier.journal_write_errors") == 1
             assert registry.value("robot.frontier.checkpoints") == 0

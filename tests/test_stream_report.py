@@ -18,11 +18,15 @@ import pytest
 from repro.config.options import Options
 from repro.core.reporter import JsonlReporter, get_reporter
 from repro.core.service import LintRequest, LintResult, LintService, StringSource
+from repro.obs import use_registry
 from repro.robot.frontier import shard_owns
+from repro.robot.traversal import Robot, TraversalPolicy
 from repro.site.report import render_text_report
 from repro.site.rollup import PageSpill, SiteRollup
 from repro.site.sitecheck import SiteChecker
 from repro.workload.generator import PageGenerator
+from repro.www.client import UserAgent
+from repro.www.virtualweb import VirtualWeb
 
 from .conftest import make_document
 from .edge_site import EDGE_PAGES
@@ -405,6 +409,33 @@ class TestShardOwns:
 
     def test_single_shard_owns_everything(self):
         assert shard_owns("http://anything/", 1, 0)
+
+    def test_a_page_reached_through_an_alias_has_one_owner(self):
+        # ``sub`` (a 301 to ``sub/``) is linked, and so fetched, first.
+        # The page belongs to the shard owning its final URL, not the
+        # alias that reached it, so shards that complete the two
+        # requests in different orders still agree on its owner.
+        assert shard_owns("http://s/sub/", 2, 0)
+        assert shard_owns("http://s/sub", 2, 1)
+        web = VirtualWeb()
+        web.add_site("http://s/", {
+            "index.html": make_document(
+                '<p><a href="sub">alias</a> <a href="sub/">page</a></p>'
+            ),
+            "sub/index.html": make_document("<p>sub</p>"),
+        })
+        processed = {}
+        for shard in (0, 1):
+            pages = processed[shard] = []
+            with use_registry():
+                Robot(
+                    UserAgent(web), TraversalPolicy(shards=2, shard=shard)
+                ).crawl(
+                    "http://s/index.html",
+                    lambda url, response, links: pages.append(url),
+                )
+        owners = [k for k in (0, 1) if "http://s/sub/" in processed[k]]
+        assert owners == [0]
 
 
 # ---------------------------------------------------------------------------

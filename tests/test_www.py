@@ -133,6 +133,73 @@ class TestVirtualWeb:
         assert "http://h/a.html" in web.urls()
 
 
+
+def _mount(kind, files, tmp_path):
+    """A VirtualWeb with ``files`` mounted at http://s/ as ``kind``."""
+    web = VirtualWeb()
+    if kind == "directory":
+        for name, body in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(body)
+        web.add_site("http://s/", tmp_path)
+    else:
+        web.add_site("http://s/", files)
+    return web
+
+
+def _get(web, url):
+    return web.handle(Request("GET", url))
+
+
+@pytest.mark.parametrize("kind", ["directory", "mapping"])
+class TestMountedSite:
+    """A mounted site answers like a static web server, either way."""
+
+    def test_content_type_follows_the_extension(self, kind, tmp_path):
+        web = _mount(kind, {
+            "a.html": "a", "b.HTM": "b", "c.xhtml": "c", "notes.txt": "t",
+            "logo.gif": "GIF89a", "blob.unknownext": "?",
+        }, tmp_path)
+        types = {
+            name: _get(web, f"http://s/{name}").headers.get("Content-Type")
+            for name in ("a.html", "b.HTM", "c.xhtml", "notes.txt",
+                         "logo.gif", "blob.unknownext")
+        }
+        assert types == {
+            "a.html": "text/html", "b.HTM": "text/html",
+            "c.xhtml": "text/html", "notes.txt": "text/plain",
+            "logo.gif": "image/gif",
+            "blob.unknownext": "application/octet-stream",
+        }
+
+    def test_directory_serves_its_index(self, kind, tmp_path):
+        web = _mount(kind, {"index.html": "root", "sub/index.htm": "sub"},
+                     tmp_path)
+        root = _get(web, "http://s/")
+        sub = _get(web, "http://s/sub/")
+        assert (root.status, root.body) == (200, "root")
+        assert (sub.status, sub.body) == (200, "sub")
+        assert sub.headers.get("Content-Type") == "text/html"
+
+    def test_first_index_file_wins(self, kind, tmp_path):
+        web = _mount(kind, {
+            "default.htm": "default", "index.shtml": "shtml",
+            "sub/default.htm": "default", "sub/index.htm": "htm",
+            "sub/index.html": "html",
+        }, tmp_path)
+        assert _get(web, "http://s/").body == "shtml"
+        assert _get(web, "http://s/sub/").body == "html"
+
+    def test_directory_without_slash_redirects(self, kind, tmp_path):
+        web = _mount(kind, {"sub/index.html": "sub", "bare/page.html": "p"},
+                     tmp_path)
+        response = _get(web, "http://s/sub")
+        assert response.status == 301
+        assert response.headers.get("Location") == "http://s/sub/"
+        # No index: no page at bare/, and bare stays unknown.
+        assert _get(web, "http://s/bare/").status == 404
+        assert _get(web, "http://s/bare").status == 404
+
 class TestUserAgent:
     def test_get(self, web):
         assert UserAgent(web).get("http://h/a.html").body == "page a"
