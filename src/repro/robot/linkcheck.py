@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.site.links import extract_anchor_names
 from repro.www.client import FetchError, UserAgent
 from repro.www.url import urljoin
 
@@ -100,20 +101,15 @@ class FragmentChecker:
     def _anchor_names(self, absolute: str) -> Optional[set[str]]:
         """Anchor names on the page, or None when it cannot be read."""
         if absolute not in self._anchors:
-            from repro.site.links import extract_anchor_names
-            from repro.www.client import FetchError
-
             try:
                 response = self.agent.get(absolute)
             except FetchError:
-                self._anchors[absolute] = None
-            else:
-                if response.ok and response.is_html:
-                    self._anchors[absolute] = extract_anchor_names(
-                        response.body
-                    )
-                else:
-                    self._anchors[absolute] = None
+                response = None
+            self._anchors[absolute] = (
+                extract_anchor_names(response.body)
+                if response is not None and response.ok and response.is_html
+                else None
+            )
         return self._anchors[absolute]
 
     def fragment_defined(self, base_url: str, link_url: str) -> Optional[bool]:
@@ -126,9 +122,6 @@ class FragmentChecker:
         target, _, fragment = link_url.partition("#")
         if not fragment:
             return None
-        base = target if target else base_url
-        absolute = str(urljoin(base_url, base).without_fragment())
+        absolute = str(urljoin(base_url, target).without_fragment())
         names = self._anchor_names(absolute)
-        if names is None:
-            return None
-        return fragment in names
+        return None if names is None else fragment in names

@@ -30,7 +30,7 @@ from repro.core.service import LintResult, LintService, StringSource
 from repro.robot.frontier import FrontierJournal, shard_owns
 from repro.robot.linkcheck import FragmentChecker, LinkChecker, LinkStatus
 from repro.robot.traversal import CrawlProgress, Robot, TraversalPolicy
-from repro.site.links import Link
+from repro.site.links import Link, judge_link
 from repro.site.rollup import PAGES_FILENAME, ROLLUP_FILENAME, PageSpill, SiteRollup
 from repro.www.client import UserAgent
 from repro.www.message import Response
@@ -150,16 +150,17 @@ class Poacher:
         self.fragment_checker = FragmentChecker(agent)
 
     def _audit(
-        self, url: str, response: Response, links: list[Link]
+        self, url: str, response: Response, links: list[Link], anchors: set[str]
     ) -> tuple[PageResult, list[Diagnostic]]:
         """Lint one crawled page and validate each of its links once.
 
         The one per-page audit behind both crawl modes.  Returns the
         page's :class:`PageResult` -- which alone also keeps the moved
         links, because redirects are not problems -- and its
-        ``bad-link`` / ``bad-fragment`` diagnostics in link order.  Each
-        finding honours its message switch; with ``follow_links`` off
-        no link is checked at all.
+        ``bad-link`` / ``bad-fragment`` diagnostics in link order, as
+        :func:`~repro.site.links.judge_link` decides them.  A fragment
+        into the page itself is judged by the page's own ``anchors``.
+        With ``follow_links`` off no link is checked at all.
         """
         result = PageResult(
             url=url,
@@ -172,45 +173,32 @@ class Poacher:
         findings: list[Diagnostic] = []
         if not self.options.follow_links:
             return result, findings
-        check_links = self.options.is_enabled("bad-link")
-        check_fragments = self.options.is_enabled("bad-fragment")
         fragment_defined = self.fragment_checker.fragment_defined
-
-        def check_fragment(link: Link) -> None:
-            if not check_fragments or fragment_defined(url, link.url) is not False:
-                return
-            result.bad_fragments.append(link)
-            target, _, fragment = link.url.partition("#")
-            findings.append(Diagnostic.build(
-                "bad-fragment",
-                line=link.line,
-                filename=url,
-                target=target or "this page",
-                fragment=fragment,
-            ))
-
+        this_page = LinkStatus(url=url, status=response.status, ok=True)
         for link in links:
             if link.is_fragment_only:
-                check_fragment(link)
+                status = this_page
+            elif link.checkable:
+                status = self.link_checker.check(url, link.url)
+                if status.ok and status.redirected_to:
+                    result.moved_links.append((link, status))
+            else:
                 continue
-            if not link.checkable:
+            if status.url == url:  # this page: its anchors are scanned
+                defined = anchors.__contains__
+            else:
+                defined = lambda _: fragment_defined(url, link.url)
+            finding = judge_link(
+                link.url, status.ok, status.describe(), defined,
+                page=url, line=link.line, options=self.options,
+            )
+            if finding is None:
                 continue
-            status = self.link_checker.check(url, link.url)
-            if status.broken:
-                if check_links:
-                    result.broken_links.append((link, status))
-                    findings.append(Diagnostic.build(
-                        "bad-link",
-                        line=link.line,
-                        filename=url,
-                        target=link.url,
-                        status=status.describe(),
-                    ))
-                continue
-            if status.redirected_to:
-                result.moved_links.append((link, status))
-            if "#" in link.url:
-                check_fragment(link)
+            findings.append(finding)
+            if finding.message_id == "bad-link":
+                result.broken_links.append((link, status))
+            else:
+                result.bad_fragments.append(link)
         return result, findings
 
     def crawl(
@@ -229,8 +217,8 @@ class Poacher:
         """
         report = CrawlReport(start_url=start_url)
 
-        def on_page(url: str, response: Response, links: list[Link]) -> None:
-            report.pages.append(self._audit(url, response, links)[0])
+        def on_page(*page) -> None:  # url, response, links, anchors
+            report.pages.append(self._audit(*page)[0])
 
         self.robot.crawl(start_url, on_page, progress=progress, resume=resume)
         # Pages arrive in completion order; the canonical report sorts
@@ -286,8 +274,8 @@ class Poacher:
                     LintResult(name=url, diagnostics=diagnostics, error=error)
                 )
 
-        def on_page(url: str, response: Response, links: list[Link]) -> None:
-            result, findings = self._audit(url, response, links)
+        def on_page(url: str, *page) -> None:  # response, links, anchors
+            result, findings = self._audit(url, *page)
             diagnostics = [*result.diagnostics, *findings]
             rollup.add_page(url, diagnostics)
             emit(url, diagnostics)

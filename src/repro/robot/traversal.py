@@ -61,14 +61,14 @@ from repro.robot.frontier import (
     ResumeState,
     shard_owns,
 )
-from repro.site.links import extract_links
+from repro.site.links import scan_page
 from repro.www.client import FetchError, UserAgent
 from repro.www.httpcache import body_digest
 from repro.www.message import Headers, Response
 from repro.www.robotstxt import RobotsTxt
 from repro.www.url import URL, urljoin, urlparse
 
-PageCallback = Callable[[str, Response, list], None]
+PageCallback = Callable[[str, Response, list, set], None]
 
 
 @dataclass
@@ -78,7 +78,6 @@ class TraversalPolicy:
     max_pages: int = 1000
     same_host_only: bool = True
     obey_robots_txt: bool = True
-    follow_resources: bool = False  # also fetch img/script/... targets
     agent_name: str = "poacher-repro/2.0"
     #: Frontier worker threads; 1 drives the same scheduler inline.
     concurrency: int = 1
@@ -314,7 +313,7 @@ class Robot:
     ) -> list[str]:
         """Crawl from ``start_url``; returns the visited URLs sorted.
 
-        ``on_page(url, response, links)`` is called for every
+        ``on_page(url, response, links, anchors)`` is called for every
         successfully fetched HTML page, in completion order.  The
         returned list is the canonical (URL-sorted) set of visited
         pages -- byte-identical at any ``concurrency``.  ``progress``
@@ -609,7 +608,7 @@ class Robot:
                 self.journal.completed(self._ok_record(url, depth, response))
             return
 
-        links = extract_links(response.body)
+        links, anchors = scan_page(response.body)
         if on_page is not None:
             # Sharded audits: only the owning shard processes the page;
             # link extraction still runs so every shard discovers the
@@ -619,14 +618,14 @@ class Robot:
             # for ``dir/``) a concurrent crawl completes first, exactly
             # one shard processes the page.
             if self._owns(response.url):
-                on_page(response.url, response, links)
+                on_page(response.url, response, links, anchors)
             else:
                 registry.inc("robot.frontier.shard_skipped")
 
         for link in links:
-            if not link.checkable:
-                continue
-            if link.kind == "resource" and not self.policy.follow_resources:
+            # Embedded resources (images, scripts ...) are link-checked by
+            # poacher but never crawled.
+            if not link.checkable or link.kind == "resource":
                 continue
             absolute = str(
                 urljoin(response.url, link.url).without_fragment()

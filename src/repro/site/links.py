@@ -1,15 +1,19 @@
-"""Link extraction.
+"""Link extraction and judgement.
 
 Pulls every hyperlink and embedded-resource reference out of an HTML
 document, with source line numbers, using the same tokenizer the checker
 uses (so mangled markup is handled identically).  Shared by the -R site
-checker, the poacher robot and the gateway.
+checker, the poacher robot and the gateway, which also share
+:func:`judge_link`, the one ``bad-link`` / ``bad-fragment`` decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
+from repro.config.options import Options
+from repro.core.diagnostics import Diagnostic
 from repro.html.tokenizer import tokenize
 from repro.html.tokens import StartTag
 
@@ -105,3 +109,37 @@ def scan_page(source: str) -> tuple[list[Link], set[str]]:
             )
         )
     return links, names
+
+
+def judge_link(
+    url: str,
+    exists: bool,
+    status: str,
+    defined: Optional[Callable[[str], Optional[bool]]],
+    *,
+    page: str,
+    line: int,
+    options: Options,
+) -> Optional[Diagnostic]:
+    """The ``bad-link`` or ``bad-fragment`` finding on link ``url``, if any.
+
+    The caller describes the target: does it exist, its ``status`` text
+    if not, and ``defined(fragment)`` -- does it define the fragment,
+    ``None`` when that is unknown (a non-HTML target).  ``defined`` is
+    called only when a fragment is judged, so it may fetch.
+    """
+    if not exists:
+        if not options.is_enabled("bad-link"):
+            return None
+        return Diagnostic.build(
+            "bad-link", line=line, filename=page, target=url, status=status
+        )
+    target, _, fragment = url.partition("#")
+    if not (fragment and defined and options.is_enabled("bad-fragment")):
+        return None
+    if defined(fragment) is not False:
+        return None
+    return Diagnostic.build(
+        "bad-fragment", line=line, filename=page,
+        target=target or "this page", fragment=fragment,
+    )

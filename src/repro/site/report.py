@@ -3,12 +3,13 @@
 "Spot ... is run on the web site's host machine to analyse a web site for
 problems.  Problems identified include HTML syntax errors, broken links,
 missing index files, non-portable host references, and summary analyses
-of your site."  This module renders that kind of summary, in plain text
-or as an HTML page that itself lints clean, from either a fully
-materialised :class:`~repro.site.sitecheck.SiteReport` or a bounded
+of your site."  This module renders that kind of summary: in plain text
+from either a fully materialised
+:class:`~repro.site.sitecheck.SiteReport` or a bounded
 :class:`~repro.site.rollup.SiteRollup` (the streaming audit path --
 every number the summary shows lives in the rollup, so rendering never
-needs the per-page diagnostics back in memory).
+needs the per-page diagnostics back in memory), or as an HTML page that
+itself lints clean from a ``SiteReport``.
 """
 
 from __future__ import annotations
@@ -73,10 +74,8 @@ def _report_title(root: str) -> str:
     return title
 
 
-def render_html_report(report: Union[SiteReport, SiteRollup]) -> str:
+def render_html_report(report: SiteReport) -> str:
     """A complete HTML page summarising the site check."""
-    if isinstance(report, SiteRollup):
-        return _render_html_rollup(report)
     counts = _counts(report)
     fragments = [
         f"<p>Site checked: <code>{escape(report.root)}</code></p>",
@@ -120,33 +119,3 @@ def render_html_report(report: Union[SiteReport, SiteRollup]) -> str:
         fragments.append(render_table(rows, summary="navigation analysis"))
 
     return render_page(_report_title(report.root), fragments)
-
-
-def _render_html_rollup(rollup: SiteRollup) -> str:
-    """The bounded-memory HTML summary.
-
-    Per-page diagnostic listings live in the audit's ``pages.jsonl``
-    spill, not in the rollup, so this page shows the summary, the
-    worst-pages table and the navigation analysis.
-    """
-    fragments = [
-        f"<p>Site checked: <code>{escape(rollup.root)}</code></p>",
-        "<h2>Summary</h2>",
-        render_table(
-            [(key, str(value)) for key, value in rollup.counts().items()],
-            summary="site check summary",
-        ),
-    ]
-    worst = rollup.worst_pages()
-    if worst:
-        fragments.append("<h2>Pages with the most messages</h2>")
-        fragments.append(render_table(
-            [(page, str(count)) for count, page in worst],
-            summary="worst pages",
-        ))
-    if rollup.navigation_lines:
-        items = "\n".join(
-            f"  <li>{escape(line)}</li>" for line in rollup.navigation_lines
-        )
-        fragments.append(f"<h2>Navigation</h2>\n<ul>\n{items}\n</ul>")
-    return render_page(_report_title(rollup.root), fragments)

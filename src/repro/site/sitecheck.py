@@ -23,22 +23,26 @@ materialised view of the core's findings; a
 :class:`~repro.site.rollup.PageSpill` spills) the same findings in
 bounded memory.
 
-The only differences between a directory walk and a page stream live in
-the target resolver (:class:`_FileResolver` vs
-:class:`_PageSetResolver`): how a link target is named, whether a
-target that never arrived as a page exists anyway (on disk vs never),
-that target's anchors and the ``bad-link`` status text.  The rest is
-one policy: ``#fragment`` and ``?query`` are stripped before resolving;
-a link to a directory names that directory's index page, with its
-fragment unchecked; and only the site root's index pages are exempt
-from ``orphan-page``.
+:func:`~repro.site.links.judge_link`, which poacher calls too, decides
+every ``bad-link`` and ``bad-fragment``.  The only differences between a
+directory walk and a page stream live in the target resolver
+(:class:`_FileResolver` vs :class:`_PageSetResolver`): how a link
+target is named, whether a target that never arrived as a page exists
+anyway (on disk vs never), its anchors (unknown unless it is an HTML
+file) and the ``bad-link`` status text.  The rest is one policy:
+``#fragment`` and ``?query`` are stripped before resolving; a link to a
+directory names that directory's index page, which judges its fragment;
+and only the site root's index pages are exempt from ``orphan-page``.
+A file has no query, so ``-R`` strips it; poacher keeps it, because a
+server may answer each query differently.  Both judge
+``page.html?y=2#sec`` by the anchors of the page ``page.html`` serves.
 
 External (``http:`` ...) links are left to the poacher robot by default
 -- exactly the division of labour the paper describes between ``-R``
 and the robot.  Pass a ``UserAgent`` (ideally one with a
 :class:`~repro.www.client.RetryPolicy`) as ``agent=`` and the site
 check HEAD-validates external links too, through the same resilient
-fetch path the robot uses.
+fetch path the robot uses; their fragments stay unjudged.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from repro.core import constants
 from repro.core.diagnostics import Diagnostic
 from repro.core.linter import Weblint
 from repro.core.service import LintRequest, LintService, PathSource, StringSource
-from repro.site.links import Link, extract_anchor_names, scan_page
+from repro.site.links import Link, extract_anchor_names, judge_link, scan_page
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.site.orphans import build_incoming_counts, find_orphans
@@ -316,14 +320,14 @@ class _SiteCore:
         #: The link graph as a flat (source id, target id) pair array:
         #: 8 bytes per edge instead of a Python list per page.
         self.edge_ids = array("L")
-        #: Anchor-name sets, kept only when non-empty (absent == empty).
-        self.anchors: dict[str, set[str]] = {}
+        #: Anchor-name sets by page id, kept only when non-empty.
+        self.anchors: dict[int, set[str]] = {}
         #: target -> [(source id, line, url, link index)] for links whose
         #: target page has not arrived yet.
         self.pending: dict[str, list[tuple[int, int, str, int]]] = {}
-        #: (page, link index, line, url) of absolute http(s) links,
-        #: HEAD-validated at the end when the checker has an agent.
-        self.external: list[tuple[str, int, int, str]] = []
+        #: (page, link index, page id, line, url) of absolute http(s)
+        #: links, HEAD-validated at the end when the checker has an agent.
+        self.external: list[tuple[str, int, int, int, str]] = []
         #: ((kind, link index), diagnostic) findings, bounded by the
         #: problem count; the key restores link order within a page.
         self.findings: list[tuple[tuple[int, int], Diagnostic]] = []
@@ -339,7 +343,7 @@ class _SiteCore:
             self.known[page] = page_id
             self.names.append(page)
         if anchors:
-            self.anchors[page] = anchors
+            self.anchors[page_id] = anchors
         # Everything parked waiting for this page resolves now.
         for entry in self.pending.pop(page, ()):
             self._link_to(page_id, entry)
@@ -355,22 +359,17 @@ class _SiteCore:
                 and link.scheme in ("http", "https")
                 and link.checkable
             ):
-                self.external.append((page, index, link.line, link.url))
-            return
-        target_text, _, fragment = link.url.partition("#")
-        path = target_text.partition("?")[0]
-        if not path:
-            # Same-page fragment: #section must exist here.
-            if self.follow and fragment and fragment not in self.anchors.get(
-                page, ()
-            ):
-                self._find(
-                    "bad-fragment", page, link.line, (_LOCAL, index),
-                    target="this page", fragment=fragment,
+                self.external.append(
+                    (page, index, page_id, link.line, link.url)
                 )
             return
-        target = self.resolver.name(page, path)
         entry = (page_id, link.line, link.url, index)
+        path = link.url.partition("#")[0].partition("?")[0]
+        if not path:
+            # Same-page fragment: #section must exist here.
+            self._judge_into(page_id, entry)
+            return
+        target = self.resolver.name(page, path)
         target_id = self.known.get(target)
         if target_id is None:
             self.pending.setdefault(target, []).append(entry)
@@ -379,34 +378,29 @@ class _SiteCore:
 
     def _link_to(self, target_id: int, entry: tuple[int, int, str, int]) -> None:
         """A link whose target is a checked page: an edge, and its fragment."""
-        source_id, line, url, index = entry
-        self._add_edge(source_id, target_id)
-        target_text, _, fragment = url.partition("#")
-        if self.follow and fragment and fragment not in self.anchors.get(
-            self.names[target_id], ()
-        ):
-            self._find(
-                "bad-fragment", self.names[source_id], line, (_LOCAL, index),
-                target=target_text or "this page", fragment=fragment,
-            )
+        self._add_edge(entry[0], target_id)
+        self._judge_into(target_id, entry)
+
+    def _judge_into(self, target_id: int, entry: tuple[int, int, str, int]) -> None:
+        """Judge a link into a checked page by that page's anchors."""
+        if self.follow:
+            anchors = self.anchors.get(target_id, ())
+            self._judge(entry, True, "", anchors.__contains__)
 
     def _add_edge(self, source_id: int, target_id: int) -> None:
         self.edge_ids.append(source_id)
         self.edge_ids.append(target_id)
 
-    def _find(
-        self,
-        message_id: str,
-        filename: str,
-        line: int,
-        order: tuple[int, int],
-        **arguments: object,
-    ) -> None:
-        diagnostic = self.checker._make_site_diagnostic(
-            message_id, filename=filename, line=line, **arguments
+    def _judge(self, entry, exists: bool, status: str, defined, kind=_LOCAL) -> None:
+        """Keep :func:`judge_link`'s finding on one link, if any."""
+        source_id, line, url, index = entry
+        diagnostic = judge_link(
+            url, exists, status, defined, page=self.names[source_id],
+            line=line, options=self.checker.options,
         )
         if diagnostic is not None:
-            self.findings.append((order, diagnostic))
+            get_registry().inc(f"site.diagnostics.{diagnostic.category.value}")
+            self.findings.append(((kind, index), diagnostic))
 
     # -- end of the page set --------------------------------------------------
 
@@ -415,10 +409,9 @@ class _SiteCore:
         for target, entries in self.pending.items():
             index_id = self._index_page(target)
             if index_id is not None:
-                # A directory link names the directory's index page; its
-                # fragment goes unchecked.
-                for source_id, *_ in entries:
-                    self._add_edge(source_id, index_id)
+                # A directory link names the directory's index page.
+                for entry in entries:
+                    self._link_to(index_id, entry)
             elif self.follow:
                 self._check_missing(target, entries)
         self.pending.clear()
@@ -431,7 +424,11 @@ class _SiteCore:
             if name in self.known
         ]
         for orphan in find_orphans(self.names, incoming, roots=roots):
-            self._find("orphan-page", orphan, 0, (_ORPHAN, 0), page=orphan)
+            diagnostic = self.checker._make_site_diagnostic(
+                "orphan-page", filename=orphan, page=orphan
+            )
+            if diagnostic is not None:
+                self.findings.append(((_ORPHAN, 0), diagnostic))
 
     def _index_page(self, target: str) -> Optional[int]:
         for name in self.checker.options.index_filenames:
@@ -447,25 +444,10 @@ class _SiteCore:
     ) -> None:
         """Links to a target that never arrived as a page."""
         exists = self.resolver.exists(target)
-        anchors: Optional[set[str]] = None
-        for source_id, line, url, index in entries:
-            page = self.names[source_id]
-            target_text, _, fragment = url.partition("#")
-            if not exists:
-                self._find(
-                    "bad-link", page, line, (_LOCAL, index),
-                    target=url, status=self.resolver.status,
-                )
-                continue
-            if not fragment:
-                continue
-            if anchors is None:
-                anchors = self.resolver.anchors(target)
-            if anchors is not None and fragment not in anchors:
-                self._find(
-                    "bad-fragment", page, line, (_LOCAL, index),
-                    target=target_text or "this page", fragment=fragment,
-                )
+        anchors = self.resolver.anchors(target) if exists else None
+        defined = None if anchors is None else anchors.__contains__
+        for entry in entries:
+            self._judge(entry, exists, self.resolver.status, defined)
 
     def _check_external(self) -> None:
         """HEAD-validate absolute ``http(s):`` links via the checker's agent.
@@ -478,13 +460,10 @@ class _SiteCore:
         from repro.robot.linkcheck import LinkChecker
 
         checker = LinkChecker(self.checker.agent)
-        for page, index, line, url in sorted(self.external):
+        for _, index, page_id, line, url in sorted(self.external):
             status = checker.check(url, url)
-            if status.broken:
-                self._find(
-                    "bad-link", page, line, (_EXTERNAL, index),
-                    target=url, status=status.describe(),
-                )
+            entry = (page_id, line, url, index)
+            self._judge(entry, status.ok, status.describe(), None, _EXTERNAL)
         get_registry().inc("site.external_links.checked", checker.checked_count)
 
     def edge_pairs(self):
@@ -572,9 +551,6 @@ class _PageSetResolver:
     def exists(self, target: str) -> bool:
         return False
 
-    def anchors(self, target: str) -> Optional[set[str]]:
-        return None
-
 
 class _FileResolver:
     """Link targets are paths under ``root``; outside it, absolute paths.
@@ -607,14 +583,14 @@ class _FileResolver:
         return (self.resolved_root / target).exists()
 
     def anchors(self, target: str) -> Optional[set[str]]:
-        """A regular file's anchors; ``None`` (unchecked) for anything else."""
+        """An HTML file's anchors; ``None`` (unknown) for anything else."""
         path = self.resolved_root / target
-        if not path.is_file():
+        if path.suffix.lower() not in constants.HTML_EXTENSIONS:
             return None
         try:
             source = path.read_text(encoding="utf-8", errors="replace")
         except OSError:
-            return set()
+            return None
         return extract_anchor_names(source)
 
 

@@ -23,6 +23,7 @@ REASON_PHRASES = {
     403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     410: "Gone",
     413: "Payload Too Large",
     429: "Too Many Requests",

@@ -37,6 +37,9 @@ from repro.www.message import Request, Response, reason_for
 from repro.www.virtualweb import VirtualWeb
 
 _MAX_REQUEST_BYTES = 1024 * 1024
+#: Seconds each ``recv`` of a request may wait; a request body that
+#: stalls this long is answered 408.
+_RECV_TIMEOUT_S = 5.0
 #: After an error status, how much unread input the server drains (and
 #: for how long) before closing, so the client reads the status instead
 #: of a connection reset.
@@ -154,7 +157,7 @@ class HTTPServer:
 
     def _handle_connection(self, connection: socket.socket) -> None:
         try:
-            connection.settimeout(5)
+            connection.settimeout(_RECV_TIMEOUT_S)
             try:
                 raw = self._read_request(connection)
             except _RequestError as exc:
@@ -184,8 +187,10 @@ class HTTPServer:
         form submissions silently lost their body.  Now the declared
         body is read too.  A request whose declared size exceeds
         ``_MAX_REQUEST_BYTES`` is refused with 413 before any of its
-        body is read, and a peer that closes before its declared body
-        has arrived gets 400 (both raise :class:`_RequestError`).
+        body is read, a peer that closes before its declared body has
+        arrived gets 400, and one whose body stalls for
+        ``_RECV_TIMEOUT_S`` gets 408 (all raise :class:`_RequestError`);
+        a partial body is never handled as the whole request.
         """
         data = b""
         while b"\r\n\r\n" not in data and b"\n\n" not in data:
@@ -212,8 +217,14 @@ class HTTPServer:
         while len(data) < want:
             try:
                 chunk = connection.recv(65536)
+            except TimeoutError:
+                raise _RequestError(
+                    408,
+                    f"request body stalled after {len(data) - header_end} of "
+                    f"{content_length} declared bytes",
+                ) from None
             except OSError:
-                break
+                return None
             if not chunk:
                 raise _RequestError(
                     400,

@@ -9,6 +9,11 @@ into a text file, good and bad fragments into a page and into the page
 itself, a ``bad-link`` and a ``bad-fragment`` on one line, query-string
 links and a never-linked ``deep/index.html``.
 
+:func:`link_findings` reduces ``weblint -R -f json`` and ``poacher
+--format jsonl`` output to comparable link findings;
+``POACHER_ONLY_FINDINGS`` are the ones only poacher reports on this
+site, the resolver differences ``docs/architecture.md`` lists.
+
 :func:`edge_web`: the shapes only a crawl meets -- redirects, a dead
 host, a page the crawl fetches and gets a 404 for -- on a
 :class:`~repro.www.virtualweb.VirtualWeb`.
@@ -16,6 +21,8 @@ host, a page the crawl fetches and gets a 404 for -- on a
 
 from __future__ import annotations
 
+import json
+import re
 from pathlib import Path
 
 from repro.www.virtualweb import VirtualWeb
@@ -83,6 +90,49 @@ def write_edge_site(directory: Path) -> Path:
         make_document("<p>Outside the site.</p>")
     )
     return site
+
+
+#: ``(page, line, message id, link)`` findings on the edge site that
+#: only poacher reports: it serves the mount alone, and a directory
+#: without an index page is a 404 to it.
+POACHER_ONLY_FINDINGS = {
+    ("index.html", 13, "bad-link", "noindex/"),
+    ("index.html", 17, "bad-link", "../outside.html"),
+}
+
+_BAD_LINK = re.compile(r"target (.*) for link not found \(")
+_BAD_FRAGMENT = re.compile(
+    r'target (.*) exists, but fragment "#(.*)" is not defined there$'
+)
+
+
+def link_findings(output: str) -> set[tuple[str, int, str, str]]:
+    """``(page, line, message id, link)`` of every link finding.
+
+    ``output`` is ``weblint -R -f json`` (one list; a link finding names
+    its page relative to the site root) or ``poacher --format jsonl``
+    (one record per ``http://localhost/`` page).  The link is the
+    ``href`` as written, so the two tools' status texts do not matter.
+    """
+    if output.lstrip().startswith("["):
+        items = [(item["file"], item) for item in json.loads(output)]
+    else:
+        items = [
+            (record["file"].removeprefix("http://localhost/"), item)
+            for record in map(json.loads, output.splitlines())
+            for item in record.get("diagnostics", ())
+        ]
+    findings = set()
+    for page, item in items:
+        if item["id"] == "bad-link":
+            link = _BAD_LINK.match(item["message"])[1]
+        elif item["id"] == "bad-fragment":
+            target, fragment = _BAD_FRAGMENT.match(item["message"]).groups()
+            link = f"{'' if target == 'this page' else target}#{fragment}"
+        else:
+            continue
+        findings.add((page, item["line"], item["id"], link))
+    return findings
 
 
 #: The crawl edge site's start page.

@@ -144,6 +144,18 @@ def _fragment_url(diagnostic) -> str:
     return f"{'' if target == 'this page' else target}#{fragment}"
 
 
+def test_a_page_is_fetched_once_for_its_own_fragments():
+    """``#absent`` and ``#top`` are judged against the anchors the crawl
+    already scanned, not by fetching ``index.html`` a second time."""
+    web = edge_web()
+    report = Poacher(UserAgent(web)).crawl(CRAWL_START)
+    assert [link.url for link in report.page(CRAWL_START).bad_fragments] == [
+        "moved.html#nowhere", "page.html#nowhere", "#absent",
+    ]
+    gets = [r.url for r in web.request_log if r.method == "GET"]
+    assert gets.count(CRAWL_START) == 1
+
+
 # -- the command line ---------------------------------------------------------
 
 

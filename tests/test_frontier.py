@@ -419,7 +419,7 @@ class TestKillAndResume:
 
         consumed = []
 
-        def dying_on_page(url, response, links):
+        def dying_on_page(url, response, links, anchors):
             consumed.append(url)
             if len(consumed) == 3:
                 raise RuntimeError("simulated kill")

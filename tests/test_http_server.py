@@ -210,6 +210,25 @@ class TestHTTPServer:
         assert data.startswith(b"HTTP/1.0 400 ")
         assert b"12 of 100" in data
 
+    def test_stalled_post_body_is_408(self, web, monkeypatch):
+        """A peer that stops sending mid-body gets 408 once the receive
+        timeout passes; the partial body is never handled."""
+        monkeypatch.setattr("repro.www.server._RECV_TIMEOUT_S", 0.2)
+        with HTTPServer(web, gateway=Gateway()) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as connection:
+                connection.sendall(
+                    b"POST /weblint HTTP/1.0\r\n"
+                    b"Content-Type: application/x-www-form-urlencoded\r\n"
+                    b"Content-Length: 200\r\n\r\n"
+                    b"html=%3Cp%3E"
+                )
+                data = _read_all(connection)
+            assert server.requests_served == 0
+        assert data.startswith(b"HTTP/1.0 408 Request Timeout\r\n")
+        assert b"12 of 200" in data
+
 
 def _read_all(connection: socket.socket) -> bytes:
     chunks = []

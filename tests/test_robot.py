@@ -70,7 +70,9 @@ class TestTraversal:
         seen = []
         Robot(agent).crawl(
             "http://h/index.html",
-            on_page=lambda url, response, links: seen.append((url, len(links))),
+            on_page=lambda url, response, links, anchors: seen.append(
+                (url, len(links))
+            ),
         )
         assert ("http://h/index.html", 2) in seen
 
@@ -258,6 +260,26 @@ class TestFragmentChecking:
         page = report.page("http://h/solo.html")
         assert len(page.broken_links) == 1
         assert page.bad_fragments == []
+
+    def test_own_fragments_judged_without_refetching_the_page(
+        self, fragment_web
+    ):
+        fragment_web.add_page(
+            "http://h/self.html",
+            make_document(
+                '<p><a name="here">anchor</a> <a href="#here">good</a> '
+                '<a href="self.html#here">good, by name</a> '
+                '<a href="self.html#gone">bad, by name</a></p>'
+            ),
+        )
+        report = Poacher(UserAgent(fragment_web)).crawl("http://h/self.html")
+        page = report.page("http://h/self.html")
+        assert [link.url for link in page.bad_fragments] == ["self.html#gone"]
+        gets = [
+            request.url for request in fragment_web.request_log
+            if request.method == "GET"
+        ]
+        assert gets.count("http://h/self.html") == 1
 
     def test_summary_mentions_fragments(self, fragment_web):
         report = Poacher(UserAgent(fragment_web)).crawl("http://h/index.html")

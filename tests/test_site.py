@@ -192,6 +192,24 @@ class TestSiteChecker:
         assert len(bad) == 1
         assert "dead.html" in bad[0].text
 
+    def test_external_links_get_one_head_and_no_fragment_check(
+        self, tmp_path
+    ):
+        from repro.www.client import UserAgent
+        from repro.www.virtualweb import VirtualWeb
+
+        (tmp_path / "index.html").write_text(make_document(
+            '<p><a href="http://h/ok.html#nowhere">one</a> '
+            '<a href="http://h/ok.html#elsewhere">two</a></p>'
+        ))
+        web = VirtualWeb()
+        web.add_page("http://h/ok.html", make_document("<p>no anchors</p>"))
+        report = SiteChecker(agent=UserAgent(web)).check_directory(tmp_path)
+        assert report.count("bad-link") == report.count("bad-fragment") == 0
+        assert [(r.method, r.url) for r in web.request_log] == [
+            ("HEAD", "http://h/ok.html")
+        ]
+
     def test_good_links_not_reported(self, site_dir):
         report = SiteChecker().check_directory(site_dir)
         bad = [
@@ -284,12 +302,29 @@ class TestOneSitePolicy:
         }
         for report in _walk_and_stream(tmp_path, pages):
             assert report.count("bad-link") == 0
-            # The fragment of a directory link goes unchecked.
-            assert report.count("bad-fragment") == 0
+            # The fragment of a directory link is judged against the
+            # directory's index page.
+            [bad] = [
+                d for d in report.all_diagnostics()
+                if d.message_id == "bad-fragment"
+            ]
+            assert (bad.arguments["target"], bad.arguments["fragment"]) == (
+                "sub/", "none",
+            )
             assert report.count("orphan-page") == 0
             assert report.link_graph.count(
                 ("index.html", "sub/index.html")
             ) == 3
+
+    def test_fragment_into_a_non_html_file_is_not_checked(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("plain text, no anchors\n")
+        (tmp_path / "index.html").write_text(make_document(
+            '<p><a href="notes.txt#x">notes</a> '
+            '<a href="notes.txt">notes again</a></p>'
+        ))
+        report = SiteChecker().check_directory(tmp_path)
+        assert report.count("bad-link") == 0
+        assert report.count("bad-fragment") == 0
 
     def test_only_the_root_index_is_exempt_from_orphan_page(self, tmp_path):
         pages = {

@@ -432,7 +432,7 @@ class TestShardOwns:
                     UserAgent(web), TraversalPolicy(shards=2, shard=shard)
                 ).crawl(
                     "http://s/index.html",
-                    lambda url, response, links: pages.append(url),
+                    lambda url, response, links, anchors: pages.append(url),
                 )
         owners = [k for k in (0, 1) if "http://s/sub/" in processed[k]]
         assert owners == [0]
