@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,9 +27,10 @@ from repro.config.presets import available_presets
 from repro.config.rcfile import ConfigError
 from repro.core import constants
 from repro.core.messages import CATALOG
-from repro.core.reporter import available_reporters, get_reporter
+from repro.core.reporter import Reporter, available_reporters, get_reporter
 from repro.core.service import (
     LintRequest,
+    LintResult,
     LintService,
     PathSource,
     StdinSource,
@@ -441,36 +443,7 @@ def _check_remote(args, reporter, out, err) -> int:
         except DaemonClientError as exc:
             err.write(f"weblint: {exc}\n")
             return constants.EXIT_USAGE
-
-    total = 0
-    if getattr(reporter, "streams_incrementally", False):
-        reporter.begin(out)
-        for result in results:
-            reporter.emit(result)
-            if result.error is not None:
-                failures.append(result.error)
-            else:
-                total += len(result.diagnostics)
-        reporter.end()
-    else:
-        batched = [] if reporter.batch_output else None
-        for result in results:
-            if result.error is not None:
-                failures.append(result.error)
-                continue
-            total += len(result.diagnostics)
-            if batched is None:
-                reporter.report(result.diagnostics, stream=out)
-            else:
-                batched.extend(result.diagnostics)
-        if batched is not None:
-            reporter.report(batched, stream=out)
-
-    for failure in failures:
-        err.write(f"weblint: {failure}\n")
-    if failures:
-        return constants.EXIT_USAGE
-    return constants.EXIT_WARNINGS if total else constants.EXIT_CLEAN
+    return _report(results, reporter.emit, reporter, out, err, failures)
 
 
 def _check_paths(args, options, service: LintService, reporter, out, err) -> int:
@@ -506,67 +479,58 @@ def _check_paths(args, options, service: LintService, reporter, out, err) -> int
 
     # Streaming reporters (jsonl) emit each document the moment its
     # result resolves -- completion order, bounded memory.  Only the
-    # pure-document case streams; site checks fall back to the buffered
-    # loop so their framing stays intact.
+    # pure-document case streams; a run with site checks reports each
+    # path whole and in input order (the base reporter's emit, whatever
+    # the format), so site framing stays intact.
     if getattr(reporter, "streams_incrementally", False) and all(
         kind == "lint" for kind, _ in items
     ):
-        reporter.begin(out)
-        total = 0
-        failures = []
-        for result in service.iter_check(requests, jobs=args.jobs):
-            reporter.emit(result)
-            if result.error is not None:
-                failures.append(result.error)
-                continue
-            total += len(result.diagnostics)
-        reporter.end()
-        for failure in failures:
-            err.write(f"weblint: {failure}\n")
-        if failures:
-            return constants.EXIT_USAGE
-        return constants.EXIT_WARNINGS if total else constants.EXIT_CLEAN
+        results = service.iter_check(requests, jobs=args.jobs)
+        return _report(results, reporter.emit, reporter, out, err)
+    results = _results_in_input_order(args, service, items, requests, out)
+    return _report(results, partial(Reporter.emit, reporter), reporter, out, err)
 
+
+def _results_in_input_order(args, service, items, requests, out):
+    """One result per document and one per site, in the order given.
+
+    A site yields a result per unreadable page (its error) and then one
+    holding every page's diagnostics; ``--site-report -`` writes the
+    site's text report first.
+    """
     checked = iter(service.check_many(requests, jobs=args.jobs))
-
-    total = 0
-    failures: list[str] = []
-    # Batch reporters (json, stats) emit one document per run: collect
-    # everything and report once, so multi-path output stays parseable.
-    batched: Optional[list] = [] if reporter.batch_output else None
     for kind, item in items:
         if kind == "lint":
-            result = next(checked)
-            if result.error is not None:
-                failures.append(result.error)
-                continue
-            diagnostics = result.diagnostics
+            yield next(checked)
+            continue
+        from repro.site.sitecheck import SiteChecker
+
+        report = SiteChecker(service=service, jobs=args.jobs).check_directory(item)
+        if args.site_report:
+            from repro.site.report import render_html_report, render_text_report
+
+            if args.site_report == "-":
+                out.write(render_text_report(report) + "\n")
+            else:
+                Path(args.site_report).write_text(render_html_report(report))
+        for error in report.page_errors:
+            yield LintResult(name=item, error=error)
+        yield LintResult(name=item, diagnostics=report.all_diagnostics())
+
+
+def _report(results, emit, reporter, out, err, failures=()) -> int:
+    """The one report tail: emit each result, then every failure (those
+    given first) on stderr; returns the exit code."""
+    failures = list(failures)
+    total = 0
+    reporter.begin(out)
+    for result in results:
+        emit(result)
+        if result.error is not None:
+            failures.append(result.error)
         else:
-            from repro.site.sitecheck import SiteChecker
-
-            report = SiteChecker(service=service, jobs=args.jobs).check_directory(
-                item
-            )
-            failures.extend(report.page_errors)
-            diagnostics = report.all_diagnostics()
-            if args.site_report:
-                from repro.site.report import (
-                    render_html_report,
-                    render_text_report,
-                )
-
-                if args.site_report == "-":
-                    out.write(render_text_report(report) + "\n")
-                else:
-                    Path(args.site_report).write_text(render_html_report(report))
-        total += len(diagnostics)
-        if batched is None:
-            reporter.report(diagnostics, stream=out)
-        else:
-            batched.extend(diagnostics)
-    if batched is not None:
-        reporter.report(batched, stream=out)
-
+            total += len(result.diagnostics)
+    reporter.end()
     for failure in failures:
         err.write(f"weblint: {failure}\n")
     if failures:

@@ -26,39 +26,40 @@ Two tiers:
 - an in-memory LRU (``memory_entries`` strong entries) for repeated
   checks inside one process -- the site checker re-linting a template
   shared by many pages hits this tier;
-- an optional disk tier (``directory=``): append-only segment logs
-  under ``<directory>/v2/``, shared by every process that opens the
-  directory.
+- an optional disk tier (``directory=``): one append-only log,
+  ``<directory>/v3/results.jsonl``, shared by every process that opens
+  the directory.
 
-A segment is a run of records.  Each record is a 44-byte header --
-magic ``WLC2``, the raw 32-byte key, the payload length and a crc32 of
-key and payload -- followed by the payload, the entry's diagnostic rows
-as JSON.  The rules that keep it safe without a temp file per entry:
+Each record is one JSON-object line::
 
-- *One writer per segment.*  A process appends to the one segment whose
-  exclusive ``flock`` it holds, each record with a single ``os.write``
-  on an ``O_APPEND`` descriptor.  Forked pool workers close the
-  descriptor they inherit, so the lock dies with its process.
-- *Adopt before creating.*  A writer first takes over an idle segment
-  (one whose lock it can take without blocking, because its writer
-  exited) and truncates it to its last complete record; only when every
-  segment is busy does it create one.  Segments are bounded by the peak
-  number of concurrent writers, not by the number of runs.
-- *Headers only on open.*  The first lookup reads record headers with
-  ``os.pread``, never payloads, into a key -> (segment, offset, length,
-  crc) index.  A lookup the index misses rescans for segments that other
-  processes created or extended since, so a result one process stores
-  is a hit for every process that looks it up afterwards.
-- *Damage is a miss.*  A torn tail (a writer killed mid-record, cut off
-  when the segment is adopted) or a crc mismatch is a miss, counted in
-  ``cache.lint.corrupt``.  A failed or short write truncates the segment
-  back to its last complete record and counts
-  ``cache.lint.write_errors``; a directory that cannot hold a segment
+    {"k":"<hex key>","c":"<hex crc32 of key and rows>","d":<rows>}
+
+where the rows are the entry's diagnostics.  The key and the crc sit at
+fixed offsets, so indexing the log never decodes rows.  The rules that
+keep it safe:
+
+- *Appends go through* :class:`repro.store.JsonLog`: one ``os.write``
+  per record under the log's exclusive file lock, so writers in any
+  number of processes never interleave.  The log is opened for writing
+  on the first put, so a run that only reads creates nothing.
+- *Indexed from where the last look stopped.*  A lookup the index
+  misses reads the whole lines appended since into a key -> (offset,
+  length, crc) index; a later record for a key wins.  A hit ``pread``s
+  one payload and checks its crc.  So a result one process stores is a
+  hit for every process that looks it up afterwards.
+- *Damage is a miss.*  An unterminated last line (a writer killed
+  mid-record, or a record still being written) is never indexed; the
+  next writer's open cuts it off and counts it in ``cache.lint.corrupt``.
+  A line without the record layout or whose crc fails -- a record glued
+  onto a killed writer's fragment, say -- is a miss counted the same
+  way.  A failed or short write is cut back and counts
+  ``cache.lint.write_errors``; a directory that cannot hold the log
   degrades to memory-only.
 - *No fsync.*  An entry lost to a crash is a miss that costs one lint;
   the crc and the torn-tail rule are what keep it from being a wrong hit.
 - *Clearing.*  :meth:`ResultCache.clear` (``weblint --cache-clear``)
-  deletes every segment, ``v2/`` once empty, and a version-1 tree
+  deletes the log, ``v3/`` once empty, a version-2 segment directory
+  (``<directory>/v2/seg-*.log``) and a version-1 tree
   (``<directory>/<key[:2]>/<key>.json`` plus its leftover ``.tmp``
   files); nothing else in the directory.
 
@@ -73,37 +74,38 @@ tier) / ``corrupt`` / ``unserialisable`` / ``write_errors``.
 
 from __future__ import annotations
 
-import errno
-import fcntl
 import hashlib
 import json
 import os
 import re
-import struct
 import threading
 import weakref
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 from repro.core import constants
 from repro.core.diagnostics import Diagnostic
 from repro.core.messages import Category
 from repro.obs.metrics import get_registry
+from repro.store import JsonLog
 
 #: Bump when the on-disk entry layout changes; old entries become misses.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Filename a hit is bound to when the caller names none.
 _UNBOUND = "-"
 
-#: Record header: magic, raw key, payload length, crc32 of key + payload.
-_HEADER = struct.Struct("<4s32sII")
-_MAGIC = b"WLC2"
-_SEGMENT = re.compile(r"seg-[0-9a-f]{16}\.log")
-#: A version-1 shard directory: the first two hex digits of the key.
-_LEGACY_SHARD = re.compile(r"[0-9a-f]{2}")
+#: The log under ``<directory>/v<FORMAT_VERSION>/``.
+_LOG_NAME = "results.jsonl"
+#: A record line up to its rows: fixed width, so the key, the crc and
+#: the rows start at the same offsets in every record.
+_RECORD = re.compile(rb'\{"k":"([0-9a-f]{64})","c":"([0-9a-f]{8})","d":')
+#: A version-2 segment, and a version-1 shard directory (the first two
+#: hex digits of the key).
+_V2_SEGMENT = re.compile(r"seg-[0-9a-f]{16}\.log")
+_V1_SHARD = re.compile(r"[0-9a-f]{2}")
 
 
 def _stable(value: object) -> object:
@@ -175,13 +177,17 @@ def _diagnostic_from_dict(raw: dict, filename: str) -> Diagnostic:
     )
 
 
+def _crc(key: bytes, rows: bytes) -> int:
+    return zlib.crc32(rows, zlib.crc32(key))
+
+
 class ResultCache:
     """Two-tier (memory LRU + disk) store of lint results by content key.
 
     Keys are :func:`result_key` digests.  Thread-safe: the site checker
     and the batch pipeline may consult one instance from several
-    threads.  Any number of processes may share a directory; each
-    appends to a segment of its own (see the module docstring).
+    threads.  Any number of processes may share a directory; they all
+    append to its one log (see the module docstring).
     """
 
     def __init__(
@@ -193,11 +199,25 @@ class ResultCache:
         self.memory_entries = max(1, memory_entries)
         self._memory: OrderedDict[str, list[dict]] = OrderedDict()
         self._lock = threading.Lock()
-        self._log = (
-            _SegmentLog(self.directory / f"v{FORMAT_VERSION}")
+        self._path = (
+            self.directory / f"v{FORMAT_VERSION}" / _LOG_NAME
             if self.directory is not None
             else None
         )
+        #: Guards everything below: the disk tier's index and files.
+        self._disk = threading.Lock()
+        #: key -> (payload offset, payload length, crc) in the log
+        self._index: dict[str, tuple[int, int, int]] = {}
+        #: The log as last looked at: (st_dev, st_ino), and the end of
+        #: its last whole line indexed so far.
+        self._identity: Optional[tuple[int, int]] = None
+        self._scanned = 0
+        self._reader: Optional[BinaryIO] = None
+        self._writer: Optional[JsonLog] = None
+        self._unwritable = False
+        #: Open descriptors, closed when the instance is collected.
+        self._files: list = []
+        weakref.finalize(self, _close_files, self._files)
 
     # -- lookup ------------------------------------------------------------
 
@@ -234,7 +254,7 @@ class ResultCache:
         registry = get_registry()
         rows = [_diagnostic_to_dict(d) for d in diagnostics]
         try:
-            payload = json.dumps(rows, separators=(",", ":")).encode("utf-8")
+            payload = json.dumps(rows, separators=(",", ":"))
         except (TypeError, ValueError):
             # A plugin rule put something non-JSON in arguments; caching
             # this entry would lose information, so skip it.
@@ -242,31 +262,48 @@ class ResultCache:
             return
         self._remember(key, rows)
         registry.inc("cache.lint.stores")
-        if self._log is None:
-            return
-        if not self._log.append(bytes.fromhex(key), payload):
+        if self._path is not None and not self._append(key, payload):
             # A read-only or full cache directory degrades to memory-only.
             registry.inc("cache.lint.write_errors")
 
     def clear(self) -> int:
         """Drop every entry (both tiers); returns entries removed on disk.
 
-        Removes this format's segments and an older format's shard tree.
+        Removes this format's log, a version-2 segment directory and a
+        version-1 shard tree.  Counts the log's distinct keys and the
+        version-1 entries (one file each); version-2 segments go unread.
         """
         with self._lock:
             self._memory.clear()
-        if self._log is None:
+        if self._path is None:
             return 0
-        return self._log.clear() + _clear_legacy(self.directory)
+        removed: dict[str, tuple[int, int, int]] = {}
+        with self._disk:
+            self._close()
+            try:
+                _index_lines(self._path.read_bytes(), 0, removed)
+            except OSError:
+                pass
+            _sweep(self._path.parent, lambda name: name == _LOG_NAME)
+        _sweep(self.directory / "v2", _V2_SEGMENT.fullmatch)
+        legacy = 0
+        for name in _listdir(self.directory):
+            if _V1_SHARD.fullmatch(name):
+                swept = _sweep(
+                    self.directory / name,
+                    lambda entry: entry.endswith((".json", ".tmp")),
+                )
+                legacy += sum(entry.endswith(".json") for entry in swept)
+        return len(removed) + legacy
 
     def close(self) -> None:
-        """Release this instance's segment and descriptors.
+        """Close this instance's descriptors of the log.
 
-        Optional: they are also released when the instance is collected
+        Optional: they are also closed when the instance is collected
         or the process exits.  The cache stays usable afterwards.
         """
-        if self._log is not None:
-            self._log.close()
+        with self._disk:
+            self._close()
 
     # -- internals ---------------------------------------------------------
 
@@ -278,298 +315,150 @@ class ResultCache:
                 self._memory.popitem(last=False)
                 get_registry().inc("cache.lint.evictions")
 
+    def _close(self) -> None:
+        """Close both descriptors and forget the index (``_disk`` held)."""
+        _close_files(self._files)
+        self._reader = self._writer = self._identity = None
+        self._index.clear()
+        self._scanned = 0
+
+    def _append(self, key: str, payload: str) -> bool:
+        """Append one record; ``False`` when it could not be written whole."""
+        crc = _crc(key.encode("ascii"), payload.encode("ascii"))
+        line = f'{{"k":"{key}","c":"{crc:08x}","d":{payload}}}\n'
+        with self._disk:
+            if self._writer is None:
+                if self._unwritable:
+                    return False
+                try:
+                    self._writer = JsonLog(self._path)
+                except OSError:
+                    self._unwritable = True
+                    return False
+                self._files.append(self._writer)
+                if self._writer.cut:
+                    # A writer killed mid-record left the torn tail.
+                    get_registry().inc("cache.lint.corrupt")
+            try:
+                self._writer.write(line)
+            except OSError:  # failed, or short and cut back off by JsonLog
+                return False
+        return True
+
     def _load(self, key: str) -> Optional[list[dict]]:
-        if self._log is None:
+        if self._path is None:
             return None
-        payload = self._log.read(bytes.fromhex(key))
-        if payload is None:
-            return None
-        try:
-            rows = json.loads(payload)
-        except ValueError:
-            rows = None
+        with self._disk:
+            entry = self._index.get(key)
+            if entry is None:
+                self._refresh()
+                entry = self._index.get(key)
+                if entry is None:
+                    return None
+            offset, length, crc = entry
+            try:
+                payload = os.pread(self._reader.fileno(), length, offset)
+            except OSError:
+                payload = b""
+            if len(payload) != length or _crc(key.encode("ascii"), payload) != crc:
+                del self._index[key]
+                payload = None
+        rows = None
+        if payload is not None:
+            try:
+                rows = json.loads(payload)
+            except ValueError:
+                pass
         if not isinstance(rows, list):
             get_registry().inc("cache.lint.corrupt")
             return None
         return rows
 
-
-class _SegmentLog:
-    """The disk tier: a directory of append-only segments, one per writer."""
-
-    def __init__(self, root: Path) -> None:
-        self.root = root
-        self._lock = threading.Lock()
-        #: raw key -> (segment, payload offset, payload length, crc)
-        self._index: dict[bytes, tuple[str, int, int, int]] = {}
-        #: segment -> open descriptor (our own segment's is the writer)
-        self._fds: dict[str, int] = {}
-        #: segment -> end of the last complete record indexed so far
-        self._scanned: dict[str, int] = {}
-        self._writer: Optional[str] = None
-        self._end = 0
-        self._unwritable = False
-        weakref.finalize(self, _close_all, self._fds)
-        _OPEN_LOGS.add(self)
-
-    def read(self, raw: bytes) -> Optional[bytes]:
-        """The payload stored under ``raw``, or ``None``."""
-        with self._lock:
-            entry = self._index.get(raw)
-            if entry is None:
-                self._refresh()
-                entry = self._index.get(raw)
-                if entry is None:
-                    return None
-            name, offset, length, crc = entry
-            try:
-                payload = os.pread(self._reader(name), length, offset)
-            except OSError:  # the segment is gone (cleared): a plain miss
-                del self._index[raw]
-                return None
-            if len(payload) == length and zlib.crc32(payload, zlib.crc32(raw)) == crc:
-                return payload
-            del self._index[raw]
-        get_registry().inc("cache.lint.corrupt")
-        return None
-
-    def append(self, raw: bytes, payload: bytes) -> bool:
-        """Append one record; ``False`` when it could not be written whole."""
-        crc = zlib.crc32(payload, zlib.crc32(raw))
-        record = _HEADER.pack(_MAGIC, raw, len(payload), crc) + payload
-        with self._lock:
-            if self._writer is None and not self._open_writer():
-                return False
-            fd = self._fds[self._writer]
-            try:
-                written = os.write(fd, record)
-            except OSError:
-                written = -1
-            if written != len(record):
-                try:
-                    os.ftruncate(fd, self._end)
-                except OSError:
-                    # The torn record stays.  Give the segment up (closing
-                    # it drops the lock) so the next writer to adopt it
-                    # cuts the tail off; its records stay readable.
-                    os.close(self._fds.pop(self._writer))
-                    self._writer = None
-                return False
-            self._index[raw] = (
-                self._writer, self._end + _HEADER.size, len(payload), crc
-            )
-            self._end += written
-            return True
-
-    def clear(self) -> int:
-        """Delete every segment; returns the number of keys they held."""
-        with self._lock:
-            self._reset()
-            removed: dict[bytes, tuple[str, int, int, int]] = {}
-            for name in self._segment_names():
-                path = self.root / name
-                found: dict[bytes, tuple[str, int, int, int]] = {}
-                try:
-                    fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
-                    try:
-                        _scan(fd, name, 0, os.fstat(fd).st_size, found)
-                    finally:
-                        os.close(fd)
-                    os.unlink(path)
-                except OSError:
-                    continue
-                removed.update(found)
-            try:
-                os.rmdir(self.root)
-            except OSError:
-                pass
-            return len(removed)
-
-    def close(self) -> None:
-        with self._lock:
-            self._reset()
-
-    # -- internals ---------------------------------------------------------
-
-    def _reset(self) -> None:
-        """Close every descriptor (releasing our segment) and forget all."""
-        _close_all(self._fds)
-        self._index.clear()
-        self._scanned.clear()
-        self._writer = None
-        self._end = 0
-
-    def _segment_names(self) -> list[str]:
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        return sorted(name for name in names if _SEGMENT.fullmatch(name))
-
-    def _reader(self, name: str) -> int:
-        fd = self._fds.get(name)
-        if fd is None:
-            fd = os.open(self.root / name, os.O_RDONLY | os.O_CLOEXEC)
-            self._fds[name] = fd
-        return fd
-
     def _refresh(self) -> None:
-        """Index what other processes appended since the last look."""
-        for name in self._segment_names():
-            if name == self._writer:
-                continue
-            try:
-                fd = self._reader(name)
-                size = os.fstat(fd).st_size
-            except OSError:
-                continue
-            scanned = self._scanned.get(name, 0)
-            if size != scanned:
-                # Grown: index the new records.  Shrunk (an adopter cut a
-                # torn tail we had not reached): rescan from the start.
-                start = scanned if size > scanned else 0
-                self._scanned[name] = _scan(fd, name, start, size, self._index)
+        """Index the whole lines appended since the last look (``_disk`` held).
 
-    def _open_writer(self) -> bool:
-        if self._unwritable:
-            return False
+        A log that was replaced (cleared, then written afresh) is
+        indexed again from its start, and written to afresh.
+        """
         try:
-            os.makedirs(self.root, exist_ok=True)
-            name, fd, end = self._adopt_idle() or self._create()
-        except OSError:
-            self._unwritable = True
-            return False
-        reader = self._fds.pop(name, None)
-        if reader is not None:
-            os.close(reader)
-        self._fds[name] = fd
-        self._writer, self._end = name, end
-        return True
-
-    def _adopt_idle(self) -> Optional[tuple[str, int, int]]:
-        """Lock a segment whose writer has exited and cut its torn tail."""
-        for name in self._segment_names():
+            status = os.stat(self._path)
+        except OSError:  # no log yet (or it was just cleared)
+            return
+        identity = (status.st_dev, status.st_ino)
+        if self._identity not in (None, identity):
+            self._close()
+        if self._reader is None:
             try:
-                fd = os.open(self.root / name, os.O_RDWR | os.O_APPEND | os.O_CLOEXEC)
+                self._reader = open(self._path, "rb", buffering=0)
             except OSError:
-                continue
-            try:
-                # st_nlink 0: a concurrent clear() unlinked it after we
-                # listed it; appending there would lose every record.
-                if _try_lock(fd) and os.fstat(fd).st_nlink:
-                    size = os.fstat(fd).st_size
-                    end = _scan(fd, name, 0, size, self._index)
-                    if end < size:
-                        os.ftruncate(fd, end)
-                        get_registry().inc("cache.lint.corrupt")
-                    return name, fd, end
-            except OSError:
-                pass
-            os.close(fd)
-        return None
-
-    def _create(self) -> tuple[str, int, int]:
-        for _ in range(8):
-            name = f"seg-{os.urandom(8).hex()}.log"
-            fd = os.open(
-                self.root / name,
-                os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC,
-                0o644,
+                return
+            self._files.append(self._reader)
+            self._identity = identity
+        if status.st_size <= self._scanned:
+            return
+        try:
+            data = os.pread(
+                self._reader.fileno(), status.st_size - self._scanned, self._scanned
             )
-            if _try_lock(fd):
-                return name, fd, 0
-            # Another writer adopted the empty segment first; it is theirs.
-            os.close(fd)
-        raise OSError(errno.EAGAIN, "no cache segment could be locked")
-
-
-def _scan(
-    fd: int, name: str, offset: int, size: int,
-    index: dict[bytes, tuple[str, int, int, int]],
-) -> int:
-    """Index the complete records of ``[offset, size)``; return their end.
-
-    Stops at the first header that is short, carries the wrong magic or
-    declares more payload than the segment holds: a torn tail, or a
-    record another process is still writing.
-    """
-    header_size = _HEADER.size
-    while offset + header_size <= size:
-        header = os.pread(fd, header_size, offset)
-        if len(header) != header_size:
-            break
-        magic, raw, length, crc = _HEADER.unpack(header)
-        end = offset + header_size + length
-        if magic != _MAGIC or end > size:
-            break
-        index[raw] = (name, offset + header_size, length, crc)
-        offset = end
-    return offset
-
-
-def _try_lock(fd: int) -> bool:
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        return False
-    return True
-
-
-def _close_all(fds: dict[str, int]) -> None:
-    for fd in fds.values():
-        try:
-            os.close(fd)
         except OSError:
-            pass
-    fds.clear()
+            return
+        length, damaged = _index_lines(data, self._scanned, self._index)
+        self._scanned += length
+        if damaged:
+            get_registry().inc("cache.lint.corrupt", damaged)
 
 
-def _clear_legacy(directory: Path) -> int:
-    """Remove a version-1 tree (``<dir>/<key[:2]>/<key>.json``).
+def _index_lines(
+    data: bytes, base: int, index: dict[str, tuple[int, int, int]]
+) -> tuple[int, int]:
+    """Index the record lines of ``data``, which was read at ``base``.
 
-    Returns the entries it held; leftover ``.tmp`` files of its writer
-    go too.
+    Returns the length of its whole lines -- an unterminated last line
+    is left for a later look -- and how many of them were damaged: no
+    record layout, or a crc that does not match.
     """
-    removed = 0
-    try:
-        shards = [
-            path for path in directory.iterdir()
-            if _LEGACY_SHARD.fullmatch(path.name) and path.is_dir()
-        ]
-    except OSError:
-        return 0
-    for shard in shards:
-        for entry in shard.iterdir():
-            if entry.suffix not in (".json", ".tmp"):
+    view = memoryview(data)
+    start = damaged = 0
+    while (end := data.find(b"\n", start)) >= 0:
+        match = _RECORD.match(data, start, end)
+        # A record's line ends with the "}" that closes it.
+        if match and data[end - 1] == 0x7D:
+            rows, crc = match.end(), int(match[2], 16)
+            if _crc(match[1], view[rows : end - 1]) == crc:
+                index[match[1].decode("ascii")] = (base + rows, end - 1 - rows, crc)
+                start = end + 1
                 continue
+        damaged += 1
+        start = end + 1
+    return start, damaged
+
+
+def _close_files(files: list) -> None:
+    for handle in files:
+        handle.close()
+    files.clear()
+
+
+def _listdir(directory: Path) -> list[str]:
+    try:
+        return os.listdir(directory)
+    except OSError:
+        return []
+
+
+def _sweep(directory: Path, wanted: Callable[[str], object]) -> list[str]:
+    """Unlink the files of ``directory`` that ``wanted`` names, then the
+    directory if that emptied it; returns the names unlinked."""
+    removed = []
+    for name in _listdir(directory):
+        if wanted(name):
             try:
-                entry.unlink()
+                os.unlink(directory / name)
             except OSError:
                 continue
-            removed += entry.suffix == ".json"
-        try:
-            shard.rmdir()
-        except OSError:
-            pass
+            removed.append(name)
+    try:
+        os.rmdir(directory)
+    except OSError:
+        pass
     return removed
-
-
-#: Every live log, so a forked child can drop the descriptors it inherited.
-_OPEN_LOGS: "weakref.WeakSet[_SegmentLog]" = weakref.WeakSet()
-
-
-def _forget_logs_in_child() -> None:
-    """Close inherited segment descriptors in a freshly forked child.
-
-    ``flock`` locks belong to the open file description, which a fork
-    shares: a pool worker that kept the parent's writer descriptor would
-    keep the parent's segment locked -- unadoptable -- after the parent
-    died.  The child's lock object may have been held mid-fork, so it is
-    replaced rather than taken.
-    """
-    for log in list(_OPEN_LOGS):
-        log._lock = threading.Lock()
-        log._reset()
-
-
-os.register_at_fork(after_in_child=_forget_logs_in_child)

@@ -42,6 +42,8 @@ rollup -- never hold a whole batch in memory.
 
 from __future__ import annotations
 
+import multiprocessing.connection
+import os
 import sys
 import threading
 import time
@@ -528,6 +530,14 @@ class LintService:
 #: The worker's service, built once by :func:`_worker_init`.
 _WORKER_SERVICE: Optional[LintService] = None
 
+#: How long :meth:`ParallelExecutor.shutdown` waits for the pool's
+#: workers to exit before it kills the rest: long enough for a worker
+#: to finish its chunk and run its exit hooks.
+_SHUTDOWN_WAIT_S = 5.0
+
+#: How often a worker checks that the process that started it is alive.
+_PARENT_POLL_S = 0.5
+
 
 def _worker_init(specification: ServiceSpecification) -> None:
     """Per-worker initializer: build the service, compile tables once.
@@ -535,14 +545,28 @@ def _worker_init(specification: ServiceSpecification) -> None:
     Also installs fresh observability state: under the ``fork`` start
     method the worker inherits the parent's registry (with all its
     historical counts), and everything the worker records is shipped
-    back explicitly per chunk.
+    back explicitly per chunk.  And it starts a watcher that ends the
+    worker once its parent is gone, so a killed owner leaves no workers
+    behind.
     """
     global _WORKER_SERVICE
     set_registry(MetricsRegistry())
     set_tracer(None)
     set_profiler(None)
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(multiprocessing.parent_process().pid,),
+        daemon=True,
+    ).start()
     _WORKER_SERVICE = LintService.from_specification(specification)
     _WORKER_SERVICE.warm()
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """End this worker once it is no longer ``parent_pid``'s child."""
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 def _worker_run_chunk(
@@ -613,11 +637,28 @@ class ParallelExecutor:
         self.shutdown()
 
     def shutdown(self) -> None:
+        """Stop the pool; workers still alive after ``_SHUTDOWN_WAIT_S``
+        (a stopped or hung one) are killed and counted in
+        ``lint.pool.kills``."""
         with self._lock:
             self._closed = True
             pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        if pool is None:
+            return
+        # The executor forgets its workers when it shuts down.
+        workers = list((pool._processes or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        # A worker's sentinel is ready once it has exited, reaped or not.
+        running = {worker.sentinel: worker for worker in workers}
+        deadline = time.monotonic() + _SHUTDOWN_WAIT_S
+        while running and (left := deadline - time.monotonic()) > 0:
+            for sentinel in multiprocessing.connection.wait(list(running), left):
+                del running[sentinel]
+        for worker in running.values():
+            worker.kill()
+            worker.join()
+        if running:
+            get_registry().inc("lint.pool.kills", len(running))
 
     def _pool_for(self, workers: int) -> Optional[ProcessPoolExecutor]:
         """The live pool: built on first use, and again after a crash."""

@@ -54,8 +54,11 @@ def write_atomic(path: Union[str, Path], data: bytes) -> None:
         raise
 
 
-def _cut_torn_tail(fd: int) -> None:
-    """Truncate the file after its last newline (a torn append)."""
+def _cut_torn_tail(fd: int) -> int:
+    """Truncate the file after its last newline (a torn append).
+
+    Returns the number of bytes cut off.
+    """
     size = end = os.fstat(fd).st_size
     while end > 0:
         start = max(0, end - 4096)
@@ -66,6 +69,7 @@ def _cut_torn_tail(fd: int) -> None:
         end = start
     if end != size:
         os.ftruncate(fd, end)
+    return size - end
 
 
 class JsonLog:
@@ -79,6 +83,9 @@ class JsonLog:
     process's record.  :meth:`locked` holds the lock across a read and
     an append (the run ledger stamps its sequence that way).
     """
+
+    #: Bytes of a torn last line that opening cut off (0: none).
+    cut = 0
 
     def __init__(self, path: Union[str, Path], fresh: bool = False) -> None:
         self.path = Path(path)
@@ -95,7 +102,7 @@ class JsonLog:
                 if fresh:
                     os.ftruncate(self._fd, 0)
                 else:
-                    _cut_torn_tail(self._fd)
+                    self.cut = _cut_torn_tail(self._fd)
         except BaseException:
             self.close()
             raise

@@ -112,25 +112,7 @@ class HttpCache:
 
     def body_for(self, entry: CachedEntry) -> Optional[str]:
         """The stored body for ``entry``, or ``None`` if it was evicted."""
-        with self._lock:
-            body = self._bodies.get(entry.body_sha256)
-        if body is not None:
-            return body
-        if self.directory is None:
-            return None
-        try:
-            body = self._body_path(entry.body_sha256).read_text(
-                encoding="utf-8", errors="surrogatepass"
-            )
-        except OSError:
-            return None
-        if body_digest(body) != entry.body_sha256:
-            # A torn or tampered body file must not masquerade as the
-            # validated representation.
-            return None
-        with self._lock:
-            self._bodies[entry.body_sha256] = body
-        return body
+        return self.body_by_digest(entry.body_sha256)
 
     def body_by_digest(self, digest: str) -> Optional[str]:
         """The stored body for ``digest`` directly, bypassing the index.
@@ -153,6 +135,8 @@ class HttpCache:
         except OSError:
             return None
         if body_digest(body) != digest:
+            # A torn or tampered body file must not masquerade as the
+            # validated representation.
             return None
         with self._lock:
             self._bodies[digest] = body

@@ -9,10 +9,10 @@ The contract under test (docs/caching.md):
   re-bound to the requesting document's name;
 - a corrupt, truncated or wrong-version disk entry degrades to a miss,
   never an error;
-- the disk tier's segment logs: one writer per segment, idle segments
-  adopted before new ones are made, records visible across processes,
-  failed writes cut back, a read-only directory degrades to memory, and
-  a writer SIGKILLed mid-batch loses only its unfinished record;
+- the disk tier's one append-only log: records visible across
+  processes, a torn tail or a record glued onto one a miss, failed
+  writes cut back, a read-only directory degrades to memory, and a
+  writer SIGKILLed mid-batch loses only its unfinished record;
 - a ``UserAgent`` with an ``http_cache`` revalidates unchanged pages via
   ``304 Not Modified`` and falls back to a full GET when the stored body
   has been evicted;
@@ -29,6 +29,7 @@ import struct
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -50,39 +51,35 @@ from tests.conftest import make_document
 
 DOCUMENT = make_document("<p>hello<img src=x></p>")
 
-#: The documented record header (docs/caching.md): magic, raw key,
-#: payload length, crc32.  Parsed here independently of the cache code.
-RECORD_HEADER = struct.Struct("<4s32sII")
+#: A version-2 segment's record header: magic, raw key, payload length,
+#: crc32 (a cache directory written before the one log may hold these).
+V2_HEADER = struct.Struct("<4s32sII")
 
 
 def fingerprint_of(service: LintService) -> bytes:
     return service.cache_fingerprint()
 
 
-def segments(cache_dir: Path) -> list[Path]:
-    return sorted((cache_dir / "v2").glob("seg-*.log"))
+def logs(cache_dir: Path) -> list[Path]:
+    """Every file of the disk tier: its one log, once written."""
+    return sorted((cache_dir / "v3").glob("*"))
 
 
-def record_spans(segment: Path) -> list[tuple[int, int]]:
-    """``(start, end)`` of every complete record, in file order."""
-    data = segment.read_bytes()
-    spans, offset = [], 0
-    while offset + RECORD_HEADER.size <= len(data):
-        magic, _key, length, _crc = RECORD_HEADER.unpack_from(data, offset)
-        end = offset + RECORD_HEADER.size + length
-        if magic != b"WLC2" or end > len(data):
-            break
-        spans.append((offset, end))
-        offset = end
+def record_spans(log: Path) -> list[tuple[int, int]]:
+    """``(start, end)`` of every whole line, in file order."""
+    data = log.read_bytes()
+    spans, start = [], 0
+    while (end := data.find(b"\n", start)) >= 0:
+        spans.append((start, end + 1))
+        start = end + 1
     return spans
 
 
-def record_keys(segment: Path) -> list[str]:
-    data = segment.read_bytes()
-    return [
-        RECORD_HEADER.unpack_from(data, start)[1].hex()
-        for start, _ in record_spans(segment)
-    ]
+def record_keys(log: Path) -> list[str]:
+    """The key of every whole record line (docs/caching.md), parsed as
+    JSON here, independently of the cache code."""
+    data = log.read_bytes()
+    return [json.loads(data[start:end])["k"] for start, end in record_spans(log)]
 
 
 def stub_diagnostics(count: int) -> list[Diagnostic]:
@@ -171,11 +168,11 @@ class TestResultCache:
         service = LintService(cache=cache)
         expected = service.check(PathSource(page)).diagnostics
         cache.close()
-        [segment] = segments(tmp_path / "cache")
-        [(start, end)] = record_spans(segment)
-        data = bytearray(segment.read_bytes())
-        data[end - 2] ^= 0x01  # inside the JSON payload
-        segment.write_bytes(bytes(data))
+        [log] = logs(tmp_path / "cache")
+        [(start, end)] = record_spans(log)
+        data = bytearray(log.read_bytes())
+        data[end - 4] ^= 0x01  # inside the rows, before their "]}\n"
+        log.write_bytes(bytes(data))
         with use_registry() as registry:
             fresh = LintService(cache=ResultCache(tmp_path / "cache"))
             result = fresh.check(PathSource(page))
@@ -187,7 +184,8 @@ class TestResultCache:
         ]
 
     def test_wrong_version_entry_is_a_miss(self, tmp_path):
-        """Neither a version-1 file nor a record with another magic is read."""
+        """Neither a version-1 file nor a version-2 segment is read,
+        even under the current key."""
         page = tmp_path / "page.html"
         page.write_text(DOCUMENT)
         cache = ResultCache(tmp_path / "cache")
@@ -195,9 +193,13 @@ class TestResultCache:
         key = service._cache_key(DOCUMENT)
         service.check(PathSource(page))
         cache.close()
-        [segment] = segments(tmp_path / "cache")
-        data = segment.read_bytes()
-        segment.write_bytes(b"WLC9" + data[4:])
+        [log] = logs(tmp_path / "cache")
+        log.unlink()
+        raw, rows = bytes.fromhex(key), b"[]"
+        crc = zlib.crc32(rows, zlib.crc32(raw))
+        segment = tmp_path / "cache" / "v2" / f"seg-{'0' * 16}.log"
+        segment.parent.mkdir()
+        segment.write_bytes(V2_HEADER.pack(b"WLC2", raw, len(rows), crc) + rows)
         legacy = tmp_path / "cache" / key[:2] / f"{key}.json"
         legacy.parent.mkdir()
         legacy.write_text(json.dumps({"version": 1, "diagnostics": []}))
@@ -218,7 +220,8 @@ class TestResultCache:
         assert registry.snapshot().get("cache.lint.evictions") == 2
 
     def test_clear_counts_removed_entries(self, tmp_path):
-        """Segments and a version-1 shard tree go; only keys count."""
+        """The log, a version-2 segment directory and a version-1 shard
+        tree go; the log's keys and the version-1 entries count."""
         cache_dir = tmp_path / "cache"
         cache = ResultCache(cache_dir)
         service = LintService(cache=cache)
@@ -228,13 +231,15 @@ class TestResultCache:
         legacy.mkdir()
         (legacy / f"ab{'0' * 62}.json").write_text("{}")
         (legacy / ".ab000000.x.tmp").write_text("")
+        (cache_dir / "v2").mkdir()
+        (cache_dir / "v2" / f"seg-{'0' * 16}.log").write_bytes(b"WLC2")
         (cache_dir / "notes.txt").write_text("not the cache's")
         assert cache.clear() == 4
         assert cache.clear() == 0
         assert sorted(p.name for p in cache_dir.iterdir()) == ["notes.txt"]
-        # Still usable after a clear: the next put starts a new segment.
+        # Still usable after a clear: the next put starts a new log.
         service.check(StringSource(make_document("<p>after</p>")))
-        assert len(segments(cache_dir)) == 1
+        assert len(logs(cache_dir)) == 1
 
     def test_explicit_rules_disable_the_cache(self, tmp_path):
         from repro.core.rules.base import Rule
@@ -321,7 +326,7 @@ def write_from_two_threads(directory: Path, writer: int, per_thread: int) -> Non
 
 
 class TestSegmentLog:
-    """The disk tier's append-only segments (docs/caching.md)."""
+    """The disk tier's one append-only log (docs/caching.md)."""
 
     def test_put_is_a_hit_for_an_instance_already_open(self, tmp_path):
         writer = ResultCache(tmp_path / "cache")
@@ -335,32 +340,57 @@ class TestSegmentLog:
         assert {d.filename for d in found} == {"x.html"}
         assert registry.snapshot().get("cache.lint.hits") == 1
 
+    def test_a_record_damaged_after_indexing_is_a_counted_miss(self, tmp_path):
+        """A hit checks the crc of the payload it reads, not only the
+        scan that indexed it."""
+        cache_dir = tmp_path / "cache"
+        key, absent = keys_for("key", "absent")
+        writer = ResultCache(cache_dir)
+        writer.put(key, stub_diagnostics(2))
+        writer.close()
+        reader = ResultCache(cache_dir)
+        assert reader.get(absent) is None  # indexes the whole record
+        [log] = logs(cache_dir)
+        with log.open("r+b") as handle:  # in place: the same file
+            handle.seek(log.read_bytes().index(b"finding 1"))
+            handle.write(b"g")  # still valid JSON: only the crc can tell
+        with use_registry() as registry:
+            assert reader.get(key) is None
+        assert registry.snapshot().get("cache.lint.corrupt") == 1
+
+    def test_an_open_instance_follows_a_cleared_log(self, tmp_path):
+        """Another instance clears the directory and writes afresh: one
+        that had indexed the old log finds the new record, and its next
+        put lands in the new log."""
+        cache_dir = tmp_path / "cache"
+        old, new, later, absent = keys_for("old", "new", "later", "absent")
+        holder = ResultCache(cache_dir)
+        holder.put(old, stub_diagnostics(1))
+        assert holder.get(absent) is None  # indexes the old log
+        other = ResultCache(cache_dir)
+        assert other.clear() == 1
+        other.put(new, stub_diagnostics(2))
+        other.close()
+        assert [d.text for d in holder.get(new)] == ["finding 0", "finding 1"]
+        holder.put(later, stub_diagnostics(1))
+        holder.close()
+        [log] = logs(cache_dir)
+        assert record_keys(log) == [new, later]
+
     def test_sequential_writers_leave_one_segment(self, tmp_path):
         keys = keys_for(*(f"document {index}" for index in range(20)))
         for key in keys:
             cache = ResultCache(tmp_path / "cache")
             cache.put(key, stub_diagnostics(1))
             cache.close()
-        [segment] = segments(tmp_path / "cache")
+        [segment] = logs(tmp_path / "cache")
         assert record_keys(segment) == keys
         reader = ResultCache(tmp_path / "cache")
         assert all(reader.get(key) is not None for key in keys)
 
-    def test_concurrent_writers_take_a_segment_each(self, tmp_path):
-        first = ResultCache(tmp_path / "cache")
-        second = ResultCache(tmp_path / "cache")
-        a, b, c = keys_for("a", "b", "c")
-        first.put(a, [])
-        second.put(b, [])
-        assert len(segments(tmp_path / "cache")) == 2
-        first.close()
-        second.close()
-        ResultCache(tmp_path / "cache").put(c, [])
-        assert len(segments(tmp_path / "cache")) == 2
-
     def test_concurrent_writers_lose_nothing(self, tmp_path):
         """More writer processes than cores, two threads each, one
-        directory: every record lands whole, each segment has one writer."""
+        directory: every record lands whole in the one log."""
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
@@ -384,11 +414,10 @@ class TestSegmentLog:
             assert {key: len(reader.get(key)) for key in expected} == expected
         assert registry.snapshot().get("cache.lint.corrupt") is None
         written = [
-            key for segment in segments(tmp_path / "cache")
-            for key in record_keys(segment)
+            key for log in logs(tmp_path / "cache") for key in record_keys(log)
         ]
         assert sorted(written) == sorted(expected)
-        assert 1 <= len(segments(tmp_path / "cache")) <= 4
+        assert len(logs(tmp_path / "cache")) == 1
 
     def test_collected_instance_releases_its_segment(self, tmp_path):
         a, b = keys_for("a", "b")
@@ -396,11 +425,11 @@ class TestSegmentLog:
         cache.put(a, [])
         del cache
         ResultCache(tmp_path / "cache").put(b, [])
-        assert len(segments(tmp_path / "cache")) == 1
+        assert len(logs(tmp_path / "cache")) == 1
 
     def test_forked_child_does_not_hold_the_segment(self, tmp_path):
-        """A pool worker forked while a segment is open must not keep
-        its lock alive: the next writer adopts the segment anyway."""
+        """A pool worker forked while the log is open holds no lock on
+        it: the next writer appends to the same log."""
         import multiprocessing
 
         a, b = keys_for("a", "b")
@@ -416,31 +445,65 @@ class TestSegmentLog:
             assert started.wait(30)
             cache.close()
             ResultCache(tmp_path / "cache").put(b, [])
-            assert len(segments(tmp_path / "cache")) == 1
+            assert len(logs(tmp_path / "cache")) == 1
         finally:
             child.terminate()
             child.join()
 
-    def test_torn_tail_is_a_miss_and_cut_on_adoption(self, tmp_path):
+    def test_torn_tail_is_a_miss_and_cut_by_the_next_writer(self, tmp_path):
         cache_dir = tmp_path / "cache"
         keys = keys_for("first", "second", "third")
         cache = ResultCache(cache_dir)
         for key in keys:
             cache.put(key, stub_diagnostics(2))
         cache.close()
-        [segment] = segments(cache_dir)
-        _, end = record_spans(segment)[-1]
-        os.truncate(segment, end - 5)
+        [log] = logs(cache_dir)
+        _, end = record_spans(log)[-1]
+        os.truncate(log, end - 5)
         with use_registry() as registry:
             fresh = ResultCache(cache_dir)
             assert fresh.get(keys[0]) and fresh.get(keys[1])
             assert fresh.get(keys[2]) is None
             assert registry.snapshot().get("cache.lint.corrupt") is None
-            fresh.put(keys[2], stub_diagnostics(2))  # adopts: cuts the tail
+            fresh.put(keys[2], stub_diagnostics(2))  # opens the log: cuts the tail
             fresh.close()
         assert registry.snapshot().get("cache.lint.corrupt") == 1
-        assert record_keys(segment) == keys
-        assert segment.stat().st_size == end
+        assert record_keys(log) == keys
+        assert log.stat().st_size == end
+
+    @pytest.mark.parametrize("fragment", [10, 120])
+    def test_a_record_glued_onto_a_killed_writers_fragment_is_a_counted_miss(
+        self, tmp_path, fragment
+    ):
+        """A writer killed mid-record while another holds the log open:
+        the holder's next record lands on the fragment.  Whether the
+        fragment stops inside the record layout or past it, that line is
+        one counted miss and the records around it stay hits."""
+        cache_dir = tmp_path / "cache"
+        a, glued, after, killed = keys_for("a", "glued", "after", "killed")
+        holder = ResultCache(cache_dir)
+        holder.put(a, stub_diagnostics(1))  # opens the log
+        elsewhere = ResultCache(tmp_path / "elsewhere")
+        elsewhere.put(killed, stub_diagnostics(3))
+        elsewhere.close()
+        [other] = logs(tmp_path / "elsewhere")
+        [log] = logs(cache_dir)
+        with log.open("ab") as handle:  # the killed writer's partial line
+            handle.write(other.read_bytes()[:fragment])
+        holder.put(glued, stub_diagnostics(2))
+        holder.put(after, stub_diagnostics(2))
+        holder.close()
+        assert len(record_spans(log)) == 3
+        with use_registry() as registry:
+            reader = ResultCache(cache_dir)
+            assert reader.get(glued) is None
+            assert registry.snapshot().get("cache.lint.corrupt") == 1
+            assert reader.get(killed) is None
+            assert [d.text for d in reader.get(after)] == ["finding 0", "finding 1"]
+            assert [d.text for d in reader.get(a)] == ["finding 0"]
+        snapshot = registry.snapshot()
+        assert snapshot.get("cache.lint.corrupt") == 1
+        assert snapshot.get("cache.lint.misses") == 2
 
     @pytest.mark.parametrize("failure", ["short", "raises"])
     def test_failed_write_is_cut_back_and_counted(
@@ -450,8 +513,8 @@ class TestSegmentLog:
         a, b, c = keys_for("a", "b", "c")
         cache = ResultCache(cache_dir)
         cache.put(a, stub_diagnostics(1))
-        [segment] = segments(cache_dir)
-        size = segment.stat().st_size
+        [log] = logs(cache_dir)
+        size = log.stat().st_size
         real_write = os.write
 
         def failing_write(fd, data):
@@ -464,12 +527,12 @@ class TestSegmentLog:
             cache.put(b, stub_diagnostics(3))
         monkeypatch.undo()
         assert registry.snapshot().get("cache.lint.write_errors") == 1
-        assert segment.stat().st_size == size
+        assert log.stat().st_size == size
         assert cache.get(b) is not None  # the memory tier kept it
         cache.put(c, stub_diagnostics(1))
         cache.close()
-        assert record_keys(segment) == [a, c]
-        assert sorted(cache_dir.rglob("*")) == [cache_dir / "v2", segment]
+        assert record_keys(log) == [a, c]
+        assert sorted(cache_dir.rglob("*")) == [cache_dir / "v3", log]
 
     def test_read_only_directory_degrades_to_memory_only(
         self, tmp_path, monkeypatch
@@ -554,7 +617,7 @@ class TestKilledWriter:
         try:
             deadline = time.monotonic() + 60
             while killed.poll() is None and time.monotonic() < deadline:
-                if any(record_spans(segment) for segment in segments(cache_dir)):
+                if any(record_spans(log) for log in logs(cache_dir)):
                     break
                 time.sleep(0.002)
         finally:
@@ -565,9 +628,7 @@ class TestKilledWriter:
                 pass
             killed.wait()
         assert killed.returncode == -signal.SIGKILL, "finished before the kill"
-        completed = {
-            key for segment in segments(cache_dir) for key in record_keys(segment)
-        }
+        completed = {key for log in logs(cache_dir) for key in record_keys(log)}
         assert 0 < len(completed) < self.PAGES
 
         weblint_main(["--cache-dir", str(cache_dir), "--stats", *argv])
@@ -727,7 +788,7 @@ class TestWeblintCacheFlags:
         cache_dir = tmp_path / "cache"
         weblint_main(["--no-config", "--cache-dir", str(cache_dir), str(page)])
         capsys.readouterr()
-        assert len(segments(cache_dir)) == 1
+        assert len(logs(cache_dir)) == 1
         # With no FILE arguments: clear, report, exit clean (no stdin read).
         assert weblint_main(["--cache-dir", str(cache_dir), "--cache-clear"]) == 0
         assert "cache cleared (1 entries)" in capsys.readouterr().err

@@ -3,14 +3,13 @@
 These pin the robustness claims: the ad-hoc tokenizer and the checker
 never crash on arbitrary input (weblint's whole job is surviving broken
 HTML), positions stay within the document, the generator's output is
-always clean, the fixer's output is always *cleaner*, and a result-cache
-segment cut anywhere inside its last record loses only that record.
+always clean, the fixer's output is always *cleaner*, and the
+result-cache log cut at any byte loses only the records the cut reached.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 import tempfile
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from repro.core.cache import ResultCache, result_key
 from repro.core.diagnostics import Diagnostic
 from repro.core.messages import Category
 from repro.html.tokenizer import tokenize
+from repro.obs.metrics import use_registry
 from repro.workload import ErrorSeeder, PageGenerator
 
 # -- strategies -------------------------------------------------------------------
@@ -205,50 +205,90 @@ cache_entry = st.lists(
 
 
 class TestCacheSegmentTornTail:
-    """A writer killed mid-record leaves a torn tail in its segment."""
+    """A writer killed mid-record leaves a torn tail in the log."""
 
     @settings(max_examples=8, deadline=None)
     @given(st.lists(cache_entry, min_size=1, max_size=4))
     def test_truncation_inside_last_record(self, entries):
-        """Cut the segment at every byte offset inside its last record:
+        """Cut the log at every byte offset inside its last record:
         every earlier record is still a hit, the torn one a miss."""
-        keys = [result_key(f"document {index}", b"fp") for index in range(len(entries))]
-        stored = [
-            [
-                Diagnostic(
-                    message_id=message_id, category=Category.WARNING,
-                    text=text, line=line,
-                )
-                for message_id, text, line in findings
-            ]
-            for findings in entries
-        ]
+        keys, stored = _keys_and_diagnostics(entries)
         with tempfile.TemporaryDirectory() as directory:
-            cache = ResultCache(directory)
-            for key, diagnostics in zip(keys, stored):
-                cache.put(key, diagnostics)
-            cache.close()
-            [segment] = Path(directory, "v2").glob("seg-*.log")
-            data = segment.read_bytes()
-            for cut in range(len(data) - 1, _last_record_start(data) - 1, -1):
-                os.truncate(segment, cut)
+            log = _write_log(directory, keys, stored)
+            data = log.read_bytes()
+            for cut in range(len(data) - 1, _line_starts(data)[-1] - 1, -1):
+                os.truncate(log, cut)
                 reader = ResultCache(directory)
                 for key, diagnostics in zip(keys[:-1], stored):
-                    found = reader.get(key)
-                    assert found is not None
-                    assert [(d.message_id, d.text, d.line) for d in found] == [
-                        (d.message_id, d.text, d.line) for d in diagnostics
-                    ]
+                    assert _findings(reader.get(key)) == _findings(diagnostics)
                 assert reader.get(keys[-1]) is None
                 reader.close()
 
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(cache_entry, min_size=1, max_size=4))
+    def test_cut_anywhere_then_append(self, entries):
+        """Cut the log at any byte, then store one record from a fresh
+        writer: every record wholly before the cut hits with its own
+        rows, none after it hits, the new record hits, and the cut is
+        counted exactly when it tore a record."""
+        keys, stored = _keys_and_diagnostics(entries)
+        new_key = result_key("the record after the cut", b"fp")
+        new_rows = [Diagnostic(message_id="img-alt", category=Category.WARNING,
+                               text="after the cut", line=1)]
+        with tempfile.TemporaryDirectory() as directory:
+            log = _write_log(directory, keys, stored)
+            data = log.read_bytes()
+            ends = _line_starts(data)[1:] + [len(data)]
+            for cut in range(len(data) + 1):
+                log.write_bytes(data)
+                os.truncate(log, cut)
+                with use_registry() as registry:
+                    writer = ResultCache(directory)
+                    writer.put(new_key, new_rows)
+                    writer.close()
+                torn = cut not in ends and cut != 0
+                assert registry.snapshot().get("cache.lint.corrupt", 0) == torn
+                reader = ResultCache(directory)
+                for key, diagnostics, end in zip(keys, stored, ends):
+                    found = reader.get(key)
+                    if end <= cut:
+                        assert _findings(found) == _findings(diagnostics)
+                    else:
+                        assert found is None
+                assert _findings(reader.get(new_key)) == _findings(new_rows)
+                reader.close()
 
-def _last_record_start(data: bytes) -> int:
-    """Offset of a segment's last record, walking the documented
-    header (magic, raw key, payload length, crc32)."""
-    header = struct.Struct("<4s32sII")
-    offset = start = 0
-    while offset < len(data):
-        start = offset
-        offset += header.size + header.unpack_from(data, offset)[2]
-    return start
+
+def _keys_and_diagnostics(entries) -> tuple[list[str], list[list[Diagnostic]]]:
+    keys = [result_key(f"document {index}", b"fp") for index in range(len(entries))]
+    stored = [
+        [
+            Diagnostic(
+                message_id=message_id, category=Category.WARNING,
+                text=text, line=line,
+            )
+            for message_id, text, line in findings
+        ]
+        for findings in entries
+    ]
+    return keys, stored
+
+
+def _write_log(directory: str, keys, stored) -> Path:
+    cache = ResultCache(directory)
+    for key, diagnostics in zip(keys, stored):
+        cache.put(key, diagnostics)
+    cache.close()
+    [log] = Path(directory, "v3").glob("*")
+    return log
+
+
+def _findings(diagnostics):
+    if diagnostics is None:
+        return None
+    return [(d.message_id, d.text, d.line) for d in diagnostics]
+
+
+def _line_starts(data: bytes) -> list[int]:
+    """Offset of every record line of the log: one JSON object a line."""
+    return [0] + [index + 1 for index, byte in enumerate(data[:-1]) if byte == 0x0A]

@@ -9,10 +9,21 @@ The contract under test (docs/architecture.md, "Batch pipeline"):
 - worker metrics merge back into the parent registry, so totals under
   parallelism equal the sequential totals;
 - sources read lazily and exactly once, and ``keep_text`` hands the
-  single read back to the caller.
+  single read back to the caller;
+- the process pool's shutdown is bounded, and its workers exit when
+  their owner dies.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +34,7 @@ from repro.core.service import (
     LintRequest,
     LintResult,
     LintService,
+    ParallelExecutor,
     PathSource,
     SourceError,
     StdinSource,
@@ -176,6 +188,82 @@ class TestPoolFallback:
                 [LintRequest(PathSource(p)) for p in corpus_dir], jobs=2
             )
         assert registry.value("lint.pool.fallbacks") == 0
+
+
+class TestPoolTeardown:
+    """The pool never hangs its owner's shutdown, nor outlives its owner."""
+
+    def test_a_stopped_worker_is_killed_after_the_shutdown_wait(
+        self, monkeypatch
+    ):
+        import repro.core.service as service_module
+
+        monkeypatch.setattr(service_module, "_SHUTDOWN_WAIT_S", 0.5)
+        executor = ParallelExecutor(LintService(), 2)
+        documents = [LintRequest(StringSource(f"<p>{i}</p>")) for i in range(6)]
+        assert len(list(executor.iter_run(documents))) == 6
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2
+        os.kill(workers[0].pid, signal.SIGSTOP)
+        stopped = threading.Event()
+        try:
+            with use_registry() as registry:
+                started = time.monotonic()
+                threading.Thread(
+                    target=lambda: (executor.shutdown(), stopped.set()), daemon=True
+                ).start()
+                assert stopped.wait(10), "shutdown() waited on a stopped worker"
+            assert time.monotonic() - started < 5
+            # The stopped worker, and its sibling too if the stopped one
+            # held the task queue's read lock.
+            assert registry.value("lint.pool.kills") in (1, 2)
+            assert multiprocessing.active_children() == []
+        finally:
+            for worker in workers:  # unblocks a shutdown that hung
+                try:
+                    os.kill(worker.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            stopped.wait(10)
+
+    def test_workers_exit_when_their_owner_is_killed(self):
+        """The workers inherit the owner's stdout, so the pipe reaches
+        EOF only once the owner and every worker have exited."""
+        import repro
+
+        script = (
+            "import time\n"
+            "from repro.core.service import (\n"
+            "    LintRequest, LintService, ParallelExecutor, StringSource)\n"
+            "executor = ParallelExecutor(LintService(), 2)\n"
+            "batch = [LintRequest(StringSource(f'<p>{i}</p>')) for i in range(6)]\n"
+            "assert len(list(executor.iter_run(batch))) == 6\n"
+            "print('ready', flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        owner = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            env=env,
+            start_new_session=True,
+        )
+        ended = threading.Event()
+        try:
+            assert owner.stdout.readline() == b"ready\n"
+            os.kill(owner.pid, signal.SIGKILL)
+            owner.wait()
+            threading.Thread(
+                target=lambda: (owner.stdout.read(), ended.set()), daemon=True
+            ).start()
+            assert ended.wait(5), "the owner's workers outlived it"
+        finally:
+            try:  # the owner's session: any worker left behind
+                os.killpg(owner.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            ended.wait(5)
+            owner.stdout.close()
 
 
 class TestCheckManyParity:
