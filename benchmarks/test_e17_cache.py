@@ -14,8 +14,13 @@ lint results, exactly what ``poacher --state-dir`` wires up):
 
 It asserts the incremental contract -- warm output identical to cold,
 warm wall clock >= 5x faster, zero bytes re-transferred -- then mutates
-one page and asserts a third crawl pays for exactly that page.  Numbers
-land in ``BENCH_cache.json``.
+one page and asserts a third crawl pays for exactly that page.
+
+A second scenario re-checks a 400-page directory with ``-R``'s
+in-process entry point, ``SiteChecker.check_directory``, over a disk
+``ResultCache``: the cold run tokenizes each page once (the lint pass
+also collects its links), the warm run not at all (the cache record
+holds the links).  Numbers land in ``BENCH_cache.json``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from repro.core.service import LintService
 from repro.obs import use_registry
 from repro.robot.poacher import Poacher
 from repro.robot.traversal import TraversalPolicy
+from repro.site.sitecheck import SiteChecker
+from repro.workload import PageGenerator
 from repro.www.client import UserAgent
 from repro.www.httpcache import HttpCache
 from repro.www.virtualweb import VirtualWeb
@@ -187,3 +194,58 @@ def lint_fingerprint_page(report, page):
     return mine is not None and [str(d) for d in mine.diagnostics] == [
         str(d) for d in page.diagnostics
     ]
+
+
+#: The warm ``-R`` scenario's site: ROADMAP item 2's 400-page site.
+SITE_PAGES = 400
+
+
+def check_site(site: Path, cache_dir: Path):
+    """One ``weblint -R --cache-dir``-shaped check, in process."""
+    service = LintService(cache=ResultCache(cache_dir))
+    with use_registry() as registry:
+        start = time.perf_counter()
+        report = SiteChecker(service=service).check_directory(site)
+        elapsed = time.perf_counter() - start
+        snapshot = registry.snapshot()
+    return [str(d) for d in report.all_diagnostics()], elapsed, snapshot
+
+
+def test_e17_warm_site_recheck(tmp_path):
+    site = tmp_path / "site"
+    site.mkdir()
+    for name, text in PageGenerator(seed=3).iter_site(SITE_PAGES):
+        (site / name).write_text(text, encoding="utf-8")
+
+    cold_out, cold_s, cold_m = check_site(site, tmp_path / "cache")
+    warm_out, warm_s, warm_m = check_site(site, tmp_path / "cache")
+
+    assert warm_out == cold_out
+    assert warm_m.get("cache.lint.hits") == SITE_PAGES
+    # One tokenizer pass per page cold -- lint and links together --
+    # and none warm: the cache serves links with the diagnostics.
+    assert cold_m.get("tokenizer.documents") == SITE_PAGES
+    assert warm_m.get("tokenizer.documents", 0) == 0
+
+    record(
+        "BENCH_cache.json",
+        "e17_site",
+        pages=SITE_PAGES,
+        cold_wall_s=round(cold_s, 4),
+        warm_wall_s=round(warm_s, 4),
+        speedup=round(cold_s / warm_s, 3) if warm_s else None,
+        cold_tokenized_pages=cold_m.get("tokenizer.documents", 0),
+        warm_tokenized_pages=warm_m.get("tokenizer.documents", 0),
+    )
+    print_table(
+        "E17: warm -R re-check of a 400-page site (in process)",
+        [
+            ("pages", SITE_PAGES),
+            ("cold wall", f"{cold_s:.3f} s"),
+            ("warm wall", f"{warm_s:.3f} s"),
+            ("tokenized pages (cold/warm)",
+             f"{cold_m.get('tokenizer.documents', 0)}/"
+             f"{warm_m.get('tokenizer.documents', 0)}"),
+        ],
+        headers=("measure", "result"),
+    )

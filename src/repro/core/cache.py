@@ -27,16 +27,21 @@ Two tiers:
   checks inside one process -- the site checker re-linting a template
   shared by many pages hits this tier;
 - an optional disk tier (``directory=``): one append-only log,
-  ``<directory>/v3/results.jsonl``, shared by every process that opens
+  ``<directory>/v4/results.jsonl``, shared by every process that opens
   the directory.
 
 Each record is one JSON-object line::
 
-    {"k":"<hex key>","c":"<hex crc32 of key and rows>","d":<rows>}
+    {"k":"<hex key>","c":"<hex crc32 of key and body>",<body>}
 
-where the rows are the entry's diagnostics.  The key and the crc sit at
-fixed offsets, so indexing the log never decodes rows.  The rules that
-keep it safe:
+whose body is ``"d":<rows>``, the entry's diagnostics, followed -- when
+the lint that stored it collected them -- by ``,"l":<links>,"a":<anchors>``:
+the page's links as ``[url, line, element, kind]`` rows and its anchor
+names, sorted.  A hit on a record with links hands them back, so a page
+that is linted and link-checked again is not tokenized at all; a record
+without them (stored by a batch that did not want links) still serves
+its diagnostics.  The key and the crc sit at fixed offsets, so indexing
+the log never decodes a body.  The rules that keep it safe:
 
 - *Appends go through* :class:`repro.store.JsonLog`: one ``os.write``
   per record under the log's exclusive file lock, so writers in any
@@ -58,7 +63,8 @@ keep it safe:
 - *No fsync.*  An entry lost to a crash is a miss that costs one lint;
   the crc and the torn-tail rule are what keep it from being a wrong hit.
 - *Clearing.*  :meth:`ResultCache.clear` (``weblint --cache-clear``)
-  deletes the log, ``v3/`` once empty, a version-2 segment directory
+  deletes the log, ``v4/`` once empty, a version-3 log
+  (``<directory>/v3/results.jsonl``), a version-2 segment directory
   (``<directory>/v2/seg-*.log``) and a version-1 tree
   (``<directory>/<key[:2]>/<key>.json`` plus its leftover ``.tmp``
   files); nothing else in the directory.
@@ -82,26 +88,28 @@ import threading
 import weakref
 import zlib
 from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Optional, Sequence, Union
 
 from repro.core import constants
 from repro.core.diagnostics import Diagnostic
 from repro.core.messages import Category
+from repro.html.links import Link
 from repro.obs.metrics import get_registry
 from repro.store import JsonLog
 
 #: Bump when the on-disk entry layout changes; old entries become misses.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Filename a hit is bound to when the caller names none.
 _UNBOUND = "-"
 
 #: The log under ``<directory>/v<FORMAT_VERSION>/``.
 _LOG_NAME = "results.jsonl"
-#: A record line up to its rows: fixed width, so the key, the crc and
-#: the rows start at the same offsets in every record.
-_RECORD = re.compile(rb'\{"k":"([0-9a-f]{64})","c":"([0-9a-f]{8})","d":')
+#: A record line up to its body: fixed width, so the key, the crc and
+#: the body start at the same offsets in every record.
+_RECORD = re.compile(rb'\{"k":"([0-9a-f]{64})","c":"([0-9a-f]{8})",')
 #: A version-2 segment, and a version-1 shard directory (the first two
 #: hex digits of the key).
 _V2_SEGMENT = re.compile(r"seg-[0-9a-f]{16}\.log")
@@ -177,8 +185,19 @@ def _diagnostic_from_dict(raw: dict, filename: str) -> Diagnostic:
     )
 
 
-def _crc(key: bytes, rows: bytes) -> int:
-    return zlib.crc32(rows, zlib.crc32(key))
+def _crc(key: bytes, body: bytes) -> int:
+    return zlib.crc32(body, zlib.crc32(key))
+
+
+@dataclass
+class CachedResult:
+    """What a hit serves: the diagnostics, and the page's links and
+    anchors when the lint that stored them collected them (else
+    ``None``)."""
+
+    diagnostics: list[Diagnostic]
+    links: Optional[list[Link]] = None
+    anchors: Optional[set[str]] = None
 
 
 class ResultCache:
@@ -197,7 +216,8 @@ class ResultCache:
     ) -> None:
         self.directory = Path(directory) if directory is not None else None
         self.memory_entries = max(1, memory_entries)
-        self._memory: OrderedDict[str, list[dict]] = OrderedDict()
+        #: key -> the decoded record: {"d": rows[, "l": links, "a": anchors]}
+        self._memory: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()
         self._path = (
             self.directory / f"v{FORMAT_VERSION}" / _LOG_NAME
@@ -221,57 +241,79 @@ class ResultCache:
 
     # -- lookup ------------------------------------------------------------
 
-    def get(self, key: str, filename: str = _UNBOUND) -> Optional[list[Diagnostic]]:
-        """The cached diagnostics for ``key``, re-bound to ``filename``.
+    def get(self, key: str, filename: str = _UNBOUND) -> Optional[CachedResult]:
+        """The cached result for ``key``, its diagnostics re-bound to
+        ``filename``.
 
         Returns ``None`` on a miss; a damaged disk entry is a miss,
         never an error.
         """
         registry = get_registry()
         with self._lock:
-            rows = self._memory.get(key)
-            if rows is not None:
+            record = self._memory.get(key)
+            if record is not None:
                 self._memory.move_to_end(key)
-        if rows is None:
-            rows = self._load(key)
-            if rows is not None:
-                self._remember(key, rows)
-        if rows is None:
+        if record is None:
+            record = self._load(key)
+            if record is not None:
+                self._remember(key, record)
+        if record is None:
             registry.inc("cache.lint.misses")
             return None
         registry.inc("cache.lint.hits")
         try:
-            return [_diagnostic_from_dict(row, filename) for row in rows]
+            result = CachedResult(
+                [_diagnostic_from_dict(row, filename) for row in record["d"]]
+            )
+            if "l" in record:
+                result.links = [Link(*row) for row in record["l"]]
+                result.anchors = set(record["a"])
         except (KeyError, TypeError, ValueError):
-            # An entry whose crc held but that does not describe
-            # diagnostics (a future format, say) degrades to a miss too.
+            # An entry whose crc held but that does not describe a
+            # result (a future format, say) degrades to a miss too.
             registry.inc("cache.lint.corrupt")
             registry.inc("cache.lint.misses")
             return None
+        return result
 
-    def put(self, key: str, diagnostics: Sequence[Diagnostic]) -> None:
-        """Store ``diagnostics`` under ``key`` (memory, then disk)."""
+    def put(
+        self,
+        key: str,
+        diagnostics: Sequence[Diagnostic],
+        links: Optional[Sequence[Link]] = None,
+        anchors: Optional[Iterable[str]] = None,
+    ) -> None:
+        """Store ``diagnostics`` -- and the page's ``links`` and
+        ``anchors`` when the lint collected them -- under ``key``
+        (memory, then disk)."""
         registry = get_registry()
-        rows = [_diagnostic_to_dict(d) for d in diagnostics]
+        record: dict = {"d": [_diagnostic_to_dict(d) for d in diagnostics]}
+        if links is not None:
+            record["l"] = [
+                [link.url, link.line, link.element, link.kind] for link in links
+            ]
+            record["a"] = sorted(anchors or ())
         try:
-            payload = json.dumps(rows, separators=(",", ":"))
+            # The record's body is the object without its braces.
+            body = json.dumps(record, separators=(",", ":"))[1:-1]
         except (TypeError, ValueError):
             # A plugin rule put something non-JSON in arguments; caching
             # this entry would lose information, so skip it.
             registry.inc("cache.lint.unserialisable")
             return
-        self._remember(key, rows)
+        self._remember(key, record)
         registry.inc("cache.lint.stores")
-        if self._path is not None and not self._append(key, payload):
+        if self._path is not None and not self._append(key, body):
             # A read-only or full cache directory degrades to memory-only.
             registry.inc("cache.lint.write_errors")
 
     def clear(self) -> int:
         """Drop every entry (both tiers); returns entries removed on disk.
 
-        Removes this format's log, a version-2 segment directory and a
-        version-1 shard tree.  Counts the log's distinct keys and the
-        version-1 entries (one file each); version-2 segments go unread.
+        Removes this format's log, the version-3 log, a version-2
+        segment directory and a version-1 shard tree.  Counts the log's
+        distinct keys and the version-1 entries (one file each); the
+        version-3 log and version-2 segments go unread.
         """
         with self._lock:
             self._memory.clear()
@@ -285,6 +327,7 @@ class ResultCache:
             except OSError:
                 pass
             _sweep(self._path.parent, lambda name: name == _LOG_NAME)
+        _sweep(self.directory / "v3", lambda name: name == _LOG_NAME)
         _sweep(self.directory / "v2", _V2_SEGMENT.fullmatch)
         legacy = 0
         for name in _listdir(self.directory):
@@ -307,9 +350,9 @@ class ResultCache:
 
     # -- internals ---------------------------------------------------------
 
-    def _remember(self, key: str, rows: list[dict]) -> None:
+    def _remember(self, key: str, record: dict) -> None:
         with self._lock:
-            self._memory[key] = rows
+            self._memory[key] = record
             self._memory.move_to_end(key)
             while len(self._memory) > self.memory_entries:
                 self._memory.popitem(last=False)
@@ -322,10 +365,10 @@ class ResultCache:
         self._index.clear()
         self._scanned = 0
 
-    def _append(self, key: str, payload: str) -> bool:
+    def _append(self, key: str, body: str) -> bool:
         """Append one record; ``False`` when it could not be written whole."""
-        crc = _crc(key.encode("ascii"), payload.encode("ascii"))
-        line = f'{{"k":"{key}","c":"{crc:08x}","d":{payload}}}\n'
+        crc = _crc(key.encode("ascii"), body.encode("ascii"))
+        line = f'{{"k":"{key}","c":"{crc:08x}",{body}}}\n'
         with self._disk:
             if self._writer is None:
                 if self._unwritable:
@@ -345,7 +388,7 @@ class ResultCache:
                 return False
         return True
 
-    def _load(self, key: str) -> Optional[list[dict]]:
+    def _load(self, key: str) -> Optional[dict]:
         if self._path is None:
             return None
         with self._disk:
@@ -357,22 +400,22 @@ class ResultCache:
                     return None
             offset, length, crc = entry
             try:
-                payload = os.pread(self._reader.fileno(), length, offset)
+                body = os.pread(self._reader.fileno(), length, offset)
             except OSError:
-                payload = b""
-            if len(payload) != length or _crc(key.encode("ascii"), payload) != crc:
+                body = b""
+            if len(body) != length or _crc(key.encode("ascii"), body) != crc:
                 del self._index[key]
-                payload = None
-        rows = None
-        if payload is not None:
+                body = None
+        record = None
+        if body is not None:
             try:
-                rows = json.loads(payload)
+                record = json.loads(b"{" + body + b"}")
             except ValueError:
                 pass
-        if not isinstance(rows, list):
+        if not isinstance(record, dict) or not isinstance(record.get("d"), list):
             get_registry().inc("cache.lint.corrupt")
             return None
-        return rows
+        return record
 
     def _refresh(self) -> None:
         """Index the whole lines appended since the last look (``_disk`` held).
@@ -423,9 +466,9 @@ def _index_lines(
         match = _RECORD.match(data, start, end)
         # A record's line ends with the "}" that closes it.
         if match and data[end - 1] == 0x7D:
-            rows, crc = match.end(), int(match[2], 16)
-            if _crc(match[1], view[rows : end - 1]) == crc:
-                index[match[1].decode("ascii")] = (base + rows, end - 1 - rows, crc)
+            body, crc = match.end(), int(match[2], 16)
+            if _crc(match[1], view[body : end - 1]) == crc:
+                index[match[1].decode("ascii")] = (base + body, end - 1 - body, crc)
                 start = end + 1
                 continue
         damaged += 1

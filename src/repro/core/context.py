@@ -20,6 +20,7 @@ from typing import Optional
 from repro.config.options import Options
 from repro.core.diagnostics import Diagnostic
 from repro.obs.profile import get_profiler
+from repro.html.links import Link
 from repro.html.spec import ElementDef, HTMLSpec
 from repro.html.tokens import StartTag
 
@@ -60,6 +61,9 @@ class CheckContext:
         self.filename = filename
         self.diagnostics: list[Diagnostic] = []
         self.suppressed_count = 0
+        #: The page's links and anchors, when the check collected them.
+        self.links: Optional[list[Link]] = None
+        self.anchors: Optional[set[str]] = None
 
         # Effective enabled set.  Starts as the configured set; inline
         # configuration comments (<!-- weblint: disable x -->) adjust it

@@ -59,6 +59,7 @@ from repro.core.rules import default_rules
 from repro.core.rules.base import Rule
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from repro.html.links import LinkFilter
 from repro.html.spec import ElementDef, HTMLSpec, get_spec
 from repro.html.tokenizer import iter_tokens
 from repro.html.tokens import (
@@ -118,14 +119,24 @@ class Engine:
         """The compiled (cached) table for this engine's configuration."""
         return get_table(self.spec, self.options, tuple(self.rules))
 
-    def check(self, source: str, filename: str = "-") -> CheckContext:
-        """Run the stack machine over ``source``; returns the context."""
+    def check(
+        self, source: str, filename: str = "-", links: bool = False
+    ) -> CheckContext:
+        """Run the stack machine over ``source``; returns the context.
+
+        With ``links`` the same token feed also yields the page's links
+        and anchors (``context.links`` / ``context.anchors``), so a page
+        that is linted and link-checked is tokenized once.
+        """
         tracer = get_tracer()
         with tracer.span("engine.tokenize", file=filename):
             # The streaming feed does its scanning lazily, interleaved
             # with dispatch; this span records stream + table setup (the
             # scan itself lands inside engine.dispatch).
             tokens = iter_tokens(source)
+            if links:
+                # Wrapped only when asked: the plain feed stays bare.
+                tokens = page = LinkFilter(tokens)
             table = self.dispatch_table()
         context = CheckContext(self.spec, self.options, filename)
         if context.profiler is not None:
@@ -143,6 +154,8 @@ class Engine:
         with tracer.span("engine.finish", file=filename):
             self._finish(context, table)
             run_hooks(table.end_document, context)
+        if links:
+            context.links, context.anchors = page.links, page.anchors
 
         registry = get_registry()
         registry.inc("engine.documents")

@@ -10,10 +10,13 @@ once:
 
 - :class:`DocumentSource` -- where a document comes from.  Sources read
   lazily and exactly once; the text is cached so a caller can lint *and*
-  post-process (link extraction, page weight) from a single read.
+  post-process (page weight) from a single read.
 - :class:`LintRequest` / :class:`LintResult` -- one unit of batch work.
   A failed read or fetch becomes a structured ``LintResult.error``
   instead of an exception, so one bad document never aborts a batch.
+  A request may also ask for the page's links and anchors, which the
+  lint pass collects from its own token feed and the result cache
+  keeps beside the diagnostics.
 - :class:`LintService` -- owns options + spec + registry + compiled
   dispatch tables once, and exposes ``check(request)`` plus
   ``check_many(requests, jobs=N)``.  Give it a
@@ -58,6 +61,7 @@ from repro.core.diagnostics import Diagnostic
 from repro.core.engine import Engine
 from repro.core.registry import RuleRegistry, default_registry
 from repro.core.rules.base import Rule
+from repro.html.links import Link, scan_page
 from repro.html.spec import HTMLSpec, get_spec
 from repro.obs.events import get_event_log
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry, use_registry
@@ -77,7 +81,7 @@ class DocumentSource:
 
     ``text()`` performs the read on first call and caches it, so the
     pipeline can share a single read between linting and any follow-up
-    analysis (link extraction, page weight).  Failures raise
+    analysis (page weight).  Failures raise
     :class:`SourceError`; the service converts that into a structured
     ``LintResult.error``.
     """
@@ -181,14 +185,15 @@ class URLSource(DocumentSource):
 class LintRequest:
     """One document to check.
 
-    ``keep_text`` asks the pipeline to return the document text on the
-    result -- the single-read contract for callers that need the source
-    for further analysis (the site checker's link extraction, the
-    gateway's page-weight table).
+    ``links`` asks for the page's links and anchors on the result --
+    for callers that check links as well as markup (the site checker,
+    poacher, the gateway's page-weight table).  The lint pass collects
+    them from the tokens it lints, and the result cache stores them, so
+    the page is tokenized once at most.
     """
 
     source: DocumentSource
-    keep_text: bool = False
+    links: bool = False
 
 
 @dataclass
@@ -197,13 +202,15 @@ class LintResult:
 
     Exactly one of two shapes: diagnostics (``error is None``), or a
     structured error string for a document that could not be read or
-    fetched.  Errors never abort the batch.
+    fetched.  Errors never abort the batch.  ``links`` and ``anchors``
+    are set when the request asked for them and the document was read.
     """
 
     name: str
     diagnostics: list[Diagnostic] = field(default_factory=list)
     error: Optional[str] = None
-    text: Optional[str] = None
+    links: Optional[list[Link]] = None
+    anchors: Optional[set[str]] = None
 
     @property
     def ok(self) -> bool:
@@ -415,18 +422,22 @@ class LintService:
             return None, key
         registry = get_registry()
         registry.inc("lint.files")
-        for diagnostic in cached:
+        for diagnostic in cached.diagnostics:
             registry.inc(f"lint.diagnostics.{diagnostic.category.value}")
-        return LintResult(
-            name=source.name,
-            diagnostics=cached,
-            text=text if request.keep_text else None,
-        ), None
+        result = LintResult(name=source.name, diagnostics=cached.diagnostics)
+        if request.links:
+            if cached.links is None:
+                # Stored by a lint that did not want links: scan for
+                # them, and leave the record as it is.
+                result.links, result.anchors = scan_page(text)
+            else:
+                result.links, result.anchors = cached.links, cached.anchors
+        return result, None
 
     def _store(self, key: Optional[str], result: LintResult) -> LintResult:
         """Write a fresh result under the key :meth:`_lookup` returned."""
         if key is not None and result.ok:
-            self.cache.put(key, result.diagnostics)
+            self.cache.put(key, result.diagnostics, result.links, result.anchors)
         return result
 
     def _unreadable(self, source: DocumentSource, exc: SourceError) -> LintResult:
@@ -446,7 +457,7 @@ class LintService:
         registry = get_registry()
         start = time.perf_counter()
         with get_tracer().span("lint.file", file=source.name):
-            context = self.engine.check(text, source.name)
+            context = self.engine.check(text, source.name, links=request.links)
         diagnostics = context.sorted_diagnostics()
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         registry.inc("lint.files")
@@ -467,7 +478,8 @@ class LintService:
         return LintResult(
             name=source.name,
             diagnostics=diagnostics,
-            text=text if request.keep_text else None,
+            links=context.links,
+            anchors=context.anchors,
         )
 
     def check_many(
@@ -709,8 +721,7 @@ class ParallelExecutor:
                     yield index, service._unreadable(source, exc)
                     continue
                 request = LintRequest(
-                    StringSource(text, name=source.name),
-                    keep_text=request.keep_text,
+                    StringSource(text, name=source.name), links=request.links
                 )
             pending.append((index, request, key))
         if len(pending) < 2:

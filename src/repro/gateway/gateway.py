@@ -41,6 +41,7 @@ from repro.gateway.htmlreport import (
     render_table,
 )
 from repro.obs.metrics import get_registry
+from repro.site.links import Link
 from repro.www.client import UserAgent
 
 
@@ -120,30 +121,28 @@ class Gateway:
             service = LintService(options=options)
         source_kind = sources[0]
         label = "pasted HTML"
-        # keep_text=True shares the single fetch/read between linting and
-        # the page-weight table -- the page is never fetched twice.
+        # The page-weight table needs the page's size and resource links:
+        # the lint pass collects the links, and the source caches its one
+        # fetch or read -- the page is never fetched or tokenized twice.
         if source_kind == "url":
             url = form.get("url")
             label = url
-            request = LintRequest(URLSource(url, agent=self.agent), keep_text=True)
+            source = URLSource(url, agent=self.agent)
         else:
             if source_kind == "upload":
                 label = form.get("filename", "uploaded file")
-            request = LintRequest(
-                StringSource(form.get(source_kind), name=label), keep_text=True
-            )
-        result = service.check(request)
+            source = StringSource(form.get(source_kind), name=label)
+        result = service.check(LintRequest(source, links=True))
         if result.error is not None:
             return self._error(502, f"Could not fetch the page: {result.error}")
-        diagnostics = result.diagnostics
-        body = result.text or ""
 
         return GatewayResponse(
             status=200,
             body=self._render_report(
                 label,
-                body,
-                diagnostics,
+                source.text(),
+                result.links,
+                result.diagnostics,
                 options,
                 include_stats=bool(form.get("stats")),
             ),
@@ -163,6 +162,7 @@ class Gateway:
         self,
         label: str,
         body: str,
+        links: list[Link],
         diagnostics: list[Diagnostic],
         options: Options,
         include_stats: bool = False,
@@ -173,7 +173,7 @@ class Gateway:
             self.reporter.report(diagnostics),
         ]
         if body:
-            weight = estimate_page_weight(body)
+            weight = estimate_page_weight(body, links)
             fragments.append("<h2>Page weight</h2>")
             fragments.append(render_table(weight.rows(), summary="page weight"))
         if include_stats:

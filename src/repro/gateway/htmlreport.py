@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import html as _html
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from repro.site.links import extract_links
+from repro.site.links import Link, extract_links
 
 #: modem speeds of the era (bits per second) -> label.
 MODEM_SPEEDS = (
@@ -46,13 +47,19 @@ class PageWeight:
 
 def estimate_page_weight(
     source: str,
+    links: Optional[Sequence[Link]] = None,
     resource_bytes: int = ASSUMED_IMAGE_BYTES,
 ) -> PageWeight:
-    """Estimate page weight and modem download times."""
+    """Estimate page weight and modem download times.
+
+    ``links`` are the page's links when the caller already has them
+    (the gateway's lint pass collects them); otherwise they are
+    extracted from ``source``.
+    """
     html_bytes = len(source.encode("utf-8"))
-    resources = [
-        link for link in extract_links(source) if link.kind == "resource"
-    ]
+    if links is None:
+        links = extract_links(source)
+    resources = [link for link in links if link.kind == "resource"]
     total = html_bytes + len(resources) * resource_bytes
     download = {
         label: (total * 8) / speed for speed, label in MODEM_SPEEDS

@@ -7,6 +7,8 @@ language, independent of any particular check:
 - :mod:`repro.html.tokenizer` -- the ad-hoc, heuristic tokenizer described
   in section 5.1 of the paper.
 - :mod:`repro.html.entities` -- named and numeric character references.
+- :mod:`repro.html.links` -- the links and anchors a token stream holds,
+  collected by a filter the engine can lint through.
 - :mod:`repro.html.spec` -- the :class:`~repro.html.spec.HTMLSpec` tables
   that drive the checker (the ``Weblint::HTML40`` idea).
 - :mod:`repro.html.html32` / :mod:`repro.html.html40` /

@@ -10,11 +10,12 @@ this class makes a one-liner::
     report.total_problems()
 
 Every crawled page goes through one audit, :meth:`Poacher._audit`: lint
-the body, validate each link once in link order, and build the page's
-``bad-link`` / ``bad-fragment`` findings.  :meth:`Poacher.crawl` keeps
-the resulting :class:`PageResult` objects as a buffered
-:class:`CrawlReport`; :meth:`Poacher.crawl_stream` folds the same
-diagnostics into a bounded rollup as pages complete.
+the body -- the same pass, or the lint cache, yields the page's links
+and anchors, which the robot then follows -- validate each link once in
+link order, and build the page's ``bad-link`` / ``bad-fragment``
+findings.  :meth:`Poacher.crawl` keeps the resulting :class:`PageResult`
+objects as a buffered :class:`CrawlReport`; :meth:`Poacher.crawl_stream`
+folds the same diagnostics into a bounded rollup as pages complete.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Union
 from repro.config.options import Options
 from repro.core.diagnostics import Diagnostic
 from repro.core.linter import Weblint
-from repro.core.service import LintResult, LintService, StringSource
+from repro.core.service import LintRequest, LintResult, LintService, StringSource
 from repro.robot.frontier import FrontierJournal, shard_owns
 from repro.robot.linkcheck import FragmentChecker, LinkChecker, LinkStatus
 from repro.robot.traversal import CrawlProgress, Robot, TraversalPolicy
@@ -150,23 +151,26 @@ class Poacher:
         self.fragment_checker = FragmentChecker(agent)
 
     def _audit(
-        self, url: str, response: Response, links: list[Link], anchors: set[str]
+        self, url: str, response: Response
     ) -> tuple[PageResult, list[Diagnostic]]:
         """Lint one crawled page and validate each of its links once.
 
         The one per-page audit behind both crawl modes.  Returns the
         page's :class:`PageResult` -- which alone also keeps the moved
-        links, because redirects are not problems -- and its
-        ``bad-link`` / ``bad-fragment`` diagnostics in link order, as
+        links, because redirects are not problems; its ``links`` are
+        what the robot follows -- and its ``bad-link`` /
+        ``bad-fragment`` diagnostics in link order, as
         :func:`~repro.site.links.judge_link` decides them.  A fragment
-        into the page itself is judged by the page's own ``anchors``.
+        into the page itself is judged by the page's own anchors.
         With ``follow_links`` off no link is checked at all.
         """
+        lint = self.service.check(
+            LintRequest(StringSource(response.body, name=url), links=True)
+        )
+        links, anchors = lint.links, lint.anchors
         result = PageResult(
             url=url,
-            diagnostics=self.service.check(
-                StringSource(response.body, name=url)
-            ).diagnostics,
+            diagnostics=lint.diagnostics,
             links=links,
             size_bytes=len(response.body),
         )
@@ -217,8 +221,10 @@ class Poacher:
         """
         report = CrawlReport(start_url=start_url)
 
-        def on_page(*page) -> None:  # url, response, links, anchors
-            report.pages.append(self._audit(*page)[0])
+        def on_page(url: str, response: Response) -> list[Link]:
+            page = self._audit(url, response)[0]
+            report.pages.append(page)
+            return page.links
 
         self.robot.crawl(start_url, on_page, progress=progress, resume=resume)
         # Pages arrive in completion order; the canonical report sorts
@@ -274,11 +280,12 @@ class Poacher:
                     LintResult(name=url, diagnostics=diagnostics, error=error)
                 )
 
-        def on_page(url: str, *page) -> None:  # response, links, anchors
-            result, findings = self._audit(url, *page)
+        def on_page(url: str, response: Response) -> list[Link]:
+            result, findings = self._audit(url, response)
             diagnostics = [*result.diagnostics, *findings]
             rollup.add_page(url, diagnostics)
             emit(url, diagnostics)
+            return result.links
 
         try:
             self.robot.crawl(

@@ -6,6 +6,13 @@ default, honours robots.txt, and hands every fetched page to a
 callback.  Both poacher and ad-hoc scripts build on this engine, just
 as the paper's poacher builds on the Perl robot module.
 
+The callback processes the page and returns its links, which the robot
+then follows.  Poacher's callback lints the page and gets the links from
+the same tokenizer pass (or from the lint cache), so a crawled page is
+tokenized once at most.  The robot scans a page for links itself only
+when no callback processes it: there is none, or another shard owns the
+page.
+
 The frontier is the continuously-fed scheduler of
 :mod:`repro.robot.frontier`: a priority queue ordered by (depth,
 discovery order) behind a request-fingerprint dupefilter, with per-host
@@ -61,14 +68,16 @@ from repro.robot.frontier import (
     ResumeState,
     shard_owns,
 )
-from repro.site.links import scan_page
+from repro.site.links import Link, scan_page
 from repro.www.client import FetchError, UserAgent
 from repro.www.httpcache import body_digest
 from repro.www.message import Headers, Response
 from repro.www.robotstxt import RobotsTxt
 from repro.www.url import URL, urljoin, urlparse
 
-PageCallback = Callable[[str, Response, list, set], None]
+#: ``on_page(url, response) -> links``: process one fetched HTML page and
+#: return its :class:`~repro.site.links.Link` list for the robot to follow.
+PageCallback = Callable[[str, Response], list[Link]]
 
 
 @dataclass
@@ -313,8 +322,9 @@ class Robot:
     ) -> list[str]:
         """Crawl from ``start_url``; returns the visited URLs sorted.
 
-        ``on_page(url, response, links, anchors)`` is called for every
-        successfully fetched HTML page, in completion order.  The
+        ``on_page(url, response)`` is called for every successfully
+        fetched HTML page, in completion order, and returns the page's
+        links, which the crawl follows.  The
         returned list is the canonical (URL-sorted) set of visited
         pages -- byte-identical at any ``concurrency``.  ``progress``
         (a :class:`CrawlProgress`) runs its live ticker for the
@@ -608,19 +618,19 @@ class Robot:
                 self.journal.completed(self._ok_record(url, depth, response))
             return
 
-        links, anchors = scan_page(response.body)
-        if on_page is not None:
-            # Sharded audits: only the owning shard processes the page;
-            # link extraction still runs so every shard discovers the
-            # whole frontier (the partition is of the *work*, not the
-            # graph).  Ownership keys on the final URL, the page's one
-            # identity: whichever of its aliases (a redirect, ``dir``
-            # for ``dir/``) a concurrent crawl completes first, exactly
-            # one shard processes the page.
-            if self._owns(response.url):
-                on_page(response.url, response, links, anchors)
-            else:
+        # Sharded audits: only the owning shard processes the page; the
+        # others still scan it for links, so every shard discovers the
+        # whole frontier (the partition is of the *work*, not the
+        # graph).  Ownership keys on the final URL, the page's one
+        # identity: whichever of its aliases (a redirect, ``dir`` for
+        # ``dir/``) a concurrent crawl completes first, exactly one
+        # shard processes the page.
+        if on_page is not None and self._owns(response.url):
+            links = on_page(response.url, response)
+        else:
+            if on_page is not None:
                 registry.inc("robot.frontier.shard_skipped")
+            links = scan_page(response.body)[0]
 
         for link in links:
             # Embedded resources (images, scripts ...) are link-checked by

@@ -6,8 +6,8 @@ site can be checked with one command.  The switch also enables additional
 warnings, checking whether directories have index files, and reporting
 orphan pages (which are not referred to by any other page checked)."
 
-- :mod:`repro.site.links` -- extract hyperlinks and resource references
-  from a token stream;
+- :mod:`repro.site.links` -- judge links (``bad-link``,
+  ``bad-fragment``), and the link extraction of :mod:`repro.html.links`;
 - :mod:`repro.site.walker` -- find the HTML pages under a directory;
 - :mod:`repro.site.orphans` -- orphan computation over the link graph;
 - :mod:`repro.site.sitecheck` -- :class:`SiteChecker` tying it together:

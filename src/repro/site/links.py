@@ -1,114 +1,25 @@
-"""Link extraction and judgement.
+"""Link judgement, and the link extraction it judges.
 
-Pulls every hyperlink and embedded-resource reference out of an HTML
-document, with source line numbers, using the same tokenizer the checker
-uses (so mangled markup is handled identically).  Shared by the -R site
-checker, the poacher robot and the gateway, which also share
-:func:`judge_link`, the one ``bad-link`` / ``bad-fragment`` decision.
+:func:`judge_link` is the one ``bad-link`` / ``bad-fragment`` decision,
+shared by the -R site checker and the poacher robot.  The extraction
+itself -- :class:`Link`, :func:`scan_page` and the token filter behind
+it, :class:`~repro.html.links.LinkFilter` -- lives in
+:mod:`repro.html.links`, below the engine that collects links in its
+lint pass; it is re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.config.options import Options
 from repro.core.diagnostics import Diagnostic
-from repro.html.tokenizer import tokenize
-from repro.html.tokens import StartTag
-
-#: element -> (attribute, kind); kind is "anchor" for navigation links and
-#: "resource" for embedded content fetched automatically by browsers.
-_LINK_ATTRIBUTES: dict[str, tuple[str, str]] = {
-    "a": ("href", "anchor"),
-    "area": ("href", "anchor"),
-    "link": ("href", "resource"),
-    "img": ("src", "resource"),
-    "frame": ("src", "anchor"),
-    "iframe": ("src", "anchor"),
-    "script": ("src", "resource"),
-    "embed": ("src", "resource"),
-    "bgsound": ("src", "resource"),
-    "input": ("src", "resource"),       # type=image
-    "body": ("background", "resource"),
-    "object": ("data", "resource"),
-    "applet": ("code", "resource"),
-}
-
-#: schemes a local link checker cannot validate and should not report.
-UNCHECKABLE_SCHEMES = frozenset(
-    {"mailto", "javascript", "news", "ftp", "gopher", "telnet", "data"}
+from repro.html.links import (  # noqa: F401 - re-exported
+    Link,
+    extract_anchor_names,
+    extract_links,
+    scan_page,
 )
-
-
-@dataclass(frozen=True)
-class Link:
-    """One outgoing reference from a page."""
-
-    url: str
-    line: int
-    element: str   # the element it came from ("a", "img" ...)
-    kind: str      # "anchor" | "resource"
-
-    @property
-    def is_fragment_only(self) -> bool:
-        return self.url.startswith("#")
-
-    @property
-    def scheme(self) -> str:
-        head, sep, _ = self.url.partition(":")
-        if not sep or "/" in head or len(head) < 2:
-            return ""
-        return head.lower()
-
-    @property
-    def checkable(self) -> bool:
-        """Can a link validator meaningfully test this reference?"""
-        if self.is_fragment_only or not self.url.strip():
-            return False
-        return self.scheme not in UNCHECKABLE_SCHEMES
-
-
-def extract_links(source: str) -> list[Link]:
-    """All references in ``source``, in document order."""
-    return scan_page(source)[0]
-
-
-def extract_anchor_names(source: str) -> set[str]:
-    """All fragment targets defined in the page (<A NAME> and ID values)."""
-    return scan_page(source)[1]
-
-
-def scan_page(source: str) -> tuple[list[Link], set[str]]:
-    """``source``'s links and fragment targets, in one tokenizer pass."""
-    links: list[Link] = []
-    names: set[str] = set()
-    for token in tokenize(source):
-        if not isinstance(token, StartTag):
-            continue
-        if token.lowered == "a":
-            name_attr = token.get("name")
-            if name_attr is not None and name_attr.value:
-                names.add(name_attr.value)
-        id_attr = token.get("id")
-        if id_attr is not None and id_attr.value:
-            names.add(id_attr.value)
-        mapping = _LINK_ATTRIBUTES.get(token.lowered)
-        if mapping is None:
-            continue
-        attr_name, kind = mapping
-        attr = token.get(attr_name)
-        if attr is None or not attr.has_value or not attr.value.strip():
-            continue
-        links.append(
-            Link(
-                url=attr.value.strip(),
-                line=token.line,
-                element=token.lowered,
-                kind=kind,
-            )
-        )
-    return links, names
 
 
 def judge_link(

@@ -47,6 +47,7 @@ fetch path the robot uses; their fragments stay unjudged.
 
 from __future__ import annotations
 
+import os
 import posixpath
 import time
 from array import array
@@ -59,7 +60,7 @@ from repro.core import constants
 from repro.core.diagnostics import Diagnostic
 from repro.core.linter import Weblint
 from repro.core.service import LintRequest, LintService, PathSource, StringSource
-from repro.site.links import Link, extract_anchor_names, judge_link, scan_page
+from repro.site.links import Link, extract_anchor_names, judge_link
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.site.orphans import build_incoming_counts, find_orphans
@@ -159,13 +160,11 @@ class SiteChecker:
             errors: dict[str, str] = {}
 
             # One batch through the lint pipeline (parallel when jobs > 1),
-            # fed to the core in completion order.  keep_text shares the
-            # single read between linting and link extraction; an
-            # unreadable page becomes a structured error instead of
-            # aborting the whole site check.
-            requests = [
-                LintRequest(PathSource(path), keep_text=True) for path in files
-            ]
+            # fed to the core in completion order.  The lint pass (or a
+            # cache hit) hands back each page's links and anchors, so no
+            # page is tokenized twice; an unreadable page becomes a
+            # structured error instead of aborting the whole site check.
+            requests = [LintRequest(PathSource(path), links=True) for path in files]
             for result in self.service.iter_check(requests, jobs=self.jobs):
                 if result.error is not None:
                     errors[result.name] = result.error
@@ -173,7 +172,7 @@ class SiteChecker:
                 page = names[result.name]
                 report.page_diagnostics[page] = result.diagnostics
                 registry.inc("site.files.checked")
-                core.add_page(page, result.text or "")
+                core.add_page(page, result.links, result.anchors)
             # The report lists pages and errors in walk order.
             report.pages = [
                 page for page in names.values() if page in report.page_diagnostics
@@ -224,7 +223,9 @@ class SiteChecker:
         problem_counts: dict[str, int] = {}
         with tracer.span("site.check_stream", root=str(root)):
             for name, text in pages:
-                result = self.service.check(StringSource(text, name=name))
+                result = self.service.check(
+                    LintRequest(StringSource(text, name=name), links=True)
+                )
                 if result.error is not None:
                     if report is not None:
                         report.page_errors.append(result.error)
@@ -242,7 +243,7 @@ class SiteChecker:
                         problem_counts[name] = len(result.diagnostics)
                     if spill is not None:
                         spill.write_page(name, result.diagnostics)
-                core.add_page(name, text)
+                core.add_page(name, result.links, result.anchors)
             with tracer.span("site.analyses", pages=len(core.names)):
                 core.finish()
                 if report is None:
@@ -334,9 +335,9 @@ class _SiteCore:
 
     # -- feeding -----------------------------------------------------------
 
-    def add_page(self, page: str, text: str) -> None:
-        """Fold one arrived page into the cross-page state."""
-        links, anchors = scan_page(text)
+    def add_page(self, page: str, links: list[Link], anchors: set[str]) -> None:
+        """Fold one arrived page, with its links and anchors, into the
+        cross-page state."""
         page_id = self.known.get(page)
         if page_id is None:
             page_id = len(self.names)
@@ -555,6 +556,11 @@ class _PageSetResolver:
 class _FileResolver:
     """Link targets are paths under ``root``; outside it, absolute paths.
 
+    A target is named by its real path, as ``Path.resolve()`` gives it,
+    but without a ``realpath`` per link: each page directory's real path
+    is worked out once, a link's path resolves lexically from there, and
+    only a link through a symlink is handed to ``Path.resolve()``.
+
     A target that never arrived as a checked page (an image, a text
     file, a directory, a file outside the site) is looked up on disk.
     """
@@ -564,20 +570,55 @@ class _FileResolver:
     def __init__(self, root: Path) -> None:
         self.root = root
         self.resolved_root = root.resolve()
+        real_root = str(self.resolved_root)
+        self._real_root = real_root
+        self._prefix = real_root.rstrip("/") + "/"
+        #: directory -> its real path
+        self._real: dict[str, str] = {}
+        #: real directory -> the names of its symlinks; ``None`` when it
+        #: exists but cannot be listed.
+        self._symlinks: dict[str, Optional[frozenset[str]]] = {}
 
     def name(self, page: str, path: str) -> str:
         if path.startswith("/"):
-            candidate = self.root / path.lstrip("/")
+            base = self.root
+            path = path.lstrip("/")
         else:
-            candidate = (self.root / page).parent / path
+            base = (self.root / page).parent
+        key = str(base)
+        if key not in self._real:
+            self._real[key] = os.path.realpath(key)
+        real = self._real[key]
+        for part in path.split("/"):
+            if part in ("", "."):
+                continue
+            if part == "..":
+                # ``real`` holds no symlink, so its parent is what
+                # ``realpath`` makes of the ``..``.
+                real = os.path.dirname(real)
+                continue
+            if real not in self._symlinks:
+                self._symlinks[real] = _symlinks_in(real)
+            symlinks = self._symlinks[real]
+            if symlinks is None or part in symlinks:
+                return self._named(str(self._resolve(base / path)))
+            real = os.path.join(real, part)
+        return self._named(real)
+
+    @staticmethod
+    def _resolve(candidate: Path) -> Path:
         try:
-            candidate = candidate.resolve()
+            return candidate.resolve()
         except OSError:  # pragma: no cover - pathological names
-            pass
-        try:
-            return _relative_name(candidate, self.resolved_root)
-        except ValueError:
-            return str(candidate)  # outside the site
+            return candidate
+
+    def _named(self, real: str) -> str:
+        """``real`` relative to the site root, or as is outside it."""
+        if real == self._real_root:
+            return "."
+        if real.startswith(self._prefix):
+            return real[len(self._prefix):].replace("\\", "/")
+        return real
 
     def exists(self, target: str) -> bool:
         return (self.resolved_root / target).exists()
@@ -596,3 +637,16 @@ class _FileResolver:
 
 def _relative_name(path: Path, root: Path) -> str:
     return str(path.relative_to(root)).replace("\\", "/")
+
+
+def _symlinks_in(directory: str) -> Optional[frozenset[str]]:
+    """The names of ``directory``'s symlinks: none when it does not
+    exist (``realpath`` passes such a path through as written), and
+    ``None`` when it exists but cannot be listed."""
+    try:
+        with os.scandir(directory) as entries:
+            return frozenset(entry.name for entry in entries if entry.is_symlink())
+    except (FileNotFoundError, NotADirectoryError):
+        return frozenset()
+    except OSError:
+        return None

@@ -37,13 +37,24 @@ import pytest
 import repro
 from repro.cli import main as weblint_main
 from repro.config.options import Options
-from repro.core.cache import ResultCache, result_key, service_fingerprint
+from repro.core.cache import (
+    FORMAT_VERSION,
+    ResultCache,
+    result_key,
+    service_fingerprint,
+)
 from repro.core.diagnostics import Diagnostic
 from repro.core.messages import Category
 from repro.core.registry import default_registry
-from repro.core.service import LintService, PathSource, StringSource
+from repro.core.service import LintRequest, LintService, PathSource, StringSource
 from repro.obs.metrics import use_registry
 from repro.robot.cli import main as poacher_main
+from repro.robot.frontier import shard_owns
+from repro.robot.poacher import Poacher
+from repro.robot.traversal import TraversalPolicy
+from repro.site.links import scan_page
+from repro.site.sitecheck import SiteChecker
+from repro.workload.generator import PageGenerator
 from repro.www.client import UserAgent
 from repro.www.httpcache import HttpCache
 from repro.www.virtualweb import VirtualWeb
@@ -62,7 +73,7 @@ def fingerprint_of(service: LintService) -> bytes:
 
 def logs(cache_dir: Path) -> list[Path]:
     """Every file of the disk tier: its one log, once written."""
-    return sorted((cache_dir / "v3").glob("*"))
+    return sorted((cache_dir / f"v{FORMAT_VERSION}").glob("*"))
 
 
 def record_spans(log: Path) -> list[tuple[int, int]]:
@@ -220,13 +231,18 @@ class TestResultCache:
         assert registry.snapshot().get("cache.lint.evictions") == 2
 
     def test_clear_counts_removed_entries(self, tmp_path):
-        """The log, a version-2 segment directory and a version-1 shard
-        tree go; the log's keys and the version-1 entries count."""
+        """The log, a version-3 log, a version-2 segment directory and a
+        version-1 shard tree go; the log's keys and the version-1
+        entries count."""
         cache_dir = tmp_path / "cache"
         cache = ResultCache(cache_dir)
         service = LintService(cache=cache)
         for index in range(3):
             service.check(StringSource(make_document(f"<p>{index}</p>")))
+        (cache_dir / "v3").mkdir()
+        (cache_dir / "v3" / "results.jsonl").write_text(
+            f'{{"k":"{"0" * 64}","c":"00000000","d":[]}}\n'
+        )
         legacy = cache_dir / "ab"
         legacy.mkdir()
         (legacy / f"ab{'0' * 62}.json").write_text("{}")
@@ -325,6 +341,67 @@ def write_from_two_threads(directory: Path, writer: int, per_thread: int) -> Non
         thread.join()
 
 
+LINKED_PAGE = make_document(
+    '<p id="top"><a name="mid" href="other.html#x">x</a>'
+    '<img src="pic.gif" alt="pic">'
+    '<a name="m\u00fcde" href="\u00fcber.html">y</a></p>'
+)
+
+
+class TestLinksInRecords:
+    """A record keeps the page's links and anchors beside its rows."""
+
+    def test_links_and_anchors_round_trip(self, tmp_path):
+        links, anchors = scan_page(LINKED_PAGE)
+        key, bare = keys_for("linked", "bare")
+        writer = ResultCache(tmp_path / "cache")
+        writer.put(key, stub_diagnostics(1), links, anchors)
+        writer.put(bare, stub_diagnostics(1))
+        writer.close()
+        found = ResultCache(tmp_path / "cache").get(key)
+        assert (found.links, found.anchors) == (links, anchors)
+        assert [d.text for d in found.diagnostics] == ["finding 0"]
+        unlinked = ResultCache(tmp_path / "cache").get(bare)
+        assert (unlinked.links, unlinked.anchors) == (None, None)
+
+    def test_a_byte_flipped_in_the_links_is_a_counted_miss(self, tmp_path):
+        """The crc covers the links as well as the rows."""
+        [key] = keys_for("linked")
+        writer = ResultCache(tmp_path / "cache")
+        writer.put(key, stub_diagnostics(1), *scan_page(LINKED_PAGE))
+        writer.close()
+        [log] = logs(tmp_path / "cache")
+        data = bytearray(log.read_bytes())
+        data[data.index(b"pic.gif")] ^= 0x01  # still valid JSON
+        log.write_bytes(bytes(data))
+        with use_registry() as registry:
+            assert ResultCache(tmp_path / "cache").get(key) is None
+        assert registry.snapshot().get("cache.lint.corrupt") == 1
+
+    def test_a_record_without_links_serves_a_links_request(self, tmp_path):
+        """A batch that did not want links stored the record: a request
+        for links hits it, scans the page once for them, and leaves the
+        log as it is."""
+        page = tmp_path / "page.html"
+        page.write_text(LINKED_PAGE)
+        batch = LintService(cache=ResultCache(tmp_path / "cache"))
+        stored = batch.check(PathSource(page))
+        [log] = logs(tmp_path / "cache")
+        size = log.stat().st_size
+        service = LintService(cache=ResultCache(tmp_path / "cache"))
+        with use_registry() as registry:
+            result = service.check(LintRequest(PathSource(page), links=True))
+        snapshot = registry.snapshot()
+        assert snapshot.get("cache.lint.hits") == 1
+        assert snapshot.get("tokenizer.documents") == 1
+        assert snapshot.get("engine.documents") is None
+        assert [str(d) for d in result.diagnostics] == [
+            str(d) for d in stored.diagnostics
+        ]
+        assert (result.links, result.anchors) == scan_page(LINKED_PAGE)
+        assert log.stat().st_size == size
+
+
 class TestSegmentLog:
     """The disk tier's one append-only log (docs/caching.md)."""
 
@@ -335,7 +412,7 @@ class TestSegmentLog:
         assert reader.get(key) is None  # indexes the directory as it is
         writer.put(key, stub_diagnostics(2))
         with use_registry() as registry:
-            found = reader.get(key, filename="x.html")
+            found = reader.get(key, filename="x.html").diagnostics
         assert [d.text for d in found] == ["finding 0", "finding 1"]
         assert {d.filename for d in found} == {"x.html"}
         assert registry.snapshot().get("cache.lint.hits") == 1
@@ -371,7 +448,9 @@ class TestSegmentLog:
         assert other.clear() == 1
         other.put(new, stub_diagnostics(2))
         other.close()
-        assert [d.text for d in holder.get(new)] == ["finding 0", "finding 1"]
+        assert [d.text for d in holder.get(new).diagnostics] == [
+            "finding 0", "finding 1",
+        ]
         holder.put(later, stub_diagnostics(1))
         holder.close()
         [log] = logs(cache_dir)
@@ -411,7 +490,9 @@ class TestSegmentLog:
         }
         with use_registry() as registry:
             reader = ResultCache(tmp_path / "cache")
-            assert {key: len(reader.get(key)) for key in expected} == expected
+            assert {
+                key: len(reader.get(key).diagnostics) for key in expected
+            } == expected
         assert registry.snapshot().get("cache.lint.corrupt") is None
         written = [
             key for log in logs(tmp_path / "cache") for key in record_keys(log)
@@ -499,8 +580,10 @@ class TestSegmentLog:
             assert reader.get(glued) is None
             assert registry.snapshot().get("cache.lint.corrupt") == 1
             assert reader.get(killed) is None
-            assert [d.text for d in reader.get(after)] == ["finding 0", "finding 1"]
-            assert [d.text for d in reader.get(a)] == ["finding 0"]
+            assert [d.text for d in reader.get(after).diagnostics] == [
+                "finding 0", "finding 1",
+            ]
+            assert [d.text for d in reader.get(a).diagnostics] == ["finding 0"]
         snapshot = registry.snapshot()
         assert snapshot.get("cache.lint.corrupt") == 1
         assert snapshot.get("cache.lint.misses") == 2
@@ -532,7 +615,7 @@ class TestSegmentLog:
         cache.put(c, stub_diagnostics(1))
         cache.close()
         assert record_keys(log) == [a, c]
-        assert sorted(cache_dir.rglob("*")) == [cache_dir / "v3", log]
+        assert sorted(cache_dir.rglob("*")) == [log.parent, log]
 
     def test_read_only_directory_degrades_to_memory_only(
         self, tmp_path, monkeypatch
@@ -758,6 +841,72 @@ class TestIncrementalCrawl:
         assert "www.conditional.revalidated: 1" in warm_err
         assert "www.conditional.modified: 1" in warm_err
         assert "ALT text" in warm_out
+
+
+class TestOneTokenizerPass:
+    """A page that is linted and link-checked is tokenized once, and not
+    at all when its lint result is cached: the lint pass, or the cache
+    record, hands back its links and anchors."""
+
+    PAGES = 12
+
+    @pytest.fixture
+    def site(self):
+        return PageGenerator(seed=3).site(self.PAGES)
+
+    def test_crawl_stream(self, site, tmp_path):
+        web = VirtualWeb()
+        web.add_site("http://localhost/", site)
+        rollups = []
+        for cold in (True, False):
+            with use_registry() as registry:
+                service = LintService(cache=ResultCache(tmp_path / "lint"))
+                rollups.append(
+                    Poacher(UserAgent(web), service=service).crawl_stream(
+                        "http://localhost/index.html"
+                    )
+                )
+                assert registry.value("robot.pages.fetched") == self.PAGES
+                assert registry.value("cache.lint.hits") == (0 if cold else self.PAGES)
+                assert registry.value("tokenizer.documents") == (
+                    self.PAGES if cold else 0
+                )
+        assert rollups[0] == rollups[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_check_directory(self, site, tmp_path, jobs):
+        site_dir = tmp_path / "site"
+        site_dir.mkdir()
+        for name, text in site.items():
+            (site_dir / name).write_text(text, encoding="utf-8")
+        reports = []
+        for cold in (True, False):
+            with use_registry() as registry:
+                service = LintService(cache=ResultCache(tmp_path / "lint"))
+                report = SiteChecker(service=service, jobs=jobs).check_directory(
+                    site_dir
+                )
+                reports.append([str(d) for d in report.all_diagnostics()])
+                assert registry.value("site.files.checked") == self.PAGES
+                assert registry.value("tokenizer.documents") == (
+                    self.PAGES if cold else 0
+                )
+        assert reports[0] == reports[1]
+
+    def test_each_shard_lints_only_the_pages_it_owns(self, site):
+        web = VirtualWeb()
+        web.add_site("http://localhost/", site)
+        urls = [f"http://localhost/{name}" for name in site]
+        for shard in (0, 1):
+            with use_registry() as registry:
+                Poacher(
+                    UserAgent(web), policy=TraversalPolicy(shards=2, shard=shard)
+                ).crawl_stream("http://localhost/index.html")
+                owned = sum(shard_owns(url, 2, shard) for url in urls)
+                assert 0 < owned < len(urls)
+                assert registry.value("engine.documents") == owned
+                # The pages another shard owns are scanned for links only.
+                assert registry.value("tokenizer.documents") == len(urls)
 
 
 class TestWeblintCacheFlags:

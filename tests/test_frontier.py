@@ -25,6 +25,7 @@ from repro.robot.frontier import (
 )
 from repro.robot.poacher import Poacher
 from repro.robot.traversal import Robot, TraversalPolicy
+from repro.site.links import extract_links
 from repro.store import read_log
 from repro.www.client import UserAgent
 from repro.www.httpcache import HttpCache, body_digest
@@ -419,10 +420,11 @@ class TestKillAndResume:
 
         consumed = []
 
-        def dying_on_page(url, response, links, anchors):
+        def dying_on_page(url, response):
             consumed.append(url)
             if len(consumed) == 3:
                 raise RuntimeError("simulated kill")
+            return extract_links(response.body)
 
         http_cache, journal = self._state(tmp_path, "state")
         with use_registry():

@@ -15,6 +15,7 @@ from repro.gateway.forms import (
 )
 from repro.gateway.gateway import Gateway, GatewayReporter
 from repro.gateway.htmlreport import estimate_page_weight
+from repro.obs.metrics import use_registry
 from repro.www.client import UserAgent
 from repro.www.virtualweb import VirtualWeb
 from tests.conftest import PAPER_EXAMPLE, make_document
@@ -185,6 +186,16 @@ class TestGateway:
     def test_page_weight_in_report(self):
         response = Gateway().handle(_form(html=make_document("<p>x</p>")))
         assert "Page weight" in response.body
+
+    def test_page_weight_counts_the_lint_pass_links(self):
+        page = make_document(
+            '<p><img src="a.gif" alt="a"><img src="b.gif" alt="b"></p>'
+        )
+        with use_registry() as registry:
+            response = Gateway().handle(_form(html=page))
+            # One tokenizer pass lints the page and finds its resources.
+            assert registry.value("tokenizer.documents") == 1
+        assert "Embedded resources</th><td>2</td>" in response.body
 
     def test_stats_table_off_by_default(self):
         response = Gateway().handle(_form(html=PAPER_EXAMPLE))

@@ -19,7 +19,7 @@ from repro import Options, Weblint
 from repro.baselines.htmlchek import HtmlchekChecker
 from repro.baselines.strict import StrictValidator
 from repro.baselines.tidylike import TidyLikeFixer
-from repro.core.cache import ResultCache, result_key
+from repro.core.cache import FORMAT_VERSION, ResultCache, result_key
 from repro.core.diagnostics import Diagnostic
 from repro.core.messages import Category
 from repro.html.tokenizer import tokenize
@@ -220,7 +220,7 @@ class TestCacheSegmentTornTail:
                 os.truncate(log, cut)
                 reader = ResultCache(directory)
                 for key, diagnostics in zip(keys[:-1], stored):
-                    assert _findings(reader.get(key)) == _findings(diagnostics)
+                    assert _findings(_hit(reader, key)) == _findings(diagnostics)
                 assert reader.get(keys[-1]) is None
                 reader.close()
 
@@ -250,12 +250,12 @@ class TestCacheSegmentTornTail:
                 assert registry.snapshot().get("cache.lint.corrupt", 0) == torn
                 reader = ResultCache(directory)
                 for key, diagnostics, end in zip(keys, stored, ends):
-                    found = reader.get(key)
+                    found = _hit(reader, key)
                     if end <= cut:
                         assert _findings(found) == _findings(diagnostics)
                     else:
                         assert found is None
-                assert _findings(reader.get(new_key)) == _findings(new_rows)
+                assert _findings(_hit(reader, new_key)) == _findings(new_rows)
                 reader.close()
 
 
@@ -279,8 +279,14 @@ def _write_log(directory: str, keys, stored) -> Path:
     for key, diagnostics in zip(keys, stored):
         cache.put(key, diagnostics)
     cache.close()
-    [log] = Path(directory, "v3").glob("*")
+    [log] = Path(directory, f"v{FORMAT_VERSION}").glob("*")
     return log
+
+
+def _hit(cache: ResultCache, key: str):
+    """The diagnostics a lookup serves, or ``None`` on a miss."""
+    found = cache.get(key)
+    return None if found is None else found.diagnostics
 
 
 def _findings(diagnostics):

@@ -8,6 +8,7 @@ from repro.config.options import Options
 from repro.robot.linkcheck import LinkChecker
 from repro.robot.poacher import Poacher
 from repro.robot.traversal import Robot, TraversalPolicy
+from repro.site.links import extract_links
 from repro.www.client import UserAgent
 from repro.www.virtualweb import VirtualWeb
 from tests.conftest import make_document
@@ -68,13 +69,15 @@ class TestTraversal:
 
     def test_on_page_callback(self, agent):
         seen = []
-        Robot(agent).crawl(
-            "http://h/index.html",
-            on_page=lambda url, response, links, anchors: seen.append(
-                (url, len(links))
-            ),
-        )
+
+        def on_page(url, response):
+            links = extract_links(response.body)
+            seen.append((url, len(links)))
+            return links  # what the robot follows
+
+        visited = Robot(agent).crawl("http://h/index.html", on_page=on_page)
         assert ("http://h/index.html", 2) in seen
+        assert [url for url, _ in sorted(seen)] == visited
 
     def test_robots_txt_honoured(self, web, agent):
         web.add_robots_txt("http://h/", "User-agent: *\nDisallow: /one.html\n")

@@ -8,8 +8,9 @@ The contract under test (docs/architecture.md, "Batch pipeline"):
   ``LintResult.error`` and never aborts the batch;
 - worker metrics merge back into the parent registry, so totals under
   parallelism equal the sequential totals;
-- sources read lazily and exactly once, and ``keep_text`` hands the
-  single read back to the caller;
+- sources read lazily and exactly once, and a request for ``links``
+  gets the page's links and anchors from the lint pass, a worker or a
+  cache hit alike;
 - the process pool's shutdown is bounded, and its workers exit when
   their owner dies.
 """
@@ -42,6 +43,7 @@ from repro.core.service import (
     resolve_jobs,
 )
 from repro.obs.metrics import use_registry
+from repro.site.links import scan_page
 from repro.obs.profile import use_profiler
 from repro.obs.trace import use_tracer
 from repro.workload.corpus import build_seeded_corpus
@@ -117,14 +119,23 @@ class TestCheck:
             assert registry.value("lint.source_errors") == 1
             assert registry.value("lint.files") == 0
 
-    def test_keep_text_returns_the_read(self, tmp_path):
+    def test_links_come_from_the_lint_pass(self, tmp_path):
+        from repro.core.cache import ResultCache
+
+        page = '<html><body><p id="top"><a href="x.html">hi</a></body></html>'
         path = tmp_path / "page.html"
-        path.write_text("<html><body><p>hi</body></html>")
-        service = LintService()
-        kept = service.check(LintRequest(PathSource(path), keep_text=True))
+        path.write_text(page)
+        expected = scan_page(page)
+        service = LintService(cache=ResultCache(tmp_path / "cache"))
+        for hit in (0, 1):  # a lint, then a cache hit
+            with use_registry() as registry:
+                kept = service.check(LintRequest(PathSource(path), links=True))
+                assert registry.value("cache.lint.hits") == hit
+                # The lint pass tokenized the page once; the hit not at all.
+                assert registry.value("tokenizer.documents") == 1 - hit
+            assert (kept.links, kept.anchors) == expected
         dropped = service.check(LintRequest(PathSource(path)))
-        assert kept.text == "<html><body><p>hi</body></html>"
-        assert dropped.text is None
+        assert dropped.links is None and dropped.anchors is None
 
     def test_bare_source_accepted(self):
         service = LintService()
@@ -329,14 +340,15 @@ class TestCheckManyParity:
             assert "cannot read" in results[3].error
             assert all(r.diagnostics for r in results if r.ok)
 
-    def test_keep_text_survives_the_pool(self, corpus_dir):
+    def test_links_survive_the_pool(self, corpus_dir):
         service = LintService()
         results = service.check_many(
-            [LintRequest(PathSource(p), keep_text=True) for p in corpus_dir],
+            [LintRequest(PathSource(p), links=True) for p in corpus_dir],
             jobs=4,
         )
         for path, result in zip(corpus_dir, results):
-            assert result.text == path.read_text(encoding="utf-8")
+            expected = scan_page(path.read_text(encoding="utf-8"))
+            assert (result.links, result.anchors) == expected
 
     def test_non_portable_sources_materialise_in_parent(self, corpus_dir):
         import io

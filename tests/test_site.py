@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.config.options import Options
@@ -358,3 +360,66 @@ class TestOneSitePolicy:
             "target ../outside.html for link not found (page not found)",
             "target gone.html for link not found (page not found)",
         ]
+
+
+class TestFileResolverNames:
+    """``-R`` names a link target by its real path without a ``realpath``
+    per link; the names must be exactly what ``Path.resolve()`` gives."""
+
+    PAGES = ["index.html", "sub/a.html", "real/b.html", "linkdir/b.html"]
+    LINKS = [
+        "", ".", "index.html", "./index.html", "sub/a.html", "sub", "sub/",
+        "sub/../index.html", "sub/./a.html", "sub//a.html", "a.html",
+        "../index.html", "../outside.html", "../../../../../../../x.html",
+        "linkdir/b.html", "linkdir/", "linkdir/../index.html",
+        "linkdir/../../outside.html", "linkfile.html", "linkfile.html/../x",
+        "out/real.html", "out/deeper/x.html", "out/../outside.html",
+        "missing/x.html", "missing/../index.html", "index.html/../sub/a.html",
+        "/", "/index.html", "/sub/a.html", "/linkdir/b.html", "//sub//a.html",
+        "/../outside.html", "/linkdir/../index.html", "images/pic.gif",
+        "a\\b.html",
+    ]
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        (tmp_path / "outside.html").write_text("<p>outside</p>")
+        (tmp_path / "elsewhere" / "deeper").mkdir(parents=True)
+        (tmp_path / "elsewhere" / "real.html").write_text("<p>x</p>")
+        (tmp_path / "elsewhere" / "deeper" / "x.html").write_text("<p>x</p>")
+        site = tmp_path / "site"
+        for page in ("index.html", "sub/a.html", "real/b.html"):
+            (site / page).parent.mkdir(parents=True, exist_ok=True)
+            (site / page).write_text("<p>page</p>")
+        (site / "linkdir").symlink_to("real")
+        (site / "linkfile.html").symlink_to("real/b.html")
+        (site / "out").symlink_to("../elsewhere")
+        (tmp_path / "alias").symlink_to("site")
+        return tmp_path
+
+    @staticmethod
+    def resolved(root: Path, page: str, path: str) -> str:
+        """The name as ``Path.resolve()`` gives it."""
+        if path.startswith("/"):
+            candidate = root / path.lstrip("/")
+        else:
+            candidate = (root / page).parent / path
+        candidate = candidate.resolve()
+        try:
+            return str(candidate.relative_to(root.resolve())).replace("\\", "/")
+        except ValueError:
+            return str(candidate)
+
+    @pytest.mark.parametrize("root", ["site", "alias", "relative"])
+    def test_names_equal_resolve(self, tree, root, monkeypatch):
+        from repro.site.sitecheck import _FileResolver
+
+        if root == "relative":
+            monkeypatch.chdir(tree)
+            site = Path("site")
+        else:
+            site = tree / root
+        resolver = _FileResolver(site)
+        for page in self.PAGES:
+            for path in self.LINKS:
+                expected = self.resolved(site, page, path)
+                assert resolver.name(page, path) == expected, (page, path)

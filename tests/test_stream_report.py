@@ -21,6 +21,7 @@ from repro.core.service import LintRequest, LintResult, LintService, StringSourc
 from repro.obs import use_registry
 from repro.robot.frontier import shard_owns
 from repro.robot.traversal import Robot, TraversalPolicy
+from repro.site.links import extract_links
 from repro.site.report import render_text_report
 from repro.site.rollup import PageSpill, SiteRollup
 from repro.site.sitecheck import SiteChecker
@@ -432,7 +433,8 @@ class TestShardOwns:
                     UserAgent(web), TraversalPolicy(shards=2, shard=shard)
                 ).crawl(
                     "http://s/index.html",
-                    lambda url, response, links, anchors: pages.append(url),
+                    lambda url, response: pages.append(url)
+                    or extract_links(response.body),
                 )
         owners = [k for k in (0, 1) if "http://s/sub/" in processed[k]]
         assert owners == [0]

@@ -12,14 +12,21 @@ edge strings targeting the fast-path/slow-path seams.
 
 If a test here fails, the batched scanner is wrong, whatever the
 benchmarks say: fix the fast path, never the oracle.
+
+Every document here also goes through the engine with links asked for:
+the links and anchors the lint pass collects from its own token feed
+must be exactly what ``scan_page`` finds.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import Engine
 from repro.html import _tokenizer_naive as naive
 from repro.html import tokenizer as batched
+from repro.html.links import scan_page
+from repro.html.tokens import Attribute, StartTag
 from repro.testing.samples import SAMPLES
 from repro.workload.corpus import (
     build_pathological_corpus,
@@ -67,6 +74,12 @@ def assert_equivalent(source: str) -> None:
     # the same core loop in chunks, and a chunk-boundary bug would only
     # show up here.
     assert fingerprint(batched.iter_tokens(source)) == want
+    context = ENGINE.check(source, links=True)
+    assert (context.links, context.anchors) == scan_page(source)
+
+
+#: The lint pass whose collected links must match ``scan_page``'s.
+ENGINE = Engine()
 
 
 #: Edge strings aimed at the seams between the batched fast paths and
@@ -148,6 +161,17 @@ class TestGoldenEquivalence:
         # same lowercased view to find raw-text close tags, so their
         # (slightly off) offsets must stay identical.
         assert_equivalent("<script>İ</script><p>İstanbul</p>")
+
+    def test_a_nameless_tag_still_names_its_anchor(self, monkeypatch):
+        # The engine returns early on a start tag without a name; the
+        # link filter sits before it on the feed, so the tag's ID is
+        # still an anchor, as scan_page finds it.
+        nameless = StartTag(1, 1, "<>", [], "", [Attribute("id", "here", '"', True)])
+        monkeypatch.setattr(
+            "repro.core.engine.iter_tokens", lambda source: iter([nameless])
+        )
+        context = ENGINE.check("", links=True)
+        assert (context.links, context.anchors) == ([], {"here"})
 
     def test_metrics_equivalence_not_polluted(self):
         # The oracle must not touch the tokenizer.* counters: E21 and
