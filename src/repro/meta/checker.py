@@ -9,10 +9,12 @@ from repro.baselines.strict import StrictValidator
 from repro.config.options import Options
 from repro.core.diagnostics import Diagnostic
 from repro.core.linter import Weblint
+from repro.core.service import LintRequest, StringSource
 from repro.gateway.htmlreport import PageWeight, estimate_page_weight
 from repro.robot.linkcheck import LinkChecker, LinkStatus
 from repro.site.links import Link, extract_links
 from repro.www.client import UserAgent
+from repro.www.url import urlparse
 
 
 @dataclass
@@ -94,15 +96,29 @@ class MetaChecker:
     def check_string(
         self, source: str, source_name: str = "-", base_url: str = ""
     ) -> MetaReport:
+        """Meta-check one page.
+
+        The weblint pass also collects the page's links for the link
+        and weight sections (one link scan does when weblint is off),
+        so only the strict validator tokenizes the page again.
+        """
         report = MetaReport(source_name=source_name)
+        check_links = self.include_links and bool(base_url)
+        links: Optional[list[Link]] = None
         if self.include_weblint:
+            lint = self._weblint.service.check(
+                LintRequest(StringSource(source, name=source_name), links=True)
+            )
+            links = lint.links
             report.sections.append(
                 ToolSection(
                     tool="weblint",
                     title="syntax and style (weblint)",
-                    diagnostics=self._weblint.check_string(source, source_name),
+                    diagnostics=lint.diagnostics,
                 )
             )
+        elif check_links or self.include_weight:
+            links = extract_links(source)
         if self.include_strict:
             report.sections.append(
                 ToolSection(
@@ -111,16 +127,17 @@ class MetaChecker:
                     diagnostics=self._strict.check_string(source, source_name),
                 )
             )
-        if self.include_links and base_url:
+        if check_links:
             checker = LinkChecker(self.agent)
-            for link in extract_links(source):
+            base = urlparse(base_url)
+            for link in links:
                 if not link.checkable:
                     continue
-                status = checker.check(base_url, link.url)
+                status = checker.check(base, link.url)
                 if status.broken:
                     report.broken_links.append((link, status))
         if self.include_weight:
-            report.weight = estimate_page_weight(source)
+            report.weight = estimate_page_weight(source, links=links)
         return report
 
     def check_url(self, url: str) -> MetaReport:

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Optional, Union
 from repro.obs.metrics import get_registry
 from repro.store import JsonLog, read_log
 from repro.www.message import Response
-from repro.www.url import urljoin, urlparse
+from repro.www.url import resolve, urlparse
 
 #: Bump when the journal layout changes; old state resumes cold.
 JOURNAL_VERSION = 2
@@ -53,10 +53,10 @@ def request_fingerprint(url: str) -> str:
 
     Fragments never reach the server, so ``page.html#a`` and
     ``page.html#b`` are one request; scheme/host case and default ports
-    are normalised away by :meth:`repro.www.url.URL.normalised`.
+    are normalised away by :func:`repro.www.url.resolve`.
     """
     try:
-        canonical = str(urljoin(url, "").without_fragment().normalised())
+        canonical = resolve(url, "")
     except ValueError:
         canonical = url
     return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
@@ -141,7 +141,9 @@ class FrontierScheduler:
         #: host -> heap of (depth, seq, url, parked_at) waiting for a slot.
         self._parked: dict[str, list[tuple[int, int, str, float]]] = {}
         self._slots: dict[str, HostSlot] = {}
+        #: Dupefilter fingerprints, and every spelling already answered.
         self._seen: set[str] = set()
+        self._spellings: set[str] = set()
         self._next_seq = 0
         self._queued = 0
         self._in_flight = 0
@@ -155,9 +157,16 @@ class FrontierScheduler:
     # -- feeding (consumer thread) -----------------------------------------
 
     def mark_seen(self, url: str) -> bool:
-        """Dupefilter: ``True`` the first time this request is seen."""
-        fingerprint = request_fingerprint(url)
+        """Dupefilter: ``True`` the first time this request is seen.
+
+        A spelling answered before is answered again from a set: only a
+        new spelling pays for its fingerprint.
+        """
         with self._cond:
+            if url in self._spellings:
+                return False
+            self._spellings.add(url)
+            fingerprint = request_fingerprint(url)
             if fingerprint in self._seen:
                 return False
             self._seen.add(fingerprint)

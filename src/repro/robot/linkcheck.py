@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.site.links import extract_anchor_names
 from repro.www.client import FetchError, UserAgent
-from repro.www.url import urljoin
+from repro.www.url import URL, resolve
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,13 @@ class LinkChecker:
         self.agent = agent
         self._cache: dict[str, LinkStatus] = {}
 
-    def check(self, base_url: str, link_url: str) -> LinkStatus:
-        """Validate ``link_url`` as it appears on ``base_url``."""
-        absolute = str(urljoin(base_url, link_url).without_fragment())
+    def check(self, base_url: str | URL, link_url: str) -> LinkStatus:
+        """Validate ``link_url`` as it appears on ``base_url``.
+
+        ``base_url`` may be given parsed, as a page's auditor does to
+        parse the page URL once for all its links.
+        """
+        absolute = resolve(base_url, link_url)
         if absolute in self._cache:
             return self._cache[absolute]
         status = self._fetch_status(absolute)
@@ -112,7 +116,9 @@ class FragmentChecker:
             )
         return self._anchors[absolute]
 
-    def fragment_defined(self, base_url: str, link_url: str) -> Optional[bool]:
+    def fragment_defined(
+        self, base_url: str | URL, link_url: str
+    ) -> Optional[bool]:
         """Is the link's fragment defined on its target page?
 
         Returns None when the link has no fragment or the target cannot
@@ -122,6 +128,6 @@ class FragmentChecker:
         target, _, fragment = link_url.partition("#")
         if not fragment:
             return None
-        absolute = str(urljoin(base_url, target).without_fragment())
+        absolute = resolve(base_url, target)
         names = self._anchor_names(absolute)
         return None if names is None else fragment in names

@@ -35,6 +35,7 @@ from repro.site.links import Link, judge_link
 from repro.site.rollup import PAGES_FILENAME, ROLLUP_FILENAME, PageSpill, SiteRollup
 from repro.www.client import UserAgent
 from repro.www.message import Response
+from repro.www.url import urlparse
 
 
 @dataclass
@@ -179,11 +180,12 @@ class Poacher:
             return result, findings
         fragment_defined = self.fragment_checker.fragment_defined
         this_page = LinkStatus(url=url, status=response.status, ok=True)
+        page = urlparse(url)
         for link in links:
             if link.is_fragment_only:
                 status = this_page
             elif link.checkable:
-                status = self.link_checker.check(url, link.url)
+                status = self.link_checker.check(page, link.url)
                 if status.ok and status.redirected_to:
                     result.moved_links.append((link, status))
             else:
@@ -191,7 +193,7 @@ class Poacher:
             if status.url == url:  # this page: its anchors are scanned
                 defined = anchors.__contains__
             else:
-                defined = lambda _: fragment_defined(url, link.url)
+                defined = lambda _: fragment_defined(page, link.url)
             finding = judge_link(
                 link.url, status.ok, status.describe(), defined,
                 page=url, line=link.line, options=self.options,

@@ -73,7 +73,7 @@ from repro.www.client import FetchError, UserAgent
 from repro.www.httpcache import body_digest
 from repro.www.message import Headers, Response
 from repro.www.robotstxt import RobotsTxt
-from repro.www.url import URL, urljoin, urlparse
+from repro.www.url import URL, resolve, urlparse
 
 #: ``on_page(url, response) -> links``: process one fetched HTML page and
 #: return its :class:`~repro.site.links.Link` list for the robot to follow.
@@ -303,10 +303,10 @@ class Robot:
                 self._robots_cache[host_key] = RobotsTxt("")
         return self._robots_cache[host_key]
 
-    def allowed(self, url: str) -> bool:
+    def allowed(self, url: str | URL) -> bool:
         if not self.policy.obey_robots_txt:
             return True
-        parsed = urlparse(url)
+        parsed = url if isinstance(url, URL) else urlparse(url)
         return self._robots_for(parsed).allowed(
             parsed.path or "/", self.policy.agent_name
         )
@@ -335,8 +335,8 @@ class Robot:
         HTTP cache's body store (``on_page`` still runs for them) and
         only the unfinished remainder is fetched.
         """
-        start = urljoin(start_url, "")
-        start_str = str(start.without_fragment())
+        start_str = resolve(start_url, "")
+        start = urlparse(start_str)
         registry = get_registry()
         processed: set[str] = set()  # final URLs handed to on_page
         visited: list[str] = []
@@ -541,7 +541,7 @@ class Robot:
         if self.policy.same_host_only and not parsed.same_host(start):
             self.stats.urls_skipped_offsite += 1
             return False
-        if not self.allowed(url):
+        if not self.allowed(parsed):
             self.stats.urls_skipped_robots += 1
             return False
         return True
@@ -632,15 +632,13 @@ class Robot:
                 registry.inc("robot.frontier.shard_skipped")
             links = scan_page(response.body)[0]
 
+        page = urlparse(response.url)
         for link in links:
             # Embedded resources (images, scripts ...) are link-checked by
             # poacher but never crawled.
             if not link.checkable or link.kind == "resource":
                 continue
-            absolute = str(
-                urljoin(response.url, link.url).without_fragment()
-            )
-            self._offer(absolute, depth + 1, frontier, start)
+            self._offer(resolve(page, link.url), depth + 1, frontier, start)
         if live and self.journal is not None:
             self.journal.completed(self._ok_record(url, depth, response))
 

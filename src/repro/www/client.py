@@ -51,7 +51,7 @@ from typing import Callable, Optional
 from repro.obs.metrics import get_registry
 from repro.www.faults import TransportError
 from repro.www.message import Headers, Request, Response
-from repro.www.url import urljoin, urlparse
+from repro.www.url import resolve, urlparse
 
 
 class FetchError(Exception):
@@ -247,7 +247,7 @@ class UserAgent:
                 "(live network access is substituted in this reproduction)"
             )
         registry = get_registry()
-        url = str(urlparse(url).normalised().without_fragment())
+        url = resolve(url, "")
         cache_key = (method.upper(), url)
         if self._cache is not None:
             if cache_key in self._cache:
@@ -267,7 +267,7 @@ class UserAgent:
             response, wire_bytes = self._issue_hop(method, current)
             if not response.is_redirect or response.location is None:
                 break
-            current = str(urljoin(current, response.location).without_fragment())
+            current = resolve(current, response.location)
         else:
             raise FetchError(
                 f"too many redirects (> {self.max_redirects}) fetching {url}"

@@ -18,6 +18,9 @@ mostly-unchanged site skip almost all of its byte transfer.
 - ``save()`` / ``load()`` persist the index atomically as versioned
   JSON; a missing, corrupt or wrong-version index loads as an empty
   cache, never an error -- a crawl always proceeds, at worst cold.
+  ``save()`` writes only an index that changed since it was loaded or
+  last written, so a warm crawl that stores nothing leaves the file
+  alone.
 
 The consumer is :class:`repro.www.client.UserAgent` (pass
 ``http_cache=``): it sends the stored validators with every GET, turns a
@@ -100,6 +103,8 @@ class HttpCache:
         self._entries: dict[str, CachedEntry] = {}
         self._bodies: dict[str, str] = {}
         self._lock = threading.Lock()
+        #: Has the index changed since it was last read or written in full?
+        self._changed = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -158,6 +163,7 @@ class HttpCache:
         with self._lock:
             self._entries[url] = entry
             self._bodies[digest] = response.body
+            self._changed = True
         if self.directory is not None:
             self._write_body(digest, response.body)
 
@@ -182,18 +188,25 @@ class HttpCache:
         with self._lock:
             self._entries.clear()
             self._bodies.clear()
+            self._changed = True
 
     # -- persistence -------------------------------------------------------
 
     def save(self) -> None:
         """Atomically write the index (bodies were persisted on store).
 
-        A failed write is counted in ``www.httpcache.write_errors``, not
-        raised: the crawl goes on, and the next one just starts colder.
+        Only when it changed: :meth:`store` and :meth:`clear` mark it,
+        and so does a :meth:`load` that found a corrupt index, so the
+        next save repairs the file.  A failed write is counted in
+        ``www.httpcache.write_errors``, not raised, and stays pending:
+        the crawl goes on, and the next one just starts colder.
         """
         if self.directory is None:
             return
         with self._lock:
+            if not self._changed:
+                return
+            self._changed = False
             payload = json.dumps(
                 {
                     "version": FORMAT_VERSION,
@@ -211,11 +224,14 @@ class HttpCache:
                 write_atomic(self._index_path(), payload.encode("utf-8"))
             except OSError:
                 get_registry().inc("www.httpcache.write_errors")
+                self._changed = True
 
     def load(self) -> int:
         """Read the index; corrupt or wrong-version state loads as empty.
 
-        Returns the number of entries loaded.
+        Returns the number of entries loaded.  An index that could not
+        be read in full marks the cache changed, so the next
+        :meth:`save` rewrites it.
         """
         if self.directory is None:
             return 0
@@ -223,6 +239,7 @@ class HttpCache:
             try:
                 data = json.loads(self._index_path().read_text(encoding="utf-8"))
             except (OSError, ValueError):
+                self._changed = True
                 return 0
             if (
                 not isinstance(data, dict)
@@ -230,6 +247,7 @@ class HttpCache:
                 or not isinstance(data.get("entries"), dict)
             ):
                 get_registry().inc("www.httpcache.corrupt")
+                self._changed = True
                 return 0
             loaded: dict[str, CachedEntry] = {}
             for url, raw in data["entries"].items():
@@ -237,6 +255,7 @@ class HttpCache:
                     loaded[url] = CachedEntry.from_dict(raw)
                 except (KeyError, TypeError, ValueError):
                     get_registry().inc("www.httpcache.corrupt")
+                    self._changed = True
             with self._lock:
                 self._entries.update(loaded)
             return len(loaded)

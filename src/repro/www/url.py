@@ -4,6 +4,10 @@ A from-scratch implementation of the subset of RFC 1808/3986 that a link
 checker needs: absolute URL parsing, relative reference resolution
 against a base, dot-segment removal, and normalisation for comparing
 "the same page" (default ports, empty paths, case of scheme/host).
+:func:`resolve` combines them into the canonical absolute URL without
+its fragment: the one place that decides how a URL is spelled.
+Canonical input passes through untouched, so resolving URLs a crawl
+already holds costs little more than parsing them.
 
 Deliberately independent of :mod:`urllib.parse` so the behaviour is fully
 specified by this repository (and property-tested in
@@ -87,7 +91,9 @@ class URL:
 
     def normalised(self) -> "URL":
         """Canonical form for equality: lower scheme/host, default port
-        dropped, empty path of an authority URL becomes '/'."""
+        dropped, empty path of an authority URL becomes '/', dot
+        segments removed.  A URL already in that form is returned as it
+        is."""
         scheme = self.scheme.lower()
         host = self.host.lower()
         port = self.port
@@ -97,6 +103,13 @@ class URL:
         if host and not path:
             path = "/"
         path = remove_dot_segments(path)
+        if (
+            path == self.path
+            and host == self.host
+            and scheme == self.scheme
+            and port == self.port
+        ):
+            return self
         return URL(
             scheme=scheme,
             host=host,
@@ -168,8 +181,12 @@ def urlparse(text: str) -> URL:
 
 
 def remove_dot_segments(path: str) -> str:
-    """RFC 3986 section 5.2.4 dot-segment removal."""
-    if not path:
+    """RFC 3986 section 5.2.4 dot-segment removal.
+
+    Empty segments are collapsed too (``/a//b`` is ``/a/b``).  A path
+    with no ``.``, ``..`` or empty segment is returned as it is.
+    """
+    if "//" not in path and "/." not in path and not path.startswith("."):
         return path
     absolute = path.startswith("/")
     output: list[str] = []
@@ -184,11 +201,11 @@ def remove_dot_segments(path: str) -> str:
             continue
         output.append(segment)
     # Preserve a trailing slash implied by a final '.' or '..'.
-    if path.rstrip("/").endswith((".", "..")) or path.endswith("/"):
+    last = path.rstrip("/").rpartition("/")[2]
+    if last in (".", "..") or path.endswith("/"):
         if not output or output[-1] != "":
             output.append("")
-    result = "/".join(segment for segment in output if segment or True)
-    result = re.sub("//+", "/", result)
+    result = re.sub("//+", "/", "/".join(output))
     if absolute and not result.startswith("/"):
         result = "/" + result
     return result
@@ -220,7 +237,18 @@ def urljoin(base: str | URL, reference: str | URL) -> URL:
         scheme=scheme,
         host=host,
         port=port,
-        path=remove_dot_segments(path),
+        path=path,
         query=query,
         fragment=ref.fragment,
     ).normalised()
+
+
+def resolve(base: str | URL, reference: str) -> str:
+    """The canonical absolute URL that ``reference`` names on ``base``.
+
+    The fragment is dropped, since it never reaches a server.  This is
+    the one spelling that fetches, link checks and the crawl's
+    dupefilter compare.  Pass ``base`` parsed when resolving many
+    references against one page.
+    """
+    return str(urljoin(base, reference).without_fragment())

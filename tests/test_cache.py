@@ -784,6 +784,28 @@ class TestConditionalFetch:
         reloaded = HttpCache(tmp_path / "http")
         assert reloaded.load() == 0
 
+    def test_save_writes_only_a_changed_index(self, tmp_path):
+        web, cache, agent = self.fixture(tmp_path)
+        agent.get(self.URL)
+        cache.save()
+        index = tmp_path / "http" / "index.json"
+        written = index.read_bytes()
+        kept = tmp_path / "written-index.json"  # pins the inode number
+        os.link(index, kept)
+        reloaded = HttpCache(tmp_path / "http")
+        assert reloaded.load() == 1
+        UserAgent(web, http_cache=reloaded).get(self.URL)  # a 304
+        reloaded.save()
+        reloaded.save()
+        assert index.stat().st_ino == kept.stat().st_ino
+        assert index.read_bytes() == written
+        # A corrupt index is rewritten by the next save.
+        index.write_text("][")
+        repaired = HttpCache(tmp_path / "http")
+        assert repaired.load() == 0
+        repaired.save()
+        assert json.loads(index.read_text())["entries"] == {}
+
     def test_last_modified_revalidates_without_etag(self, tmp_path):
         web = VirtualWeb()
         url = "http://lm.test/"
@@ -830,6 +852,22 @@ class TestIncrementalCrawl:
         assert warm_out == cold_out
         assert "www.conditional.revalidated: 2" in warm_err
         assert "cache.lint.hits: 2" in warm_err
+
+    def test_warm_crawl_leaves_the_http_index_alone(
+        self, site_dir, tmp_path, capsys
+    ):
+        state = tmp_path / "state"
+        index = state / "http" / "index.json"
+        self.crawl(site_dir, state, capsys)
+        cold = index.read_bytes()
+        # A second link keeps the cold inode alive, so a rewrite cannot
+        # get its number back from the filesystem.
+        kept = tmp_path / "cold-index.json"
+        os.link(index, kept)
+        _, _, warm_err = self.crawl(site_dir, state, capsys)
+        assert "www.conditional.revalidated: 2" in warm_err
+        assert index.stat().st_ino == kept.stat().st_ino
+        assert index.read_bytes() == cold
 
     def test_changed_page_is_relinted(self, site_dir, tmp_path, capsys):
         state = tmp_path / "state"

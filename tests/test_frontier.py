@@ -16,7 +16,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.robot.frontier as frontier
 from repro.config.options import Options
+from repro.core.cache import ResultCache
+from repro.core.service import LintService
 from repro.obs import use_registry
 from repro.robot.frontier import (
     FrontierJournal,
@@ -27,6 +30,7 @@ from repro.robot.poacher import Poacher
 from repro.robot.traversal import Robot, TraversalPolicy
 from repro.site.links import extract_links
 from repro.store import read_log
+from repro.workload import PageGenerator
 from repro.www.client import UserAgent
 from repro.www.httpcache import HttpCache, body_digest
 from repro.www.virtualweb import VirtualWeb
@@ -99,6 +103,8 @@ class TestFrontierScheduler:
             assert scheduler.mark_seen("http://h/p.html")
             assert not scheduler.mark_seen("http://h/p.html")
             assert not scheduler.mark_seen("http://h/p.html#frag")
+            assert not scheduler.mark_seen("HTTP://H:80/p.html")
+            assert not scheduler.mark_seen("http://h/p.html#other")
 
     def test_admission_budget_is_exact(self):
         with use_registry():
@@ -355,6 +361,47 @@ class TestStreamingCrawl:
             assert registry.value("robot.frontier.admitted") == 5
             assert robot.stats.pages_fetched == 5
             assert len(visited) == 5
+
+    def test_warm_crawl_fingerprints_each_spelling_once(
+        self, tmp_path, monkeypatch
+    ):
+        web = VirtualWeb(sleep=no_sleep)
+        web.add_site("http://localhost/", PageGenerator(seed=3).site(12))
+
+        def crawl():
+            http_cache = HttpCache(tmp_path / "http")
+            http_cache.load()
+            service = LintService(cache=ResultCache(tmp_path / "lint"))
+            agent = UserAgent(web, http_cache=http_cache)
+            rollup = Poacher(agent, service=service).crawl_stream(
+                "http://localhost/index.html"
+            )
+            http_cache.save()
+            return rollup
+
+        with use_registry():
+            cold = crawl()
+        offered: list[str] = []
+        fingerprinted: list[str] = []
+        mark_seen = FrontierScheduler.mark_seen
+
+        def counting_mark_seen(scheduler, url):
+            offered.append(url)
+            return mark_seen(scheduler, url)
+
+        def counting_fingerprint(url):
+            fingerprinted.append(url)
+            return request_fingerprint(url)
+
+        monkeypatch.setattr(FrontierScheduler, "mark_seen", counting_mark_seen)
+        monkeypatch.setattr(frontier, "request_fingerprint", counting_fingerprint)
+        with use_registry() as registry:
+            warm = crawl()
+            assert registry.value("www.conditional.revalidated") == 12
+            assert registry.value("cache.lint.hits") == 12
+        assert warm == cold
+        assert len(offered) > len(set(offered))  # pages share links
+        assert sorted(fingerprinted) == sorted(set(offered))
 
     def test_visited_is_sorted_canonically(self):
         web = VirtualWeb(sleep=no_sleep)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.linter import Weblint
+from repro.gateway.htmlreport import estimate_page_weight
 from repro.meta import MetaChecker
+from repro.obs.metrics import use_registry
 from repro.www.client import UserAgent
 from repro.www.virtualweb import VirtualWeb
 from tests.conftest import PAPER_EXAMPLE, make_document
@@ -49,6 +52,37 @@ class TestMetaChecker:
         assert len(report.broken_links) == 1
         link, status = report.broken_links[0]
         assert link.url == "gone.html" and status.status == 404
+
+    @pytest.mark.parametrize("with_agent", [False, True])
+    @pytest.mark.parametrize("include_weblint", [False, True])
+    def test_one_lint_pass_feeds_links_and_weight(
+        self, web, with_agent, include_weblint
+    ):
+        source = make_document(
+            '<p><a href="ok.html">ok</a> <a href="gone.html">gone</a> '
+            '<img src="logo.gif"></p>'
+        )
+        checker = MetaChecker(
+            agent=UserAgent(web) if with_agent else None,
+            include_weblint=include_weblint,
+        )
+        with use_registry() as registry:
+            report = checker.check_string(
+                source, "page.html", base_url="http://h/page.html"
+            )
+            # The lint pass (or one link scan) and the strict validator.
+            assert registry.value("tokenizer.documents") == 2
+        if include_weblint:
+            assert report.section("weblint").diagnostics == (
+                Weblint(options=checker.options).check_string(
+                    source, "page.html"
+                )
+            )
+        assert report.weight == estimate_page_weight(source)
+        broken = [(link.url, status.status) for link, status in report.broken_links]
+        assert broken == (
+            [("gone.html", 404), ("logo.gif", 404)] if with_agent else []
+        )
 
     def test_check_url_requires_agent(self):
         with pytest.raises(ValueError, match="needs a UserAgent"):

@@ -2,10 +2,99 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.www.url import URL, URLError, remove_dot_segments, urljoin, urlparse
+from repro.www.url import (
+    DEFAULT_PORTS,
+    URL,
+    URLError,
+    remove_dot_segments,
+    resolve,
+    urljoin,
+    urlparse,
+)
+
+
+def reference_remove_dot_segments(path: str) -> str:
+    """RFC 3986 section 5.2.4 dot-segment removal, with no fast path.
+
+    ``remove_dot_segments`` must agree with it on every path.
+    """
+    if not path:
+        return path
+    absolute = path.startswith("/")
+    output: list[str] = []
+    for segment in path.split("/"):
+        if segment == ".":
+            continue
+        if segment == "..":
+            if output and output[-1] != "..":
+                output.pop()
+            elif not absolute:
+                output.append("..")
+            continue
+        output.append(segment)
+    # Preserve a trailing slash implied by a final '.' or '..'.
+    last = path.rstrip("/").rpartition("/")[2]
+    if last in (".", "..") or path.endswith("/"):
+        if not output or output[-1] != "":
+            output.append("")
+    result = re.sub("//+", "/", "/".join(output))
+    if absolute and not result.startswith("/"):
+        result = "/" + result
+    return result
+
+
+def reference_normalised(url: URL) -> URL:
+    """``URL.normalised`` rebuilding every URL, canonical or not."""
+    scheme = url.scheme.lower()
+    host = url.host.lower()
+    port = url.port
+    if port is not None and port == DEFAULT_PORTS.get(scheme):
+        port = None
+    path = url.path
+    if host and not path:
+        path = "/"
+    return URL(
+        scheme=scheme,
+        host=host,
+        port=port,
+        path=reference_remove_dot_segments(path),
+        query=url.query,
+        fragment=url.fragment,
+    )
+
+
+#: Paths, relative and absolute, built from the segments that decide
+#: dot removal: dots, trailing dots, empty segments, and the characters
+#: that end a path or look like a scheme.
+_PATHS = st.builds(
+    lambda lead, segments: lead + "/".join(segments),
+    st.sampled_from(["", "/"]),
+    st.lists(
+        st.sampled_from(["a", "b.", ".", "..", "", "?", "#", ":", "a:1"]),
+        max_size=7,
+    ),
+)
+_AUTHORITIES = st.builds(
+    "{}{}".format,
+    st.sampled_from(["h", "H", "Ex.COM"]),
+    st.sampled_from(["", ":80", ":443", ":81"]),
+)
+_ABSOLUTE_URLS = st.builds(
+    "{}://{}/{}".format,
+    st.sampled_from(["http", "HTTP", "https"]),
+    _AUTHORITIES,
+    _PATHS,
+)
+_REFERENCES = st.one_of(
+    _PATHS,
+    _ABSOLUTE_URLS,
+    st.builds("//{}/{}".format, _AUTHORITIES, _PATHS),
+)
 
 
 class TestParse:
@@ -85,6 +174,8 @@ class TestDotSegments:
             ("../x", "../x"),
             ("/a//b", "/a/b"),
             ("", ""),
+            ("/a/b.", "/a/b."),
+            ("/v1.", "/v1."),
         ],
     )
     def test_removal(self, path, expected):
@@ -104,6 +195,7 @@ class TestJoin:
             ("http://h/a/b.html", "?q=1", "http://h/a/b.html?q=1"),
             ("http://h/a/b.html", "#top", "http://h/a/b.html#top"),
             ("http://h", "x.html", "http://h/x.html"),
+            ("http://h/x/y.html", "file.", "http://h/x/file."),
         ],
     )
     def test_join_cases(self, base, ref, expected):
@@ -151,3 +243,27 @@ class TestProperties:
     def test_normalise_idempotent(self, text):
         url = urlparse(text).normalised()
         assert url.normalised() == url
+
+    @given(_PATHS)
+    def test_dot_removal_matches_the_reference(self, path):
+        assert remove_dot_segments(path) == reference_remove_dot_segments(path)
+
+    @given(_REFERENCES)
+    def test_normalised_matches_the_reference(self, text):
+        url = urlparse(text)
+        assert url.normalised() == reference_normalised(url)
+
+    @given(_ABSOLUTE_URLS, _REFERENCES)
+    def test_join_against_a_parsed_base(self, base, ref):
+        assert urljoin(urlparse(base), ref) == urljoin(base, ref)
+
+    @given(_ABSOLUTE_URLS, _REFERENCES)
+    def test_resolve_is_the_join_without_fragment(self, base, ref):
+        expected = str(urljoin(base, ref).without_fragment())
+        assert resolve(base, ref) == expected
+        assert resolve(urlparse(base), ref) == expected
+
+    @given(_REFERENCES)
+    def test_resolve_against_nothing_normalises(self, text):
+        expected = str(urlparse(text).normalised().without_fragment())
+        assert resolve(text, "") == expected
