@@ -180,9 +180,6 @@ class CheckContext:
     def in_element(self, name: str) -> bool:
         return self.find_open(name) != -1
 
-    def open_ancestors(self) -> list[str]:
-        return [entry.name for entry in self.stack]
-
     def find_unresolved(self, name: str) -> int:
         for index in range(len(self.unresolved) - 1, -1, -1):
             if self.unresolved[index].name == name:

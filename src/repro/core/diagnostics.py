@@ -47,11 +47,20 @@ class Diagnostic:
             arguments=dict(arguments),
         )
 
-    def sort_key(self) -> tuple[str, int, int, str]:
-        return (self.filename, self.line, self.column, self.message_id)
-
     def __str__(self) -> str:
         return f"{self.filename}({self.line}): {self.text}"
+
+
+def diagnostic_record(diagnostic: Diagnostic) -> dict[str, object]:
+    """One diagnostic inside a ``-f jsonl`` document line or a
+    ``pages.jsonl`` page record (the filename lives on the record)."""
+    return {
+        "id": diagnostic.message_id,
+        "category": diagnostic.category.value,
+        "line": diagnostic.line,
+        "column": diagnostic.column,
+        "message": diagnostic.text,
+    }
 
 
 def count_by_category(

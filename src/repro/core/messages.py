@@ -462,10 +462,6 @@ def message(message_id: str) -> Message:
         ) from None
 
 
-def all_ids() -> list[str]:
-    return list(CATALOG)
-
-
 def ids_in_category(category: Category) -> list[str]:
     return [m.id for m in _MESSAGES if m.category is category]
 

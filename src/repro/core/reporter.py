@@ -31,7 +31,11 @@ import html as _html
 import json
 from typing import IO, Iterable, Optional
 
-from repro.core.diagnostics import Diagnostic, count_by_category
+from repro.core.diagnostics import (
+    Diagnostic,
+    count_by_category,
+    diagnostic_record,
+)
 from repro.core.messages import message
 from repro.obs.metrics import get_registry
 
@@ -278,24 +282,14 @@ class JsonlReporter(Reporter):
     streams_incrementally = True
 
     def format(self, diagnostic: Diagnostic) -> str:  # pragma: no cover
-        return json.dumps(self._as_item(diagnostic), sort_keys=True)
-
-    @staticmethod
-    def _as_item(diagnostic: Diagnostic) -> dict[str, object]:
-        return {
-            "id": diagnostic.message_id,
-            "category": diagnostic.category.value,
-            "line": diagnostic.line,
-            "column": diagnostic.column,
-            "message": diagnostic.text,
-        }
+        return json.dumps(diagnostic_record(diagnostic), sort_keys=True)
 
     def _document(self, filename: str, items: list[Diagnostic]) -> str:
         return json.dumps(
             {
                 "file": filename,
                 "count": len(items),
-                "diagnostics": [self._as_item(d) for d in items],
+                "diagnostics": [diagnostic_record(d) for d in items],
             },
             sort_keys=True,
         )

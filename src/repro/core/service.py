@@ -45,6 +45,7 @@ rollup -- never hold a whole batch in memory.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing.connection
 import os
 import sys
@@ -455,8 +456,9 @@ class LintService:
         except SourceError as exc:
             return self._unreadable(source, exc)
         registry = get_registry()
+        tracer = get_tracer()
         start = time.perf_counter()
-        with get_tracer().span("lint.file", file=source.name):
+        with tracer.span("lint.file", file=source.name):
             context = self.engine.check(text, source.name, links=request.links)
         diagnostics = context.sorted_diagnostics()
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -465,7 +467,8 @@ class LintService:
         # A no-op (one global read, one test) unless a run armed it.
         events = get_event_log()
         if events.enabled:
-            events.note_operation("lint.file", elapsed_ms, file=source.name)
+            if not tracer.enabled:  # a recorded span notes its own slow_op
+                events.note_operation("lint.file", elapsed_ms, file=source.name)
             events.emit(
                 "lint.file",
                 level="debug",
@@ -591,19 +594,13 @@ def _worker_run_chunk(
     assert service is not None, "worker used before _worker_init ran"
     tracer = Tracer() if collect_trace else None
     profiler = RuleProfiler() if collect_profile else None
-    with use_registry() as registry:
+    with contextlib.ExitStack() as stack:
+        registry = stack.enter_context(use_registry())
         if tracer is not None:
-            with use_tracer(tracer):
-                if profiler is not None:
-                    with use_profiler(profiler):
-                        results = [service.check(r) for r in requests]
-                else:
-                    results = [service.check(r) for r in requests]
-        elif profiler is not None:
-            with use_profiler(profiler):
-                results = [service.check(r) for r in requests]
-        else:
-            results = [service.check(r) for r in requests]
+            stack.enter_context(use_tracer(tracer))
+        if profiler is not None:
+            stack.enter_context(use_profiler(profiler))
+        results = [service.check(r) for r in requests]
     return (
         results,
         registry.snapshot(),

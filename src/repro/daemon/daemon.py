@@ -14,9 +14,8 @@ One :class:`LintDaemon` owns
   estimate instead of queueing without bound, and during drain new
   work is refused (503) while in-flight requests complete;
 - a crash-safe lifecycle journal: an append-only ``journal.jsonl``
-  (:class:`repro.store.JsonLog`) plus an atomic ``state.json``
-  (:func:`repro.store.write_atomic`), so a supervisor
-  -- or the next daemon start -- can tell a clean stop from a crash
+  (:class:`repro.store.JsonLog`) from which a supervisor -- or the
+  next daemon start -- can tell a clean stop from a crash
   (``daemon.unclean_starts``).
 
 Everything the daemon does is measured through :mod:`repro.obs`:
@@ -28,7 +27,6 @@ gauges exported at ``/metrics``.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import threading
 import time
@@ -46,7 +44,7 @@ from repro.core.service import (
 from repro.daemon.pool import WarmPool
 from repro.obs.events import get_event_log
 from repro.obs.metrics import get_registry
-from repro.store import JsonLog, write_atomic
+from repro.store import JsonLog, read_log
 
 #: Batches smaller than this run inline on the (already warm) base
 #: service: for a handful of documents the lint work is cheaper than
@@ -127,16 +125,16 @@ class LifecycleJournal:
     """Crash-safe daemon lifecycle state under ``DIR/daemon/``.
 
     Events append to ``journal.jsonl`` (a :class:`repro.store.JsonLog`,
-    like the frontier journal), the current state rewrites
-    ``state.json`` atomically.  ``started()`` reports whether the
-    previous lifetime ended cleanly, so an operator can see crash loops
-    in the journal and in ``daemon.unclean_starts``.
+    like the frontier journal), and the journal is the state:
+    :meth:`load_state` folds it.  A lifetime whose ``stopped`` record
+    never landed -- a kill, a crash, a failed append -- reads as
+    unclean, so ``started()`` reports whether the previous lifetime
+    ended cleanly and an operator can see crash loops in the journal
+    and in ``daemon.unclean_starts``.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory) / "daemon"
-        self.journal_path = self.directory / "journal.jsonl"
-        self.state_path = self.directory / "state.json"
+        self.journal_path = Path(directory) / "daemon" / "journal.jsonl"
 
     def _append(self, event: str, **fields: object) -> None:
         record = {"event": event, "unix": round(time.time(), 3), **fields}
@@ -146,45 +144,45 @@ class LifecycleJournal:
         except OSError:
             get_registry().inc("daemon.journal_write_errors")
 
-    def _write_state(self, state: dict[str, object]) -> None:
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            write_atomic(
-                self.state_path, json.dumps(state, sort_keys=True).encode("utf-8")
-            )
-        except OSError:
-            get_registry().inc("daemon.journal_write_errors")
-
     def load_state(self) -> Optional[dict[str, object]]:
-        try:
-            payload = json.loads(self.state_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+        """The last lifetime as the journal records it; None when empty.
+
+        The last ``started`` record gives ``pid``, ``workers``,
+        ``queue_limit`` and ``started_unix``.  ``clean`` is true only
+        when the last complete record is ``stopped``, which also gives
+        ``stopped_unix``.
+        """
+        records, _corrupt = read_log(self.journal_path)
+        if not records:
             return None
-        return payload if isinstance(payload, dict) else None
+        state: dict[str, object] = {"clean": False}
+        for record in records:
+            if record.get("event") == "started":
+                state = {
+                    "pid": record.get("pid"),
+                    "workers": record.get("workers"),
+                    "queue_limit": record.get("queue_limit"),
+                    "started_unix": record.get("unix"),
+                    "clean": False,
+                }
+        if records[-1].get("event") == "stopped":
+            state.update(clean=True, stopped_unix=records[-1].get("unix"))
+        return state
 
     def started(self, workers: int, queue_limit: int) -> bool:
         """Record a start; returns False when the last stop was unclean."""
         previous = self.load_state()
-        clean = previous is None or bool(previous.get("clean", True))
+        clean = previous is None or bool(previous["clean"])
         if not clean:
             get_registry().inc("daemon.unclean_starts")
             get_event_log().emit(
                 "daemon.unclean_start",
                 level="warn",
-                previous_pid=previous.get("pid") if previous else None,
+                previous_pid=previous.get("pid"),
             )
         self._append(
             "started", pid=os.getpid(), workers=workers,
             queue_limit=queue_limit, previous_clean=clean,
-        )
-        self._write_state(
-            {
-                "pid": os.getpid(),
-                "started_unix": round(time.time(), 3),
-                "workers": workers,
-                "queue_limit": queue_limit,
-                "clean": False,
-            }
         )
         return clean
 
@@ -193,9 +191,6 @@ class LifecycleJournal:
 
     def stopped(self, requests: int) -> None:
         self._append("stopped", pid=os.getpid(), requests=requests)
-        state = self.load_state() or {}
-        state.update({"clean": True, "stopped_unix": round(time.time(), 3)})
-        self._write_state(state)
 
 
 class LintDaemon:
@@ -383,7 +378,3 @@ class LintDaemon:
                 duration_ms=round(elapsed_ms, 3),
             )
         return results
-
-    def check_one(self, request: LintRequest) -> LintResult:
-        """Single-document convenience used by the gateway path."""
-        return self.check_batch([request])[0]

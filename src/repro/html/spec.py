@@ -150,10 +150,6 @@ class HTMLSpec:
         elem = self.element(name)
         return bool(elem and elem.empty)
 
-    def is_container(self, name: str) -> bool:
-        elem = self.element(name)
-        return bool(elem and elem.container)
-
     def end_tag_required(self, name: str) -> bool:
         elem = self.element(name)
         return bool(elem and elem.strict_container)
@@ -193,9 +189,6 @@ class HTMLSpec:
         if self._doctype_re is None:
             return True
         return bool(self._doctype_re.search(declaration_text))
-
-    def known_element_names(self) -> list[str]:
-        return sorted(self.elements)
 
     def suggest_element(self, name: str) -> Optional[str]:
         """Suggest a known element for a probable typo (BLOCKQOUTE).

@@ -6,10 +6,6 @@ Layered cheapest-first:
   :class:`~repro.obs.metrics.MetricsRegistry`; instrumented code records
   a handful of values per document, never per token.  Histograms expose
   interpolated p50/p95/p99 estimates.
-- **time-series** (per view): a :class:`~repro.obs.timeseries.TimeSeries`
-  of per-second ring buffers, flat memory however long the run is; the
-  crawl's ``--progress`` line samples the registry into its own for a
-  rolling pages-per-second rate.
 - **events** (off by default): a levelled, sampled JSON-lines event log
   via :func:`~repro.obs.events.get_event_log`, including the automatic
   ``slow_op`` log for any instrumented duration over a threshold.
@@ -52,7 +48,6 @@ from repro.obs.profile import (
     use_profiler,
 )
 from repro.obs.run import Run, run_scope
-from repro.obs.timeseries import TimeSeries
 from repro.obs.trace import (
     NULL_SPAN,
     NullTracer,
@@ -68,7 +63,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
-    "TimeSeries",
     "EventLog",
     "NullEventLog",
     "NULL_EVENT_LOG",

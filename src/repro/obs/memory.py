@@ -1,8 +1,10 @@
 """Report-memory sampling: the ``report.memory.high_water_bytes`` gauge.
 
-The streaming reporting path exists so a site-scale audit's memory
-stays flat as the page count grows; this module is how that claim is
-*measured* rather than assumed.  A :class:`MemorySampler` drives
+The streaming reporting path exists so a site-scale audit does not
+hold every page's diagnostics; this module measures what it holds
+rather than assuming it.  The measure is not flat: on E19's pages a
+streaming ``poacher`` crawl's high-water grows 5.7x from 50 to 500
+pages (docs/architecture.md).  A :class:`MemorySampler` drives
 ``tracemalloc`` from the existing :class:`~repro.obs.export.Ticker`
 (one daemon thread, one cheap read per tick) and records the traced
 peak into a registry gauge, so the high-water mark shows up in

@@ -14,7 +14,6 @@ installing or removing one never mutates engine state mid-check.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -124,24 +123,6 @@ class RuleProfiler:
             self.message_counts[message_id] = (
                 self.message_counts.get(message_id, 0) + int(count)
             )
-
-
-class timed_section:
-    """Context manager recording one elapsed section into a profiler."""
-
-    __slots__ = ("profiler", "name", "_start")
-
-    def __init__(self, profiler: RuleProfiler, name: str) -> None:
-        self.profiler = profiler
-        self.name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "timed_section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.profiler.add(self.name, time.perf_counter() - self._start)
 
 
 # -- the process-wide active profiler (None = profiling off) ---------------

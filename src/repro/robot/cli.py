@@ -296,10 +296,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             CrawlProgress(poacher.robot, sys.stderr)
             if args.progress else None
         )
-        # Only sharded audits arm the memory sampler: that is the
-        # site-scale path whose flat-memory claim the
-        # report.memory.high_water_bytes gauge exists to prove, and
-        # tracemalloc tracing is not free.
+        # Only sharded audits arm the memory sampler: the
+        # report.memory.high_water_bytes gauge records the streaming
+        # crawl's high-water for the ledger to gate on (it grows with
+        # the site; docs/architecture.md has figures), and tracemalloc
+        # tracing is not free.
         sampler = MemorySampler().start() if args.shards is not None else None
         reporter = None
         if args.format == "jsonl":

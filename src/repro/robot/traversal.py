@@ -53,6 +53,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Callable, Optional
@@ -60,7 +61,6 @@ from typing import IO, Callable, Optional
 from repro.obs.events import get_event_log
 from repro.obs.export import Ticker
 from repro.obs.metrics import get_registry
-from repro.obs.timeseries import TimeSeries
 from repro.obs.trace import get_tracer
 from repro.robot.frontier import (
     FrontierJournal,
@@ -107,6 +107,10 @@ class TraversalPolicy:
 #: How many of the slowest fetches :class:`CrawlStats` keeps per crawl.
 SLOWEST_FETCHES_KEPT = 10
 
+#: Slack on the ``--progress`` window's start, so a sample taken exactly
+#: one window earlier stays on it despite float rounding.
+_WINDOW_SLACK_S = 1e-6
+
 
 @dataclass
 class CrawlStats:
@@ -120,9 +124,8 @@ class CrawlStats:
     bytes_fetched: int = 0
     #: The slowest fetches seen, as a bounded ``(latency_ms, url)`` heap.
     #: Per-URL latency is otherwise summarized into the
-    #: ``robot.fetch.latency_ms`` histogram (and the windowed
-    #: time-series when one is armed), so crawl memory stays flat at
-    #: site scale instead of growing one dict entry per URL.
+    #: ``robot.fetch.latency_ms`` histogram, so this list does not grow
+    #: one entry per URL at site scale.
     slowest_fetches: list[tuple[float, str]] = field(default_factory=list)
     #: transport-failed URL -> last error text.
     failed_urls: dict[str, str] = field(default_factory=dict)
@@ -150,14 +153,20 @@ class CrawlStats:
 class CrawlProgress:
     """The ``--progress`` view: one live line summarizing the crawl.
 
-    A background :class:`~repro.obs.export.Ticker` samples the metrics
-    registry into a windowed :class:`~repro.obs.timeseries.TimeSeries`
-    every ``interval_s`` and rewrites one carriage-returned status line:
-    pages done / in flight / failed, the rolling pages-per-second rate,
-    the cache-hit ratio, the busiest downloader slot and an ETA over
-    what is still queued.
+    A background :class:`~repro.obs.export.Ticker` samples the
+    registry's ``robot.pages.fetched`` counter every ``interval_s`` and
+    rewrites one carriage-returned status line: pages done / in flight /
+    failed, the pages-per-second rate over the last ``window_s``
+    seconds, the cache-hit ratio, the busiest downloader slot and an ETA
+    over what is still queued.
 
-    Rendering is a pure function of (robot state, registry, series,
+    The rate is the counter's growth across the window divided by
+    ``window_s``; the count before the first sample is 0.  ``samples``
+    keeps ``(t, count)`` per tick, back to the newest sample at or
+    before the window's start, so it holds about ``window_s /
+    interval_s`` entries however long the crawl runs.
+
+    Rendering is a pure function of (robot state, registry, samples,
     clock), so with an injected clock the line is byte-deterministic --
     the golden tests in ``tests/test_telemetry.py`` hold that.
     """
@@ -169,20 +178,26 @@ class CrawlProgress:
         clock: Callable[[], float] = time.monotonic,
         interval_s: float = 1.0,
         window_s: int = 10,
-        series: Optional[TimeSeries] = None,
     ) -> None:
         self.robot = robot
         self.stream = stream
         self.clock = clock
         self.interval_s = interval_s
         self.window_s = window_s
-        self.series = (
-            series
-            if series is not None
-            else TimeSeries(clock=clock, window_s=max(window_s, 2))
-        )
+        self.samples: deque[tuple[float, float]] = deque()
         self._ticker: Optional[Ticker] = None
         self._last_width = 0
+
+    def rate(self, t: float) -> float:
+        """Pages fetched per second over the ``window_s`` ending at ``t``."""
+        start = t - self.window_s + _WINDOW_SLACK_S
+        then = now = 0.0
+        for sample_t, count in self.samples:
+            if sample_t <= start:
+                then = count
+            if sample_t <= t:
+                now = count
+        return (now - then) / self.window_s
 
     def render_line(self, t: Optional[float] = None) -> str:
         now = self.clock() if t is None else t
@@ -192,9 +207,7 @@ class CrawlProgress:
         failed = stats.pages_failed + stats.pages_http_error
         in_flight = self.robot.in_flight
         queued = self.robot.frontier_size
-        rate = self.series.rate(
-            "robot.pages.fetched", window_s=self.window_s, t=now
-        )
+        rate = self.rate(now)
         hits = (
             registry.value("www.cache.hits")
             + registry.value("www.conditional.revalidated")
@@ -225,7 +238,13 @@ class CrawlProgress:
 
     def tick(self) -> None:
         now = self.clock()
-        self.series.sample_registry(get_registry(), t=now)
+        samples = self.samples
+        samples.append((now, get_registry().value("robot.pages.fetched")))
+        # Keep one sample at or before the window's start: its count is
+        # the rate's baseline.
+        start = now - self.window_s + _WINDOW_SLACK_S
+        while len(samples) > 1 and samples[1][0] <= start:
+            samples.popleft()
         line = self.render_line(t=now)
         padding = " " * max(0, self._last_width - len(line))
         self._last_width = len(line)
@@ -568,8 +587,7 @@ class Robot:
 
         ``live=False`` is the journal-replay path: stats, metrics,
         the visited list and ``on_page`` are all restored, but nothing
-        is re-journaled and no time-series samples or events are
-        emitted for work this run did not do.
+        is re-journaled for work this run did not do.
         """
         registry = get_registry()
         if response is None:
@@ -661,9 +679,9 @@ class Robot:
         Returns the response -- OK or not, so a persistent 404/500 is
         reported as an HTTP error -- or ``None`` when the agent produced
         no response.  The fetch's wall time lands in the
-        ``robot.fetch.latency_ms`` histogram, the windowed time-series
-        (when armed), the slow-op event log, and the crawl's bounded
-        slowest-N list.  Safe to call from frontier worker threads.
+        ``robot.fetch.latency_ms`` histogram, the slow-op event log, and
+        the crawl's bounded slowest-N list.  Safe to call from frontier
+        worker threads.
         """
         registry = get_registry()
         start = time.perf_counter()

@@ -40,11 +40,6 @@ class NavigationReport:
             return 0.0
         return sum(self.depths.values()) / len(self.depths)
 
-    def pages_at_depth(self, depth: int) -> list[str]:
-        return sorted(
-            page for page, d in self.depths.items() if d == depth
-        )
-
     def depth_histogram(self) -> dict[int, int]:
         histogram: dict[int, int] = {}
         for depth in self.depths.values():

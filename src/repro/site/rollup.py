@@ -28,7 +28,7 @@ from bisect import insort
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from repro.core.diagnostics import Diagnostic
+from repro.core.diagnostics import Diagnostic, diagnostic_record
 from repro.core.messages import Category
 from repro.store import JsonLog, write_atomic
 
@@ -41,18 +41,6 @@ SITE_MESSAGES = ("bad-link", "bad-fragment", "orphan-page", "directory-index")
 ROLLUP_VERSION = 1
 ROLLUP_FILENAME = "rollup.json"
 PAGES_FILENAME = "pages.jsonl"
-
-
-def diagnostic_record(diagnostic: Diagnostic) -> dict[str, object]:
-    """The spill-file shape of one diagnostic (filename lives on the
-    enclosing page record, so it is not repeated per item)."""
-    return {
-        "id": diagnostic.message_id,
-        "category": diagnostic.category.value,
-        "line": diagnostic.line,
-        "column": diagnostic.column,
-        "message": diagnostic.text,
-    }
 
 
 class _WorstPages:

@@ -184,19 +184,13 @@ class HttpCache:
             except OSError:
                 pass
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bodies.clear()
-            self._changed = True
-
     # -- persistence -------------------------------------------------------
 
     def save(self) -> None:
         """Atomically write the index (bodies were persisted on store).
 
-        Only when it changed: :meth:`store` and :meth:`clear` mark it,
-        and so does a :meth:`load` that found a corrupt index, so the
+        Only when it changed: :meth:`store` marks it, and so does a
+        :meth:`load` that found no index or a corrupt one, so the
         next save repairs the file.  A failed write is counted in
         ``www.httpcache.write_errors``, not raised, and stays pending:
         the crawl goes on, and the next one just starts colder.
@@ -231,16 +225,22 @@ class HttpCache:
 
         Returns the number of entries loaded.  An index that could not
         be read in full marks the cache changed, so the next
-        :meth:`save` rewrites it.
+        :meth:`save` rewrites it.  A missing index is a silent cold
+        start; one that does not parse, or parses to the wrong shape,
+        counts in ``www.httpcache.corrupt``.
         """
         if self.directory is None:
             return 0
         with get_tracer().span("www.httpcache.load"):
             try:
-                data = json.loads(self._index_path().read_text(encoding="utf-8"))
-            except (OSError, ValueError):
+                raw = self._index_path().read_bytes()
+            except OSError:
                 self._changed = True
                 return 0
+            try:
+                data = json.loads(raw)
+            except ValueError:  # not JSON, or not UTF-8
+                data = None
             if (
                 not isinstance(data, dict)
                 or data.get("version") != FORMAT_VERSION

@@ -782,7 +782,13 @@ class TestConditionalFetch:
         cache.save()
         (tmp_path / "http" / "index.json").write_text("][")
         reloaded = HttpCache(tmp_path / "http")
-        assert reloaded.load() == 0
+        with use_registry() as registry:
+            assert reloaded.load() == 0
+            # An index that does not parse is counted, like a
+            # wrong-version one; a missing index is a silent cold start.
+            assert registry.value("www.httpcache.corrupt") == 1
+            assert HttpCache(tmp_path / "absent").load() == 0
+            assert registry.value("www.httpcache.corrupt") == 1
 
     def test_save_writes_only_a_changed_index(self, tmp_path):
         web, cache, agent = self.fixture(tmp_path)

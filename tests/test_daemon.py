@@ -395,6 +395,39 @@ class TestLifecycleJournal:
         state = LifecycleJournal(tmp_path).load_state()
         assert state["clean"] is True
 
+    def test_journal_cut_at_every_byte(self, tmp_path):
+        """The journal is the state: cut a clean lifetime's journal at
+        any byte, and the next start is unclean exactly when the whole
+        ``started`` line survived without the whole ``stopped`` line."""
+        journal = LifecycleJournal(tmp_path / "whole")
+        journal.started(workers=2, queue_limit=8)
+        journal.draining()
+        journal.stopped(requests=5)
+        data = journal.journal_path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        assert [json.loads(line)["event"] for line in lines] == [
+            "started", "draining", "stopped",
+        ]
+        started_end = len(lines[0])
+        cut = LifecycleJournal(tmp_path / "cut")
+        cut.journal_path.parent.mkdir(parents=True)
+        for offset in range(len(data) + 1):
+            cut.journal_path.write_bytes(data[:offset])
+            state = cut.load_state()
+            clean = offset == len(data)
+            if offset < started_end:
+                assert state is None, offset
+            else:
+                assert state["clean"] is clean, offset
+                assert (state["pid"], state["workers"], state["queue_limit"]) == (
+                    os.getpid(), 2, 8,
+                )
+                assert ("stopped_unix" in state) is clean
+            unclean = started_end <= offset and not clean
+            with use_registry() as registry:
+                assert cut.started(1, 1) is not unclean, offset
+                assert registry.value("daemon.unclean_starts") == int(unclean)
+
 
 # -- over HTTP --------------------------------------------------------------
 
@@ -768,6 +801,22 @@ def _spawn_daemon(*args: str):
     return process, int(match.group(1))
 
 
+def _processes_naming(text: str) -> list[int]:
+    """PIDs of live processes whose command line contains ``text``.
+
+    Forked pool workers keep their daemon's command line.  Empty where
+    there is no ``/proc``.
+    """
+    pids = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            if text.encode() in cmdline.read_bytes():
+                pids.append(int(cmdline.parent.name))
+        except OSError:  # the process ended while we looked
+            pass
+    return pids
+
+
 def _stop_daemon(process) -> str:
     """SIGTERM (a graceful drain); returns the rest of its stdout."""
     import signal
@@ -818,6 +867,34 @@ class TestDaemonCLI:
             for line in (telemetry / "events.jsonl").read_text().splitlines()
         ]
         assert events[-2:] == ["daemon.draining", "daemon.stopped"]
+
+    def test_killed_daemon_is_an_unclean_start(self, tmp_path):
+        """A SIGKILLed lifetime never journals ``stopped``: the next
+        start on its state dir records ``previous_clean: false``, and no
+        state file besides the journal appears."""
+        import signal
+
+        state_dir = tmp_path / "state"
+        killed, _port = _spawn_daemon("--state-dir", str(state_dir))
+        killed.send_signal(signal.SIGKILL)
+        killed.communicate(timeout=20)
+        process, _port = _spawn_daemon("--state-dir", str(state_dir))
+        _stop_daemon(process)
+        assert process.returncode == 0
+        journal = LifecycleJournal(state_dir)
+        records = [
+            json.loads(line)
+            for line in journal.journal_path.read_text().splitlines()
+        ]
+        assert [r["event"] for r in records] == [
+            "started", "started", "draining", "stopped",
+        ]
+        assert records[1]["previous_clean"] is False
+        assert journal.load_state()["clean"] is True
+        assert [p.name for p in (state_dir / "daemon").iterdir()] == [
+            "journal.jsonl"
+        ]
+        assert _processes_naming(str(state_dir)) == []
 
     def test_site_dir_serves_the_gateway_form(self, tmp_path, capsys):
         """/weblint?url= on ``--site-dir`` answers with the page's report,

@@ -244,7 +244,7 @@ class TestFailedWritesAreCounted:
 
     def test_daemon_state(self, tmp_path):
         lifecycle = LifecycleJournal(tmp_path)
-        lifecycle.state_path.mkdir(parents=True)
+        lifecycle.journal_path.mkdir(parents=True)
         with use_registry() as registry:
             lifecycle.started(workers=1, queue_limit=4)
             assert registry.value("daemon.journal_write_errors") == 1

@@ -1,4 +1,4 @@
-"""The continuous telemetry pipeline: time-series, events, export, ledger.
+"""The continuous telemetry pipeline: events, export, ledger, progress.
 
 Everything here runs with injected clocks, so windowed rates, event
 timestamps, the OpenMetrics exposition and the ``--progress`` line are
@@ -8,6 +8,7 @@ comparisons, not regexes.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import time
@@ -21,7 +22,6 @@ from repro.obs import (
     RunLedger,
     TelemetrySink,
     Ticker,
-    TimeSeries,
     Tracer,
     get_event_log,
     get_registry,
@@ -33,7 +33,6 @@ from repro.obs import (
     use_registry,
     use_tracer,
 )
-from repro.obs.timeseries import RingSeries
 from repro.tools.compare_runs import compare, load_records
 from repro.tools.compare_runs import main as compare_main
 
@@ -49,62 +48,6 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-# ---------------------------------------------------------------------------
-# Time-series
-
-
-class TestRingSeries:
-    def test_totals_over_window(self):
-        ring = RingSeries(window_s=10)
-        ring.add(100.0, 5.0)
-        ring.add(101.0, 3.0)
-        ring.add(101.5, 2.0)  # same second as the previous add
-        assert ring.totals(101.0) == (10.0, 3)
-
-    def test_stale_slots_age_out_lazily(self):
-        ring = RingSeries(window_s=5)
-        ring.add(100.0, 1.0)
-        # 105 maps to the same slot as 100 (105 % 5 == 100 % 5) and must
-        # reset it rather than accumulate into stale data.
-        ring.add(105.0, 7.0)
-        assert ring.totals(105.0) == (7.0, 1)
-
-    def test_old_seconds_excluded_from_window(self):
-        ring = RingSeries(window_s=60)
-        ring.add(100.0, 1.0)
-        ring.add(130.0, 2.0)
-        total, count = ring.totals(135.0, window_s=10)
-        assert (total, count) == (2.0, 1)
-
-
-class TestTimeSeries:
-    def test_rate_over_window(self):
-        clock = FakeClock(100.0)
-        series = TimeSeries(clock=clock, window_s=10)
-        for _ in range(20):
-            series.observe("pages")
-            clock.advance(0.5)  # 20 events over 10 seconds
-        # Query at the last populated second: the closed window
-        # [100, 109] holds all 20 events.
-        assert series.rate("pages", t=109.5) == pytest.approx(2.0)
-
-    def test_rate_unknown_name_is_zero(self):
-        assert TimeSeries(clock=FakeClock()).rate("nope") == 0.0
-
-    def test_sample_registry_folds_counter_deltas(self):
-        clock = FakeClock(100.0)
-        series = TimeSeries(clock=clock, window_s=10)
-        registry = MetricsRegistry()
-        registry.inc("robot.pages.fetched", 4)
-        series.sample_registry(registry)
-        clock.advance(1.0)
-        registry.inc("robot.pages.fetched", 6)
-        series.sample_registry(registry)
-        total, count = series.series["robot.pages.fetched"].totals(clock())
-        assert total == 10.0
-        assert count == 10
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +119,19 @@ class TestEventLog:
         events = [r for r in log.records if r["event"] == "slow_op"]
         assert [r["op"] for r in events] == ["phase.parse"]
         assert events[0]["file"] == "x.html"
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_one_slow_op_per_slow_lint(self, traced):
+        """A slow lint logs one ``lint.file`` slow_op: its span's when a
+        tracer records, the service's own when none does."""
+        from repro.core.service import LintRequest, LintService, StringSource
+
+        request = LintRequest(StringSource("<p>slow</p>", name="x.html"))
+        with use_event_log(EventLog(slow_ms=0.0, clock=FakeClock())) as log:
+            with use_tracer() if traced else contextlib.nullcontext():
+                LintService().check(request)
+        slow = [r for r in log.records if r["event"] == "slow_op"]
+        assert [r["file"] for r in slow if r["op"] == "lint.file"] == ["x.html"]
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +580,7 @@ def _progress_fixture(clock: FakeClock):
     from repro.www.virtualweb import VirtualWeb
 
     robot = Robot(UserAgent(VirtualWeb()))
-    progress = CrawlProgress(
-        robot, io.StringIO(), clock=clock, window_s=10,
-        series=TimeSeries(clock=clock, window_s=10),
-    )
+    progress = CrawlProgress(robot, io.StringIO(), clock=clock, window_s=10)
     robot.stats.pages_fetched = 12
     robot.stats.pages_failed = 1
     robot.stats.pages_http_error = 1
@@ -645,7 +598,9 @@ class TestCrawlProgress:
             registry.inc("www.cache.misses", 1)
             # 2 pages/s over the 10s window ending at t=109.
             for second in range(100, 110):
-                progress.series.observe("robot.pages.fetched", 2.0, t=second)
+                clock.now = second
+                registry.inc("robot.pages.fetched", 2)
+                progress.tick()
             line = progress.render_line(t=109.0)
         assert line == (
             "crawl: 12 done, 3 in flight, 2 failed | 2.0 pages/s | "
@@ -683,10 +638,8 @@ class TestCrawlProgress:
         with use_registry() as registry:
             registry.inc("robot.pages.fetched", 5)
             progress.tick()
-        total, _count = progress.series.series["robot.pages.fetched"].totals(
-            clock()
-        )
-        assert total == 5.0
+        # 5 pages in the 10s window.
+        assert "| 0.5 pages/s |" in progress.stream.getvalue()
 
     def test_crawl_runs_the_progress_ticker(self):
         from repro.robot.traversal import CrawlProgress, Robot
