@@ -10,11 +10,21 @@ elements, the secondary (unresolved) stack, element history, plus the
 document-level flags rules need (seen DOCTYPE, head/body phase ...) and
 the :meth:`emit` gateway through which every diagnostic flows so that
 configuration is enforced in one place.
+
+Every stack mutation goes through the context (:meth:`push`, :meth:`pop`,
+:meth:`pop_to`, :meth:`park`, :meth:`unpark`), which keeps three indexes
+beside the stacks: the open elements by name, the open elements by each
+name their content model excludes, and the parked elements by name.  So
+"is an A open?", "which open element forbids this tag?" and "which
+parked element does this end tag resolve?" cost one dict lookup however
+deep the stack is.  Text is appended once to a shared buffer, and a
+text-tracked element records where its text starts and ends in it, so
+no token is copied into each open ancestor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.config.options import Options
@@ -31,7 +41,7 @@ TEXT_TRACKED_ELEMENTS = frozenset(
 )
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class OpenElement:
     """One entry on the main (or secondary) stack."""
 
@@ -40,11 +50,22 @@ class OpenElement:
     line: int
     elem: Optional[ElementDef]    # None for unknown/custom elements
     had_content: bool = False
-    text_parts: list[str] = field(default_factory=list)
+    #: Index on the main stack while the element is on it.
+    depth: int = -1
+    #: The check's text buffer and this element's span in it (text-tracked
+    #: elements only; ``text_end`` is -1 while the element is open).
+    texts: Optional[list[str]] = None
+    text_start: int = 0
+    text_end: int = -1
 
     @property
     def text(self) -> str:
-        return "".join(self.text_parts)
+        """The text that arrived while the element was on the main stack."""
+        texts = self.texts
+        if texts is None:
+            return ""
+        end = self.text_end if self.text_end >= 0 else len(texts)
+        return "".join(texts[self.text_start:end])
 
 
 class CheckContext:
@@ -72,9 +93,16 @@ class CheckContext:
         self.enabled_now: set[str] = set(options.enabled)
         self._enabled_stack: list[set[str]] = []
 
-        # The two stacks of section 5.1.
+        # The two stacks of section 5.1.  The secondary stack is a dict
+        # used as an ordered set, so a resolved entry leaves it in O(1).
         self.stack: list[OpenElement] = []
-        self.unresolved: list[OpenElement] = []
+        self.unresolved: dict[OpenElement, None] = {}
+        # Indexes kept by push/pop/park/unpark (see the module docstring).
+        self._open: dict[str, list[OpenElement]] = {}
+        self._excluding: dict[str, list[OpenElement]] = {}
+        self._parked: dict[str, list[OpenElement]] = {}
+        # Every text run of the document, in order.
+        self._texts: list[str] = []
 
         # History: first line each element name was seen on.
         self.history: dict[str, int] = {}
@@ -166,46 +194,107 @@ class CheckContext:
         return self.stack[-1] if self.stack else None
 
     def push(self, open_element: OpenElement) -> None:
-        self.stack.append(open_element)
-        if len(self.stack) > self.stack_high_water:
-            self.stack_high_water = len(self.stack)
+        stack = self.stack
+        open_element.depth = len(stack)
+        stack.append(open_element)
+        if len(stack) > self.stack_high_water:
+            self.stack_high_water = len(stack)
+        name = open_element.name
+        same = self._open.get(name)
+        if same is None:
+            self._open[name] = [open_element]
+        else:
+            same.append(open_element)
+        elem = open_element.elem
+        if elem is not None and elem.excludes:
+            excluding = self._excluding
+            for excluded in elem.excludes:
+                excluding.setdefault(excluded, []).append(open_element)
+        if name in TEXT_TRACKED_ELEMENTS:
+            open_element.texts = self._texts
+            open_element.text_start = len(self._texts)
+
+    def pop(self) -> OpenElement:
+        """Remove and return the top of the main stack."""
+        open_element = self.stack.pop()
+        self._leave(open_element)
+        return open_element
+
+    def pop_to(self, index: int) -> list[OpenElement]:
+        """Remove ``stack[index:]``; returns it, bottom first."""
+        removed = self.stack[index:]
+        del self.stack[index:]
+        for open_element in reversed(removed):
+            self._leave(open_element)
+        return removed
+
+    def _leave(self, open_element: OpenElement) -> None:
+        # Called top first, so each entry is the last of its index lists.
+        self._open[open_element.name].pop()
+        elem = open_element.elem
+        if elem is not None and elem.excludes:
+            excluding = self._excluding
+            for excluded in elem.excludes:
+                excluding[excluded].pop()
+        if open_element.texts is not None:
+            open_element.text_end = len(self._texts)
 
     def find_open(self, name: str) -> int:
         """Index of the topmost open element with this name, or -1."""
-        for index in range(len(self.stack) - 1, -1, -1):
-            if self.stack[index].name == name:
-                return index
-        return -1
+        same = self._open.get(name)
+        return same[-1].depth if same else -1
 
     def in_element(self, name: str) -> bool:
-        return self.find_open(name) != -1
+        return bool(self._open.get(name))
 
-    def find_unresolved(self, name: str) -> int:
-        for index in range(len(self.unresolved) - 1, -1, -1):
-            if self.unresolved[index].name == name:
-                return index
-        return -1
+    def excluder_of(self, name: str) -> Optional[OpenElement]:
+        """The topmost open element whose content model excludes ``name``."""
+        excluding = self._excluding.get(name)
+        return excluding[-1] if excluding else None
+
+    def park(self, open_element: OpenElement) -> None:
+        """Put an element skipped by an overlap on the secondary stack."""
+        self.unresolved[open_element] = None
+        self._parked.setdefault(open_element.name, []).append(open_element)
+
+    def unpark(self, name: Optional[str] = None) -> Optional[OpenElement]:
+        """Take the last parked element named ``name`` (any name if None)."""
+        if name is None:
+            if not self.unresolved:
+                return None
+            open_element = next(reversed(self.unresolved))
+            name = open_element.name
+        else:
+            parked = self._parked.get(name)
+            if not parked:
+                return None
+            open_element = parked[-1]
+        self._parked[name].pop()
+        del self.unresolved[open_element]
+        return open_element
 
     # -- content tracking ------------------------------------------------------------
-
-    def note_child(self) -> None:
-        """Record that the current open element received a child element."""
-        if self.top is not None:
-            self.top.had_content = True
 
     def note_text(self, text: str) -> None:
         """Record text content.
 
         Whitespace-only runs do not count as content (an element holding
         only a newline is still "empty" for the empty-container check) but
-        are still accumulated for text-tracked elements, because rules
-        like container-whitespace care about it.
+        are still part of text-tracked elements' text, because rules like
+        container-whitespace care about it.
         """
-        if self.top is not None and text.strip():
-            self.top.had_content = True
-        for entry in self.stack:
-            if entry.name in TEXT_TRACKED_ELEMENTS:
-                entry.text_parts.append(text)
+        self._texts.append(text)
+        stack = self.stack
+        if stack and not stack[-1].had_content and text.strip():
+            stack[-1].had_content = True
+
+    def text_mark(self) -> int:
+        """A position in the document's text, for :meth:`text_since`."""
+        return len(self._texts)
+
+    def text_since(self, mark: int) -> str:
+        """All text that arrived after ``mark`` was taken."""
+        return "".join(self._texts[mark:])
 
     # -- results ------------------------------------------------------------------------
 

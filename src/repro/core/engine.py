@@ -16,9 +16,11 @@ The engine owns the two stacks and the structural messages that depend on
 them (unclosed / overlapped / mismatched / out-of-context elements);
 everything else is delegated to the pluggable rules, reached through a
 compiled :class:`~repro.core.dispatch.DispatchTable`: rules declare which
-hooks -- and, for tag hooks, which element names -- they care about, and
-the engine performs one dict lookup per tag instead of invoking every
-rule for every token.  Tokens are consumed from the tokenizer's streaming
+hooks -- and, for tag hooks, which element names or attributes -- they
+care about.  Each token costs one lookup by its kind, and each tag one
+lookup of its element's compiled plan, instead of invoking every rule
+for every token; an event no rule claims costs no hook call at all.
+Tokens are consumed from the tokenizer's streaming
 :func:`~repro.html.tokenizer.iter_tokens` feed, so a document is never
 materialised as a full token list.
 
@@ -70,6 +72,7 @@ from repro.html.tokens import (
     ProcessingInstruction,
     StartTag,
     Text,
+    TokenKind,
 )
 
 _HEADINGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})
@@ -112,6 +115,19 @@ class Engine:
             if self.spec.name != vendor:
                 vendor_only = frozenset(set(get_spec(vendor).elements) - standard)
                 self._vendor_specs.append((vendor, vendor_only))
+        # The per-kind handlers: one lookup by token class per token.
+        self._by_kind = {
+            TokenKind.START_TAG: self._start_tag,
+            TokenKind.END_TAG: self._end_tag,
+            TokenKind.TEXT: self._text,
+            TokenKind.COMMENT: self._comment,
+            TokenKind.DECLARATION: self._declaration,
+            TokenKind.PI: self._processing_instruction,
+        }
+        self._by_type = {
+            cls: self._by_kind[cls.kind]
+            for cls in (StartTag, EndTag, Text, Comment, Declaration, ProcessingInstruction)
+        }
 
     # -- public API ------------------------------------------------------------
 
@@ -141,19 +157,24 @@ class Engine:
         context = CheckContext(self.spec, self.options, filename)
         if context.profiler is not None:
             context.profiler.note_document()
-        run_hooks = table.run_hooks
 
         with tracer.span("engine.dispatch", file=filename) as span:
-            run_hooks(table.start_document, context)
+            if table.start_document:
+                table.run_hooks(table.start_document, context)
+            by_type = self._by_type
             token_count = 0
             for token in tokens:
                 token_count += 1
                 context.last_line = token.line
-                self._dispatch(context, token, table)
+                handle = by_type.get(token.__class__)
+                if handle is None:  # a token subclass: go by its kind
+                    handle = self._by_kind[token.kind]
+                handle(context, token, table)
             span.annotate(tokens=token_count)
         with tracer.span("engine.finish", file=filename):
             self._finish(context, table)
-            run_hooks(table.end_document, context)
+            if table.end_document:
+                table.run_hooks(table.end_document, context)
         if links:
             context.links, context.anchors = page.links, page.anchors
 
@@ -163,37 +184,122 @@ class Engine:
         registry.gauge_max("engine.stack.high_water", context.stack_high_water)
         return context
 
-    # -- dispatch ----------------------------------------------------------------
-
-    def _dispatch(
-        self, context: CheckContext, token, table: DispatchTable
-    ) -> None:
-        if isinstance(token, StartTag):
-            self._start_tag(context, token, table)
-        elif isinstance(token, EndTag):
-            self._end_tag(context, token, table)
-        elif isinstance(token, Text):
-            self._text(context, token, table)
-        elif isinstance(token, Comment):
-            table.run_hooks(table.comment, context, token)
-        elif isinstance(token, Declaration):
-            if token.is_doctype and not context.seen_any_element:
-                context.seen_doctype = True
-            table.run_hooks(table.declaration, context, token)
-        elif isinstance(token, ProcessingInstruction):
-            pass  # tolerated, never checked
-
     # -- start tags ---------------------------------------------------------------
 
     def _start_tag(
         self, context: CheckContext, tag: StartTag, table: DispatchTable
     ) -> None:
-        name = tag.lowered
+        name = tag.name.lower()
         if not name:
             return
         line = tag.line
 
         # Lexical anomalies attached to the tag by the tokenizer.
+        if tag.issues:
+            self._tag_issues(context, tag)
+
+        plan = table.elements.get(name)
+        if plan is None:
+            plan = table.unknown
+        elem = plan.elem
+        if elem is None:
+            self._unknown_element(context, tag, name)
+
+        first = not context.seen_any_element
+        if first:
+            context.seen_any_element = True
+            context.first_element_name = name
+
+        # Implicit closes (LI closes LI, block elements close P, ...).
+        stack = context.stack
+        closes = plan.closes
+        if closes:
+            while stack and stack[-1].name in closes:
+                self._element_closed(context, context.pop(), None, True, table)
+
+        # This tag is content for whatever is now open.
+        parent = stack[-1] if stack else None
+        if parent is not None:
+            parent.had_content = True
+
+        # Structural checks that need the stack.
+        if (
+            plan.legal_parents is not None
+            and parent is not None
+            and parent.name not in plan.legal_parents
+            # An unknown parent: don't guess.  No parent at all:
+            # html-outer / require-head cover it; repeating it per
+            # element is a cascade.
+            and parent.elem is not None
+        ):
+            context.emit(
+                "required-context",
+                line=line,
+                element=tag.name.upper(),
+                requirement=plan.requirement,
+            )
+        ancestor = context.excluder_of(name)
+        if ancestor is not None:
+            if ancestor.name == name:
+                context.emit(
+                    "nested-element",
+                    line=line,
+                    element=tag.name.upper(),
+                    open_line=ancestor.line,
+                )
+            else:
+                context.emit(
+                    "required-context",
+                    line=line,
+                    element=tag.name.upper(),
+                    requirement=f"not allowed inside <{ancestor.name.upper()}>",
+                )
+        history = context.history
+        if plan.once_only and name in history:
+            context.emit(
+                "once-only",
+                line=line,
+                element=tag.name.upper(),
+                first_line=history[name],
+            )
+        if plan.head_check and (context.seen_body_open or context.seen_head_close):
+            context.emit("head-element", line=line, element=tag.name.upper())
+        for attr_name in plan.required:
+            if not tag.has_attribute(attr_name):
+                context.emit(
+                    "required-attribute",
+                    line=line,
+                    attribute=attr_name.upper(),
+                    element=tag.name.upper(),
+                )
+
+        if name == "body":
+            context.seen_body_open = True
+        elif name == "title":
+            context.seen_title = True
+        if name not in history:
+            history[name] = line
+
+        if tag.self_closing:
+            context.emit("self-closing-tag", line=line, element=tag.name)
+        elif elem is None or not elem.empty:
+            context.push(OpenElement(name=name, tag=tag, line=line, elem=elem))
+
+        attributes = tag.attributes
+        hooks = plan.attributed_hooks if attributes else plan.start_hooks
+        if first:
+            hooks = table.claimed_start_hooks(plan, tag, True)
+        elif attributes and table.claimed_attributes:
+            claimed = table.claimed_attributes
+            for attr in attributes:
+                if attr.name.lower() in claimed:
+                    hooks = table.claimed_start_hooks(plan, tag, False)
+                    break
+        if hooks:
+            table.run_hooks(hooks, context, tag, elem)
+
+    def _tag_issues(self, context: CheckContext, tag: StartTag) -> None:
+        line = tag.line
         if tag.has_issue(LexicalIssue.WHITESPACE_AFTER_LT):
             context.emit("leading-whitespace", line=line, element=tag.name.upper())
         if tag.has_issue(LexicalIssue.ODD_QUOTES):
@@ -201,70 +307,19 @@ class Engine:
         if tag.has_issue(LexicalIssue.UNCLOSED_TAG):
             context.emit("unterminated-tag", line=line, element=tag.name)
 
-        elem = self._resolve_element(context, tag)
-
-        if not context.seen_any_element:
-            context.seen_any_element = True
-            context.first_element_name = name
-
-        # Implicit closes (LI closes LI, block elements close P, ...).
-        if elem is not None and elem.closes:
-            while context.stack and context.stack[-1].name in elem.closes:
-                closed = context.stack.pop()
-                self._element_closed(context, closed, None, True, table)
-
-        # This tag is content for whatever is now open.
-        context.note_child()
-
-        # Structural checks that need the stack.
-        self._check_context(context, tag, elem)
-        self._check_excludes(context, tag, elem)
-        self._check_once_only(context, tag, elem)
-        self._check_head_element(context, tag, elem)
-        self._check_required_attributes(context, tag, elem)
-
-        if name == "body":
-            context.seen_body_open = True
-        if name == "title":
-            context.seen_title = True
-        context.history.setdefault(name, line)
-
-        if tag.self_closing:
-            context.emit("self-closing-tag", line=line, element=tag.name)
-
-        open_element: Optional[OpenElement] = None
-        pushed = (
-            (elem is None or elem.container)
-            and not tag.self_closing
-        )
-        if pushed:
-            open_element = OpenElement(
-                name=name, tag=tag, line=line, elem=elem
-            )
-            context.push(open_element)
-
-        handlers = table.start_tag.get(name)
-        if handlers is None:
-            handlers = table.start_tag_any
-        table.run_hooks(handlers, context, tag, elem)
-
-    def _resolve_element(
-        self, context: CheckContext, tag: StartTag
-    ) -> Optional[ElementDef]:
-        """Look the element up, reporting unknown / vendor markup."""
-        name = tag.lowered
-        elem = self.spec.element(name)
-        if elem is not None:
-            return elem
+    def _unknown_element(
+        self, context: CheckContext, tag: StartTag, name: str
+    ) -> None:
+        """Report a name the spec does not define (unknown / vendor markup)."""
         if context.options.is_custom_element(name):
-            return None
+            return
         vendor = self._vendor_of(name)
         if vendor == "netscape":
             context.emit("netscape-markup", line=tag.line, element=tag.name.upper())
-            return None
+            return
         if vendor == "microsoft":
             context.emit("microsoft-markup", line=tag.line, element=tag.name.upper())
-            return None
+            return
         suggestion = ""
         if self.cascade_heuristics:
             candidate = self.spec.suggest_element(name)
@@ -276,7 +331,6 @@ class Engine:
             element=tag.name.upper(),
             suggestion=suggestion,
         )
-        return None
 
     def _vendor_of(self, name: str) -> Optional[str]:
         """Which vendor, if any, owns this element *exclusively*.
@@ -290,117 +344,33 @@ class Engine:
                 return vendor
         return None
 
-    def _check_context(
-        self, context: CheckContext, tag: StartTag, elem: Optional[ElementDef]
-    ) -> None:
-        if elem is None or elem.allowed_in is None:
-            return
-        parent = context.top
-        if parent is None:
-            # No open parent at all: html-outer / require-head style
-            # messages cover this; repeating it per element is a cascade.
-            return
-        if parent.name in elem.allowed_in:
-            return
-        if parent.elem is None:
-            return  # unknown parent: don't guess
-        legal = " or ".join(f"<{name.upper()}>" for name in sorted(elem.allowed_in))
-        context.emit(
-            "required-context",
-            line=tag.line,
-            element=tag.name.upper(),
-            requirement=f"must appear in {legal} element",
-        )
-
-    def _check_excludes(
-        self, context: CheckContext, tag: StartTag, elem: Optional[ElementDef]
-    ) -> None:
-        name = tag.lowered
-        for ancestor in reversed(context.stack):
-            if ancestor.elem is None:
-                continue
-            if name in ancestor.elem.excludes:
-                if ancestor.name == name:
-                    context.emit(
-                        "nested-element",
-                        line=tag.line,
-                        element=tag.name.upper(),
-                        open_line=ancestor.line,
-                    )
-                else:
-                    context.emit(
-                        "required-context",
-                        line=tag.line,
-                        element=tag.name.upper(),
-                        requirement=f"not allowed inside <{ancestor.name.upper()}>",
-                    )
-                return
-
-    def _check_once_only(
-        self, context: CheckContext, tag: StartTag, elem: Optional[ElementDef]
-    ) -> None:
-        if elem is None or not elem.once_per_document:
-            return
-        name = tag.lowered
-        if name in context.history:
-            context.emit(
-                "once-only",
-                line=tag.line,
-                element=tag.name.upper(),
-                first_line=context.history[name],
-            )
-
-    def _check_head_element(
-        self, context: CheckContext, tag: StartTag, elem: Optional[ElementDef]
-    ) -> None:
-        if elem is None or not elem.is_head:
-            return
-        if tag.lowered in ("head", "script"):
-            return
-        if context.seen_body_open or context.seen_head_close:
-            context.emit("head-element", line=tag.line, element=tag.name.upper())
-
-    def _check_required_attributes(
-        self, context: CheckContext, tag: StartTag, elem: Optional[ElementDef]
-    ) -> None:
-        if elem is None:
-            return
-        for attr_name in elem.required_attributes():
-            if tag.lowered == "img" and attr_name == "alt":
-                continue  # ImageRule owns img-alt wording
-            if not tag.has_attribute(attr_name):
-                context.emit(
-                    "required-attribute",
-                    line=tag.line,
-                    attribute=attr_name.upper(),
-                    element=tag.name.upper(),
-                )
-
     # -- end tags --------------------------------------------------------------------
 
     def _end_tag(
         self, context: CheckContext, tag: EndTag, table: DispatchTable
     ) -> None:
-        name = tag.lowered
+        name = tag.name.lower()
         if not name:
             return
         line = tag.line
 
-        if tag.has_issue(LexicalIssue.ATTRIBUTES_IN_END_TAG):
-            context.emit("closing-attribute", line=line, element=tag.name.upper())
-        if tag.has_issue(LexicalIssue.UNCLOSED_TAG):
-            context.emit("unterminated-tag", line=line, element="/" + tag.name)
+        if tag.issues:
+            if tag.has_issue(LexicalIssue.ATTRIBUTES_IN_END_TAG):
+                context.emit("closing-attribute", line=line, element=tag.name.upper())
+            if tag.has_issue(LexicalIssue.UNCLOSED_TAG):
+                context.emit("unterminated-tag", line=line, element="/" + tag.name)
 
-        handlers = table.end_tag.get(name)
-        if handlers is None:
-            handlers = table.end_tag_any
-        table.run_hooks(handlers, context, tag)
+        plan = table.elements.get(name)
+        if plan is None:
+            plan = table.unknown
+        if plan.end_hooks:
+            table.run_hooks(plan.end_hooks, context, tag)
 
         if name == "head":
             context.seen_head_close = True
         context.last_end_tag_name = name
 
-        elem = self.spec.element(name)
+        elem = plan.elem
 
         # Heading mismatch heuristic: </H2> closing an open <H1>.
         if self.cascade_heuristics and name in _HEADINGS:
@@ -412,8 +382,7 @@ class Engine:
                     open_heading=top.name.upper(),
                     close_heading=tag.name.upper(),
                 )
-                closed = context.stack.pop()
-                self._element_closed(context, closed, tag, False, table)
+                self._element_closed(context, context.pop(), tag, False, table)
                 return
 
         if elem is not None and elem.empty:
@@ -426,12 +395,10 @@ class Engine:
             return
 
         # Unwind everything above the match, then close the match itself.
-        matched = context.stack[index]
-        skipped = context.stack[index + 1 :]
-        del context.stack[index:]
-        for entry in reversed(skipped):
+        removed = context.pop_to(index)
+        for entry in reversed(removed[1:]):
             self._skipped_element(context, tag, elem, entry, table)
-        self._element_closed(context, matched, tag, False, table)
+        self._element_closed(context, removed[0], tag, False, table)
 
     def _unmatched_end_tag(
         self,
@@ -441,9 +408,8 @@ class Engine:
         table: DispatchTable,
     ) -> None:
         name = tag.lowered
-        unresolved_index = context.find_unresolved(name)
-        if unresolved_index != -1:
-            entry = context.unresolved.pop(unresolved_index)
+        entry = context.unpark(name)
+        if entry is not None:
             self._element_closed(context, entry, tag, False, table)
             return
         if elem is None and not context.options.is_custom_element(name):
@@ -503,7 +469,7 @@ class Engine:
                 open_line=entry.line,
             )
             if self.cascade_heuristics:
-                context.unresolved.append(entry)
+                context.park(entry)
             else:
                 self._element_closed(context, entry, tag, True, table)
 
@@ -517,35 +483,54 @@ class Engine:
         implicit: bool,
         table: DispatchTable,
     ) -> None:
-        if (
-            not implicit
-            and entry.elem is not None
-            and entry.elem.container
-            and not entry.had_content
-            and entry.name not in ("script", "style", "textarea", "td", "th")
-        ):
+        plan = table.elements.get(entry.name)
+        if plan is None:
+            plan = table.unknown
+        if not implicit and not entry.had_content and plan.empty_check:
             line = end_tag.line if end_tag is not None else entry.line
             context.emit("empty-container", line=line, element=entry.name.upper())
-        handlers = table.element_closed.get(entry.name)
-        if handlers is None:
-            handlers = table.element_closed_any
-        table.run_hooks(handlers, context, entry, end_tag, implicit)
+        if plan.closed_hooks:
+            table.run_hooks(plan.closed_hooks, context, entry, end_tag, implicit)
 
-    # -- text -----------------------------------------------------------------------------
+    # -- text, comments, declarations -------------------------------------------------
 
     def _text(
         self, context: CheckContext, token: Text, table: DispatchTable
     ) -> None:
-        if token.has_issue(LexicalIssue.EMPTY_TAG):
-            context.emit("empty-tag", line=token.line)
+        if token.issues:
+            if token.has_issue(LexicalIssue.EMPTY_TAG):
+                context.emit("empty-tag", line=token.line)
+            hooks = table.text
+        else:
+            hooks = table.text if token.entities else table.plain_text
         context.note_text(token.text)
-        table.run_hooks(table.text, context, token)
+        if hooks:
+            table.run_hooks(hooks, context, token)
+
+    def _comment(
+        self, context: CheckContext, token: Comment, table: DispatchTable
+    ) -> None:
+        if table.comment:
+            table.run_hooks(table.comment, context, token)
+
+    def _declaration(
+        self, context: CheckContext, token: Declaration, table: DispatchTable
+    ) -> None:
+        if token.is_doctype and not context.seen_any_element:
+            context.seen_doctype = True
+        if table.declaration:
+            table.run_hooks(table.declaration, context, token)
+
+    def _processing_instruction(
+        self, context: CheckContext, token: ProcessingInstruction, table: DispatchTable
+    ) -> None:
+        """Tolerated, never checked."""
 
     # -- end of document ---------------------------------------------------------------------
 
     def _finish(self, context: CheckContext, table: DispatchTable) -> None:
         while context.stack:
-            entry = context.stack.pop()
+            entry = context.pop()
             if entry.elem is not None and entry.elem.strict_container:
                 context.emit(
                     "unclosed-element",
@@ -555,5 +540,4 @@ class Engine:
                 )
             self._element_closed(context, entry, None, True, table)
         while context.unresolved:
-            entry = context.unresolved.pop()
-            self._element_closed(context, entry, None, True, table)
+            self._element_closed(context, context.unpark(), None, True, table)

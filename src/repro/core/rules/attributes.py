@@ -32,10 +32,10 @@ _UNQUOTED_SAFE = re.compile(r"^[A-Za-z0-9._:-]*$")
 
 
 class AttributeRule(Rule):
-    # Inspects the attributes of every tag, so it subscribes to every
-    # start tag; the win for this rule is skipping the other six hooks.
+    # Inspects the attributes of every tag, so it claims every start
+    # tag that carries at least one attribute.
     name = "attributes"
-    subscribes = {"handle_start_tag": "*"}
+    subscribes = {"handle_start_tag": {"[*]"}}
 
     def handle_start_tag(
         self,
@@ -43,6 +43,7 @@ class AttributeRule(Rule):
         tag: StartTag,
         elem: Optional[ElementDef],
     ) -> None:
+        element = tag.lowered
         element_upper = tag.name.upper()
 
         for attr_name in tag.duplicated_attributes():
@@ -86,9 +87,9 @@ class AttributeRule(Rule):
             if elem is None or not first_occurrence:
                 continue
 
-            definition = context.spec.attribute_def(tag.lowered, lowered)
+            definition = context.spec.attribute_def(element, lowered)
             if definition is None:
-                if context.options.is_custom_attribute(tag.lowered, lowered):
+                if context.options.is_custom_attribute(element, lowered):
                     continue
                 context.emit(
                     "unknown-attribute",

@@ -31,8 +31,27 @@ the tag-keyed hooks (``handle_start_tag``, ``handle_end_tag``,
         name = "images"
         subscribes = {"handle_start_tag": {"img", "input"}}
 
+A ``handle_start_tag`` interest may also claim attributes and the first
+tag, with two more selector forms beside element names:
+
+- ``"[name]"`` -- every start tag that carries attribute ``name`` (any
+  case), whatever the element; ``"[*]"`` -- every tag that carries at
+  least one attribute;
+- ``":first"`` -- the document's first start tag, whatever its name.
+
+The hook runs when any selector matches, once per tag::
+
+    class InlineStyleRule(Rule):
+        name = "inline-style"
+        subscribes = {"handle_start_tag": {"style", "[style]"}}
+
+A ``handle_text`` interest may likewise claim only the text runs that
+carry entity references (``"[entities]"``) or lexical issues
+(``"[issues]"``); any other truthy value means every text run.
+
 The dispatch layer (:mod:`repro.core.dispatch`) compiles these into
-per-hook, per-tag-name handler tables.  Legacy rules that declare
+per-hook, per-tag-name handler tables, and adds the attribute and
+first-tag claims at the tags they match.  Legacy rules that declare
 nothing keep working: :func:`infer_subscriptions` detects which hooks a
 subclass overrides and subscribes them with a wildcard, which reproduces
 the old call-everything behaviour for that rule alone.  A subclass that
@@ -68,9 +87,40 @@ TAG_KEYED_HOOKS: frozenset[str] = frozenset(
 #: Wildcard marker usable inside a ``subscribes`` value.
 ANY_TAG = "*"
 
+#: Start-tag selector for the document's first start tag.
+FIRST_TAG = ":first"
+
+#: ``handle_text`` claims: text runs that carry entity references, or
+#: lexical issues.
+TEXT_CLAIMS = frozenset({"[entities]", "[issues]"})
+
 #: Resolved subscription map: hook name -> None (every event) or a
-#: frozenset of element names (tag-keyed hooks only).
+#: frozenset of selectors: element names for the tag-keyed hooks, plus
+#: ``"[attr]"`` and ``":first"`` for ``handle_start_tag``; text claims
+#: for ``handle_text``.
 SubscriptionMap = dict[str, Optional[frozenset[str]]]
+
+
+def is_claim(selector: str) -> bool:
+    """Is ``selector`` an attribute or first-tag claim, not an element name?"""
+    return selector == FIRST_TAG or (
+        len(selector) > 2 and selector[0] == "[" and selector[-1] == "]"
+    )
+
+
+def split_interest(
+    interest: frozenset[str],
+) -> tuple[frozenset[str], frozenset[str], bool]:
+    """A start-tag interest -> ``(element names, attribute names, first)``.
+
+    Attribute names come without their brackets; ``"*"`` among them
+    stands for "any attribute".
+    """
+    elements = frozenset(name for name in interest if not is_claim(name))
+    attributes = frozenset(
+        name[1:-1] for name in interest if name != FIRST_TAG and is_claim(name)
+    )
+    return elements, attributes, FIRST_TAG in interest
 
 
 def _normalise_interest(
@@ -81,14 +131,24 @@ def _normalise_interest(
         return None
     if value is False or value is None:
         raise ValueError(f"subscription for {hook!r} must be truthy; omit the key instead")
+    if hook == "handle_text" and isinstance(value, (set, frozenset, list, tuple)):
+        claims = frozenset(str(name).lower() for name in value)
+        if claims and claims <= TEXT_CLAIMS:
+            return claims
     if hook not in TAG_KEYED_HOOKS:
-        # Non-tag hooks have no fan-out key; any truthy value means "all".
+        # Non-tag hooks have no fan-out key; any other truthy value
+        # means "all".
         return None
     names = frozenset(str(name).lower() for name in value)
     if ANY_TAG in names:
         return None
     if not names:
         raise ValueError(f"subscription for {hook!r} names no elements")
+    if hook != "handle_start_tag" and any(is_claim(name) for name in names):
+        raise ValueError(
+            f"attribute and first-tag claims apply to 'handle_start_tag' only, "
+            f"not {hook!r}"
+        )
     return names
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.context import CheckContext, OpenElement
-from repro.core.rules.base import Rule
+from repro.core.rules.base import FIRST_TAG, Rule
 from repro.html.spec import ElementDef
 from repro.html.tokens import EndTag, StartTag
 
@@ -31,11 +31,11 @@ class _DocState:
 
 class DocumentRule(Rule):
     name = "document"
-    # Wildcard start tags: the require-doctype check must fire on the
-    # *first* tag whatever its name; the named tracking below is cheap.
+    # The require-doctype check fires on the *first* start tag whatever
+    # its name; the rest of the tracking below needs four elements.
     subscribes = {
         "start_document": True,
-        "handle_start_tag": "*",
+        "handle_start_tag": {FIRST_TAG, "meta", "link", "frameset", "noframes"},
         "handle_element_closed": {"title"},
         "end_document": True,
     }

@@ -20,7 +20,9 @@ from repro.html.tokens import LexicalIssue, Text
 
 class TextRule(Rule):
     name = "text"
-    subscribes = {"handle_text": True}
+    # Both checks read the lexical issues and entity references the
+    # tokenizer attached to the run; a run with neither is clean.
+    subscribes = {"handle_text": {"[entities]", "[issues]"}}
 
     def handle_text(self, context: CheckContext, token: Text) -> None:
         if token.has_issue(LexicalIssue.BARE_LT_IN_TEXT):

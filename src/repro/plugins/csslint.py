@@ -245,6 +245,7 @@ class CSSPlugin(ContentPlugin):
 
     name = "css"
     element_names = ("style",)
+    attribute_names = ("style",)
 
     def claims_element(self, element_name: str, tag: StartTag) -> bool:
         if element_name != "style":

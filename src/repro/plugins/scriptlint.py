@@ -85,6 +85,7 @@ class ScriptPlugin(ContentPlugin):
 
     name = "script"
     element_names = ("script",)
+    attribute_names = ()
 
     def claims_element(self, element_name: str, tag: StartTag) -> bool:
         return element_name == "script" and tag.get("src") is None

@@ -83,6 +83,10 @@ PORTABLE_DIRECTIONS = {
     # what it emits, not just how fast.
     "tokens": "exact",
     "corpus_bytes": "exact",
+    # Dispatch work gate (BENCH_dispatch.json, E14): the page is seeded,
+    # so the rule hooks each table invokes on it are machine-independent
+    # -- any drift means a subscription widened or narrowed.
+    "hook_calls": "exact",
     # One tokenizer pass per page (BENCH_cache.json, e17_site): a cold
     # -R re-check tokenizes each page once, a warm one none at all.
     "cold_tokenized_pages": "exact",

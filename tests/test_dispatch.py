@@ -1,8 +1,9 @@
-"""The compiled dispatch table: fan-out, caching, golden equivalence."""
+"""The compiled dispatch table: fan-out, claims, caching, golden equivalence."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Options, Weblint
 from repro.core.dispatch import (
@@ -16,6 +17,7 @@ from repro.core.rules import default_rules
 from repro.core.rules.base import Rule
 from repro.html.spec import get_spec
 from repro.html.tokenizer import tokenize
+from repro.html.tokens import Attribute, StartTag
 from repro.obs import use_registry
 from repro.testing.samples import SAMPLES
 from repro.workload import GeneratorConfig, PageGenerator
@@ -91,6 +93,20 @@ class TestCompilation:
         assert _names(table.declaration) == everyone
         assert table.start_tag == {}
 
+    def test_handler_counts_show_the_narrowing(self):
+        # No built-in rule takes every start tag: each is scoped by element
+        # name or by a claim.  The text rule is the one text handler.
+        assert _default_table().handler_counts() == {
+            "start_document": 2,
+            "handle_start_tag": 0,
+            "handle_end_tag": 0,
+            "handle_element_closed": 0,
+            "handle_text": 1,
+            "handle_comment": 2,
+            "handle_declaration": 0,
+            "end_document": 2,
+        }
+
     def test_handler_counts_shrink_versus_naive(self):
         options = Options.with_defaults()
         rules = default_rules()
@@ -99,6 +115,83 @@ class TestCompilation:
         assert sum(compiled.handler_counts().values()) < sum(
             naive.handler_counts().values()
         )
+
+
+def _tag(name: str, *attributes: str) -> StartTag:
+    return StartTag(
+        1, 1, f"<{name}>", [], name,
+        [Attribute(attribute, "x", '"', True) for attribute in attributes],
+    )
+
+
+def _start_hooks(table: DispatchTable, tag: StartTag, first: bool = False) -> list[str]:
+    plan = table.elements.get(tag.name.lower(), table.unknown)
+    return _names(table.claimed_start_hooks(plan, tag, first))
+
+
+class TestClaims:
+    """Attribute and first-tag claims, merged at the tags they match."""
+
+    def test_plain_tag_runs_no_start_hooks(self):
+        table = _default_table()
+        assert table.elements["p"].start_hooks == ()
+        assert table.unknown.start_hooks == ()
+
+    def test_any_attribute_claim(self):
+        table = _default_table()
+        assert _names(table.elements["p"].attributed_hooks) == ["attributes"]
+        assert _names(table.unknown.attributed_hooks) == ["attributes"]
+
+    def test_named_attribute_claim_any_case(self):
+        table = _default_table()
+        assert table.claimed_attributes == frozenset({"style"})
+        for spelling in ("style", "STYLE", "Style"):
+            assert _start_hooks(table, _tag("p", spelling)) == ["attributes", "plugins"]
+        assert _start_hooks(table, _tag("x-widget", "STYLE")) == ["attributes", "plugins"]
+        assert _start_hooks(table, _tag("p", "onclick")) == ["attributes"]
+
+    def test_claims_merge_in_rule_order(self):
+        table = _default_table()
+        assert _start_hooks(table, _tag("img", "style", "src")) == [
+            "attributes", "images", "plugins",
+        ]
+        assert _start_hooks(table, _tag("style")) == ["plugins"]
+
+    def test_first_tag_claim(self):
+        table = _default_table()
+        assert _start_hooks(table, _tag("b"), first=True) == ["document", "style"]
+        assert _start_hooks(table, _tag("b")) == ["style"]
+        assert _start_hooks(table, _tag("p", "id"), first=True) == [
+            "document", "attributes",
+        ]
+
+    def test_first_tag_reports_missing_doctype_whatever_its_name(self):
+        diagnostics = Engine().check("\n<b>x</b>").sorted_diagnostics()
+        assert ("require-doctype", 2) in [(d.message_id, d.line) for d in diagnostics]
+
+    def test_attribute_only_rule(self):
+        class Onclick(Rule):
+            name = "onclick"
+            subscribes = {"handle_start_tag": {"[onclick]"}}
+
+            def __init__(self):
+                self.seen = []
+
+            def handle_start_tag(self, context, tag, elem):
+                self.seen.append(tag.name)
+
+        rule = Onclick()
+        Engine(rules=[rule]).check(
+            '<p onclick="f()">a</p><B ONCLICK=g>b</B><i class=x>c</i><td onClick>'
+        )
+        assert rule.seen == ["p", "B", "td"]
+
+    def test_e14_page_calls_fewer_hooks(self):
+        # E14's page: 1,722 hook calls when document, attributes and
+        # plugins ran on every start tag and plugins on every text run.
+        config = GeneratorConfig(paragraphs=80, images=2, tables=2, lists=2)
+        page = PageGenerator(seed=80, config=config).page()
+        assert Engine().check(page).hook_calls < 1722
 
 
 class TestCache:
@@ -161,6 +254,56 @@ class TestGoldenEquivalence:
         compiled = Weblint(options=options).check_string(page)
         naive = _naive_check(page, options)
         assert _diagnostics_key(compiled) == _diagnostics_key(naive)
+
+
+_TAG_NAMES = sorted(get_spec("html40").elements) + [
+    "blink", "marquee", "nobr", "x-widget", "foo",
+]
+_ATTRIBUTES = ["style", "STYLE", "Style", "onclick", "href", "src", "alt", "name", "id",
+               "type", "class", "width", "bgcolor", "border"]
+_VALUES = ["", "x", "color: red", "colour: neon", "#fff", "fffff", "a.html",
+           "mailto:x@y", "f(", "text/css", "here", "1"]
+_DIRECTIVES = ["disable all", "enable all", "push; disable style", "pop",
+               "disable img-alt, here-anchor", "enable physical-font"]
+
+
+@st.composite
+def _tags(draw) -> str:
+    name = draw(st.sampled_from(_TAG_NAMES))
+    if draw(st.booleans()):
+        name = name.upper()
+    kind = draw(st.sampled_from(["start", "start", "start", "end", "end"]))
+    if kind == "end":
+        return f"</{name}>"
+    attributes = draw(
+        st.lists(st.tuples(st.sampled_from(_ATTRIBUTES), st.sampled_from(_VALUES)), max_size=3)
+    )
+    return "<" + name + "".join(f' {a}="{v}"' for a, v in attributes) + ">"
+
+
+_documents = st.lists(
+    st.one_of(
+        _tags(),
+        st.sampled_from(["text ", "here", "\n", "&amp;", "&zorp;", "<!-- c -->", "a > b"]),
+        st.sampled_from(_DIRECTIVES).map(lambda d: f"<!-- weblint: {d} -->"),
+    ),
+    max_size=30,
+).map("".join)
+
+
+class TestCompiledEqualsNaive:
+    """Drawn documents: compiled tables give the naive tables' output."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_documents)
+    def test_default_and_all_messages(self, document):
+        everything = Options.with_defaults()
+        everything.enable("all")
+        for options in (Options.with_defaults(), everything):
+            compiled = Engine(options=options).check(document).sorted_diagnostics()
+            assert _diagnostics_key(compiled) == _diagnostics_key(
+                _naive_check(document, options)
+            )
 
 
 class TestDispatchMetrics:

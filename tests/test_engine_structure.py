@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import pytest
 
 from repro import Options, Weblint
+from repro.core.engine import Engine
+from repro.core.rules.base import Rule
 from tests.conftest import ids, ids_list, make_document
 
 
@@ -271,3 +276,64 @@ class TestDiagnosticOrdering:
     def test_sorted_by_line(self, paper_example, weblint):
         diags = weblint.check_string(paper_example)
         assert [d.line for d in diags] == sorted(d.line for d in diags)
+
+
+def _best_of(runs, check, source):
+    best = float("inf")
+    for _ in range(runs):
+        started = time.perf_counter()
+        check(source)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def _peak_bytes(engine, source):
+    tracemalloc.start()
+    try:
+        engine.check(source)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDepthIndependentCost:
+    """Hostile pages: per-token work must not grow with the stack depth."""
+
+    def test_unclosed_divs_scale_linearly(self):
+        # 8x the tokens: linear is 8x the time.  Walking the open stack
+        # on every start and text token made it 50x.
+        engine = Engine()
+        engine.check("<div>x")
+        small = _best_of(3, engine.check, "<div>x" * 1000)
+        large = _best_of(3, engine.check, "<div>x" * 8000)
+        assert large <= 16 * small, (small, large)
+
+    def test_nested_anchor_memory_scales_linearly(self):
+        # 4x the anchors: linear is 4x the memory.  Copying each text
+        # run into every open anchor made the peak grow 12.5x.
+        engine = Engine()
+        engine.check('<a href="x">t')
+        small = _peak_bytes(engine, '<a href="x">t' * 1000)
+        large = _peak_bytes(engine, '<a href="x">t' * 4000)
+        assert large <= 8 * small, (small, large)
+
+    def test_text_spans_survive_the_shared_buffer(self):
+        texts = []
+
+        class AnchorTexts(Rule):
+            name = "anchor-texts"
+            subscribes = {"handle_element_closed": {"a"}}
+
+            def handle_element_closed(self, context, open_element, end_tag, implicit):
+                texts.append(open_element.text)
+
+        engine = Engine(rules=[AnchorTexts()])
+        # The outer anchor saw every run while it was open, the inner one
+        # only its own.
+        engine.check('<a href="x">one<a href="y">two</a> three</a>')
+        assert texts == ["two", "onetwo three"]
+        # A parked (overlapped) anchor stops collecting when it leaves
+        # the main stack.
+        texts.clear()
+        engine.check('<b><a href="x">one</b>two</a>')
+        assert texts == ["one"]

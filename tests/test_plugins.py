@@ -231,3 +231,89 @@ class TestPluginsInChecker:
             '<style type="text/css">body { colour: red }'
         )
         assert "css-unknown-property" in ids(weblint.check_string(source))
+
+
+class _RecordingPluginRule(PluginRule):
+    """PluginRule that notes every start tag dispatch hands it."""
+
+    def __init__(self, plugins=None):
+        super().__init__(plugins)
+        self.seen: list[str] = []
+
+    def handle_start_tag(self, context, tag, elem):
+        self.seen.append(tag.name)
+        super().handle_start_tag(context, tag, elem)
+
+
+def _rules_with(plugin_rule):
+    from repro.core.rules import default_rules
+
+    return [rule for rule in default_rules() if rule.name != "plugins"] + [plugin_rule]
+
+
+class TestPluginClaims:
+    """The plugin rule runs only where its plugins can claim something."""
+
+    def test_default_plugins_declare_their_claims(self):
+        assert CSSPlugin.attribute_names == ("style",)
+        assert ScriptPlugin.attribute_names == ()
+
+    def test_runs_on_claimed_elements_and_attributes_only(self):
+        rule = _RecordingPluginRule()
+        source = make_document(
+            '<P STYLE="color: neon">a</P><p style="colour: red">b</p>'
+            '<p Style>c</p><div class="x" onclick="f()">d</div><b>e</b>'
+            "<script>f());</script>",
+            head_extra='<style type="text/css">p { colour: red }</style>\n',
+        )
+        diagnostics = Weblint(rules=_rules_with(rule)).check_string(source)
+        assert rule.seen == ["style", "P", "p", "p", "script"]
+        assert {"css-unknown-color", "css-unknown-property", "script-syntax"} <= ids(
+            diagnostics
+        )
+
+    def test_subscriptions_narrow_to_declared_claims(self):
+        resolved = PluginRule().subscriptions(get_spec("html40"), Options.with_defaults())
+        assert resolved["handle_start_tag"] == frozenset({"style", "script", "[style]"})
+        assert resolved["handle_element_closed"] == frozenset({"style", "script"})
+        assert "handle_text" not in resolved
+
+    def test_undeclared_attribute_claims_keep_the_wildcard(self):
+        from repro.plugins.base import ContentPlugin
+
+        class PreTabs(ContentPlugin):
+            name = "pre-tabs"
+            element_names = ("pre",)
+
+            def claims_element(self, element_name, tag):
+                return element_name == "pre"
+
+        rule = _RecordingPluginRule([PreTabs()])
+        resolved = rule.subscriptions(get_spec("html40"), Options.with_defaults())
+        assert resolved["handle_start_tag"] is None
+        assert resolved["handle_element_closed"] == frozenset({"pre"})
+        Weblint(rules=_rules_with(rule)).check_string(make_document("<p>a<b>b</b></p>"))
+        assert rule.seen == ["html", "head", "title", "body", "p", "b"]
+
+    def test_undeclared_plugin_keeps_every_wildcard(self):
+        from repro.plugins.base import ContentPlugin
+
+        resolved = PluginRule([ContentPlugin()]).subscriptions(
+            get_spec("html40"), Options.with_defaults()
+        )
+        assert resolved["handle_start_tag"] is None
+        assert resolved["handle_element_closed"] is None
+
+    def test_content_spans_nested_and_unclosed_claims(self):
+        # The capture is all text from the claimed start tag to its close.
+        source = make_document(
+            "<p>x</p>",
+            head_extra='<style type="text/css">\nb { colour: red }\n</style>\n'
+            '<style type="text/css">\ni { colr: blue }',
+        )
+        diagnostics = Weblint().check_string(source)
+        properties = [
+            d.arguments["property"] for d in diagnostics
+            if d.message_id == "css-unknown-property"
+        ]
+        assert properties == ["colour", "colr"]

@@ -11,6 +11,7 @@ from repro.core.rules.base import (
     Rule,
     infer_subscriptions,
     normalise_subscriptions,
+    split_interest,
 )
 
 
@@ -200,6 +201,44 @@ class TestLegacyAdapter:
     def test_unknown_hook_rejected(self):
         with pytest.raises(ValueError, match="unknown hook"):
             normalise_subscriptions({"handle_thing": True}, _NullRule())
+
+    def test_attribute_and_first_tag_claims(self):
+        class Claims(Rule):
+            name = "claims"
+            subscribes = {"handle_start_tag": {"IMG", "[STYLE]", "[*]", ":first"}}
+
+            def handle_start_tag(self, context, tag, elem):
+                pass
+
+        resolved = Claims().subscriptions()
+        assert resolved["handle_start_tag"] == frozenset(
+            {"img", "[style]", "[*]", ":first"}
+        )
+        assert split_interest(resolved["handle_start_tag"]) == (
+            frozenset({"img"}), frozenset({"style", "*"}), True,
+        )
+
+    def test_text_claims(self):
+        class Textual(Rule):
+            name = "textual"
+
+            def handle_text(self, context, token):
+                pass
+
+        resolved = normalise_subscriptions(
+            {"handle_text": {"[entities]", "[ISSUES]"}}, Textual()
+        )
+        assert resolved["handle_text"] == frozenset({"[entities]", "[issues]"})
+        # Anything else among them still means every text run.
+        mixed = normalise_subscriptions({"handle_text": {"[entities]", "p"}}, Textual())
+        assert mixed["handle_text"] is None
+
+    def test_claims_only_on_start_tags(self):
+        for hook in ("handle_end_tag", "handle_element_closed"):
+            with pytest.raises(ValueError, match="handle_start_tag"):
+                normalise_subscriptions({hook: {"[style]"}}, _NullRule())
+            with pytest.raises(ValueError, match="handle_start_tag"):
+                normalise_subscriptions({hook: {":first"}}, _NullRule())
 
     def test_element_names_lowercased(self):
         class Upper(Rule):

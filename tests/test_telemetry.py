@@ -407,6 +407,17 @@ class TestCompareRuns:
         )
         assert regressions == ["documents"]
 
+    def test_portable_only_gates_hook_calls_exactly(self):
+        # E14's dispatch count: a widened subscription raises it, and a
+        # narrowing must come with a refreshed baseline.
+        for current in (1723, 1721):
+            _lines, regressions = compare(
+                {"e14_compiled.hook_calls": 1722, "e14_compiled.check_ms": 9.0},
+                {"e14_compiled.hook_calls": current, "e14_compiled.check_ms": 20.0},
+                portable_only=True,
+            )
+            assert regressions == ["e14_compiled.hook_calls"]
+
     def test_cli_on_ledger(self, tmp_path, capsys):
         ledger = RunLedger(tmp_path)
         ledger.append({"tool": "weblint", "docs_per_s": 100.0})
