@@ -29,11 +29,12 @@ once:
   stay truthful.
 - :class:`ParallelExecutor` -- the one process pool, behind both the
   ``jobs > 1`` batch path and the daemon's warm pool: cache hits are
-  served in the parent, the rest ships in chunks to workers whose
-  initializer builds the service (and compiles dispatch tables) once
-  per worker.  Each worker's metrics / tracer / profiler snapshots are
-  merged into the parent's, so ``--stats``, ``--trace`` and
-  ``--profile`` stay truthful under parallelism.
+  served in the parent, the rest ships in chunks to ``multiprocessing``
+  workers, each driven over its own pipe, that build the service (and
+  compile dispatch tables) once per worker.  Each worker's metrics /
+  tracer / profiler snapshots are merged into the parent's, so
+  ``--stats``, ``--trace`` and ``--profile`` stay truthful under
+  parallelism.
 
 The pipeline is a generator end to end: ``iter_check`` yields each
 :class:`LintResult` the moment its worker finishes (completion order),
@@ -45,17 +46,17 @@ rollup -- never hold a whole batch in memory.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import multiprocessing.connection
 import os
 import sys
 import threading
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Generator, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.config.options import Options
 from repro.core.diagnostics import Diagnostic
@@ -540,7 +541,7 @@ class LintService:
             yield from executor.iter_run(batch)
 
 
-# -- the process-pool executor ----------------------------------------------
+# -- the process pool -------------------------------------------------------
 
 #: The worker's service, built once by :func:`_worker_init`.
 _WORKER_SERVICE: Optional[LintService] = None
@@ -553,6 +554,17 @@ _SHUTDOWN_WAIT_S = 5.0
 #: How often a worker checks that the process that started it is alive.
 _PARENT_POLL_S = 0.5
 
+#: A chunk may wait in a busy worker's pipe, behind the one it is
+#: linting, only if it pickles to at most this many bytes.  A Linux
+#: socket pair buffers about 200 KB, so that send returns at once: the
+#: parent never blocks on a worker that is itself blocked sending
+#: results, and neither side can wait on the other for ever.
+_PIPELINE_BYTES = 64 * 1024
+
+#: A document on its way to a worker: its index in the batch, the
+#: request to ship, and the cache key its result is stored under.
+_Pending = tuple[int, LintRequest, Optional[str]]
+
 
 def _worker_init(specification: ServiceSpecification) -> None:
     """Per-worker initializer: build the service, compile tables once.
@@ -561,8 +573,9 @@ def _worker_init(specification: ServiceSpecification) -> None:
     method the worker inherits the parent's registry (with all its
     historical counts), and everything the worker records is shipped
     back explicitly per chunk.  And it starts a watcher that ends the
-    worker once its parent is gone, so a killed owner leaves no workers
-    behind.
+    worker once its parent is gone: forked siblings hold copies of the
+    parent's pipe ends, so the pipe alone cannot tell a worker that its
+    owner died, and a killed owner must leave no workers behind.
     """
     global _WORKER_SERVICE
     set_registry(MetricsRegistry())
@@ -609,33 +622,126 @@ def _worker_run_chunk(
     )
 
 
+def _worker_main(
+    conn: multiprocessing.connection.Connection,
+    specification: ServiceSpecification,
+) -> None:
+    """A pool worker's life: build the service, say ready, lint chunks.
+
+    The first message on the pipe is the worker's pid, sent once its
+    service is built (the handshake ``WarmPool.prewarm`` waits for);
+    then one reply per chunk, in order, until the parent sends ``None``.
+    ``_worker_init`` and ``_worker_run_chunk`` are looked up when
+    called, so a stand-in installed before the pool started runs in the
+    worker.  Returning lets ``multiprocessing`` run the exit hooks.
+    """
+    _worker_init(specification)
+    conn.send(os.getpid())
+    while (chunk := conn.recv()) is not None:
+        conn.send(_worker_run_chunk(*chunk))
+
+
+class _Worker:
+    """One pool process and the parent's end of its duplex pipe.
+
+    ``queued`` holds the chunks sent to it and not yet answered, oldest
+    first; ``ready`` turns true once its handshake has been read.
+    """
+
+    __slots__ = ("process", "conn", "queued", "ready")
+
+    def __init__(
+        self,
+        process: multiprocessing.Process,
+        conn: multiprocessing.connection.Connection,
+    ) -> None:
+        self.process = process
+        self.conn = conn
+        self.queued: collections.deque = collections.deque()
+        self.ready = False
+
+    def greet(self, timeout_s: float) -> bool:
+        """Read the handshake if it comes within ``timeout_s``."""
+        if not self.ready and self.conn.poll(timeout_s):
+            try:
+                self.conn.recv()
+            except (EOFError, OSError):  # it died starting
+                return False
+            self.ready = True
+        return self.ready
+
+    def stop(self) -> None:
+        """Ask an idle worker to exit; its pipe holds nothing else."""
+        with contextlib.suppress(OSError):
+            self.conn.send(None)
+        self.conn.close()
+
+    def kill(self) -> None:
+        """End the process whatever it is doing, reap it, close the pipe."""
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+def _start_workers(
+    specification: ServiceSpecification, count: int
+) -> list[_Worker]:
+    """Fork ``count`` workers, each with its own duplex pipe."""
+    workers: list[_Worker] = []
+    try:
+        for _ in range(count):
+            ours, theirs = multiprocessing.Pipe()
+            process = multiprocessing.Process(
+                target=_worker_main, args=(theirs, specification), daemon=True
+            )
+            try:
+                process.start()
+            finally:
+                # Only the worker holds its end now, so its death reads
+                # as end-of-file here.
+                theirs.close()
+            workers.append(_Worker(process, ours))
+    except BaseException:
+        for worker in workers:
+            worker.kill()
+        raise
+    return workers
+
+
 class ParallelExecutor:
     """The one process pool: chunked fan-out of lint requests.
 
     Built from the :class:`LintService` it serves; each worker rebuilds
     that service once (:func:`_worker_init`).  ``iter_run`` first
     settles in the parent what needs no worker -- cache hits and
-    unreadable documents -- then ships the rest in chunks (several
-    documents per task, to amortise pickling), merges every worker's
-    observability snapshots, and stores each fresh result in the
-    service's cache exactly once.
+    unreadable documents -- then ships the rest in chunks, merges every
+    worker's observability snapshots, and stores each fresh result in
+    the service's cache exactly once.
+
+    Each worker is a ``multiprocessing`` child with its own duplex pipe,
+    driven by the thread whose batch holds it: a batch takes idle
+    workers (waiting for one when all are busy), sends each a chunk, and
+    hands each back the moment it has nothing left to do, so concurrent
+    batches share the pool without a thread or a queue in between.
 
     ``check_many`` opens one per batch; the daemon's
     :class:`~repro.daemon.pool.WarmPool` keeps one open for its
-    lifetime.  The pool is built on first use.  If it cannot be built,
-    or breaks mid-batch (a worker dies, an initializer raises), the lost
+    lifetime.  The workers start on first use.  If they cannot start,
+    or a worker dies mid-batch (or its initializer raises), the lost
     documents re-run in the parent -- counted in ``lint.pool.fallbacks``
     and announced by a ``lint.pool.fallback`` warn event -- and the next
-    batch builds a fresh pool (``lint.pool.rebuilds``).  Building and
-    dropping the pool happen under a lock, so concurrent batches may
-    share one executor.
+    batch starts a replacement (``lint.pool.rebuilds``).
     """
 
     def __init__(self, service: LintService, jobs: int) -> None:
         self.service = service
         self.jobs = max(1, jobs)
         self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._freed = threading.Condition(self._lock)
+        #: Workers the pool keeps; fixed when it first starts.
+        self._size = 0
+        self._workers: list[_Worker] = []
+        self._idle: list[_Worker] = []
         self._lost = False
         self._closed = False
 
@@ -648,52 +754,104 @@ class ParallelExecutor:
     def shutdown(self) -> None:
         """Stop the pool; workers still alive after ``_SHUTDOWN_WAIT_S``
         (a stopped or hung one) are killed and counted in
-        ``lint.pool.kills``."""
+        ``lint.pool.kills``.  A worker a batch still holds is told to
+        stop when the batch hands it back."""
         with self._lock:
             self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        # The executor forgets its workers when it shuts down.
-        workers = list((pool._processes or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
+            workers, self._workers = self._workers, []
+            idle, self._idle = self._idle, []
+            self._freed.notify_all()
+        for worker in idle:
+            worker.stop()
         # A worker's sentinel is ready once it has exited, reaped or not.
-        running = {worker.sentinel: worker for worker in workers}
+        running = {worker.process.sentinel: worker for worker in workers}
         deadline = time.monotonic() + _SHUTDOWN_WAIT_S
         while running and (left := deadline - time.monotonic()) > 0:
             for sentinel in multiprocessing.connection.wait(list(running), left):
                 del running[sentinel]
         for worker in running.values():
-            worker.kill()
-            worker.join()
+            worker.process.kill()
         if running:
             get_registry().inc("lint.pool.kills", len(running))
+        for worker in workers:
+            worker.process.join()
 
-    def _pool_for(self, workers: int) -> Optional[ProcessPoolExecutor]:
-        """The live pool: built on first use, and again after a crash."""
-        with self._lock:
-            if self._pool is None and not self._closed:
-                try:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_worker_init,
-                        initargs=(self.service.specification(),),
-                    )
-                except (OSError, ValueError):  # pragma: no cover - no multiprocessing
-                    return None
-                if self._lost:
-                    self._lost = False
-                    get_registry().inc("lint.pool.rebuilds")
-            return self._pool
+    def _checkout(self, want: int) -> list[_Worker]:
+        """Take up to ``want`` idle workers, waiting while all are busy.
 
-    def _drop(self, pool: ProcessPoolExecutor) -> None:
-        """Discard a broken pool; the next batch builds a fresh one."""
+        Starts the pool on first use (``want`` workers, at most
+        ``jobs``) and replaces lost workers.  Empty when the pool is
+        closed or cannot start.
+        """
         with self._lock:
-            if self._pool is not pool:  # closed, or dropped by another batch
+            while not self._closed:
+                size = self._size or want
+                if len(self._workers) < size:
+                    try:
+                        started = _start_workers(
+                            self.service.specification(), size - len(self._workers)
+                        )
+                    except (OSError, ValueError):
+                        return []
+                    self._size = size
+                    self._workers += started
+                    self._idle += started
+                    if self._lost:
+                        self._lost = False
+                        get_registry().inc("lint.pool.rebuilds")
+                if self._idle:
+                    taken = self._idle[-want:]
+                    del self._idle[-want:]
+                    return taken
+                self._freed.wait()
+            return []
+
+    def _checkin(self, worker: _Worker) -> None:
+        """Hand back a worker with nothing queued."""
+        with self._lock:
+            if not self._closed:
+                self._idle.append(worker)
+                self._freed.notify()
                 return
-            self._pool = None
-            self._lost = True
-        pool.shutdown(wait=False, cancel_futures=True)
+        worker.stop()
+
+    def _retire(self, worker: _Worker) -> None:
+        """Drop a dead worker, or one left mid-chunk; the next batch
+        starts its replacement."""
+        with self._lock:
+            if worker in self._workers:
+                self._workers.remove(worker)
+                self._lost = True
+                self._freed.notify()  # a waiting batch starts the replacement
+        worker.kill()
+
+    def _chunks(self, pending: list[_Pending]) -> list[list[_Pending]]:
+        """Cut the pending documents into chunks, in input order.
+
+        Up to ``4 x jobs`` documents go as at most ``jobs`` chunks, one
+        per worker, so a small batch costs each worker one round trip.
+        A bigger batch goes as at least ``4 x jobs`` chunks, and as many
+        more as keep a chunk's text near half ``_PIPELINE_BYTES``, so a
+        worker can hold a second chunk while it lints the first.
+        """
+        count = len(pending)
+        if count <= 4 * self.jobs:
+            parts = min(self.jobs, count)
+        else:
+            text = sum(
+                len(request.source.text())
+                for _, request, _ in pending
+                if isinstance(request.source, StringSource)
+            )
+            parts = min(count, max(4 * self.jobs, -(-2 * text // _PIPELINE_BYTES)))
+        size, extra = divmod(count, parts)
+        chunks = []
+        start = 0
+        for part in range(parts):
+            end = start + size + (part < extra)
+            chunks.append(pending[start:end])
+            start = end
+        return chunks
 
     def iter_run(
         self, requests: list[LintRequest]
@@ -704,7 +862,7 @@ class ParallelExecutor:
         # its source cannot cross a process boundary (stdin handles, URL
         # sources bound to a live agent) -- ships as a string, so nothing
         # is read twice.
-        pending: list[tuple[int, LintRequest, Optional[str]]] = []
+        pending: list[_Pending] = []
         for index, request in enumerate(requests):
             settled, key = service._lookup(request)
             if settled is not None:
@@ -725,60 +883,110 @@ class ParallelExecutor:
             yield from self._in_parent(pending)
             return
 
-        chunk_size = max(1, -(-len(pending) // (self.jobs * 4)))
-        chunks = [
-            pending[offset : offset + chunk_size]
-            for offset in range(0, len(pending), chunk_size)
-        ]
-        pool = self._pool_for(min(self.jobs, len(chunks)))
-        if pool is None:
+        chunks = self._chunks(pending)
+        workers = self._checkout(min(self.jobs, len(chunks)))
+        if not workers:
             yield from self._fall_back(pending, "no worker pool")
             return
-        collect_trace = bool(getattr(get_tracer(), "enabled", False))
-        collect_profile = get_profiler() is not None
-        futures = {}
-        lost: list[tuple[int, LintRequest, Optional[str]]] = []
-        for chunk in chunks:
-            try:
-                future = pool.submit(
-                    _worker_run_chunk,
-                    [request for _, request, _ in chunk],
-                    collect_trace,
-                    collect_profile,
-                )
-            except (RuntimeError, OSError):
-                # The pool broke, could not fork, or was shut down
-                # before this chunk was queued.
-                lost.extend(chunk)
-                continue
-            futures[future] = chunk
-        registry = get_registry()
-        for future in as_completed(futures):
-            chunk = futures[future]
-            try:
-                results, metrics, spans, profile = future.result()
-            except (BrokenProcessPool, CancelledError):
-                lost.extend(chunk)
-                continue
-            registry.merge_snapshot(metrics)
-            if spans:
-                tracer = get_tracer()
-                if getattr(tracer, "enabled", False):
-                    tracer.merge_records(spans)
-            if profile:
-                profiler = get_profiler()
-                if profiler is not None:
-                    profiler.merge_snapshot(profile)
-            for (index, _, key), result in zip(chunk, results):
-                yield index, service._store(key, result)
-        # Documents lost to a broken pool re-run in the parent, so a
+        lost = yield from self._drive(workers, collections.deque(chunks))
+        # Documents lost with a dead worker re-run in the parent, so a
         # dying worker costs throughput, never correctness.
         if lost:
-            self._drop(pool)
             yield from self._fall_back(lost, "worker pool broke")
 
+    def _drive(
+        self, workers: list[_Worker], unsent: collections.deque
+    ) -> Generator[tuple[int, LintResult], None, list[_Pending]]:
+        """Keep ``workers`` busy until every chunk is answered.
+
+        A worker gets a chunk whenever it has none queued, and a second
+        one while it lints the first if that one is small enough to wait
+        in its pipe.  Returns the documents of the chunks a dead worker
+        held, and of any left unsent once no worker is.
+        """
+        flags = (
+            bool(getattr(get_tracer(), "enabled", False)),
+            get_profiler() is not None,
+        )
+        payload = None  # unsent[0], once pickled
+        held = {worker.conn: worker for worker in workers}
+        lost: list[_Pending] = []
+
+        def feed(worker: _Worker, limit: int) -> None:
+            nonlocal payload
+            while unsent and len(worker.queued) < limit:
+                if payload is None:
+                    requests = [request for _, request, _ in unsent[0]]
+                    payload = ForkingPickler.dumps((requests, *flags))
+                if worker.queued and len(payload) > _PIPELINE_BYTES:
+                    return
+                worker.conn.send_bytes(payload)
+                payload = None
+                worker.queued.append(unsent.popleft())
+
+        def drop(worker: _Worker) -> None:
+            del held[worker.conn]
+            for chunk in worker.queued:
+                lost.extend(chunk)
+            worker.queued.clear()
+            self._retire(worker)
+
+        try:
+            for limit in (1, 2):  # one chunk for every worker first
+                for worker in list(held.values()):
+                    try:
+                        feed(worker, limit)
+                    except OSError:
+                        drop(worker)
+            while held:
+                for conn in multiprocessing.connection.wait(list(held)):
+                    worker = held[conn]
+                    try:
+                        reply = conn.recv()
+                    except (EOFError, OSError):
+                        drop(worker)
+                        continue
+                    if not worker.ready:  # the handshake
+                        worker.ready = True
+                        continue
+                    chunk = worker.queued.popleft()
+                    try:
+                        feed(worker, 2)
+                    except OSError:
+                        drop(worker)
+                    else:
+                        if not worker.queued:
+                            del held[conn]
+                            self._checkin(worker)
+                    yield from self._merge(chunk, reply)
+        finally:
+            # Left early (the consumer stopped, or raised): a worker
+            # still linting for this batch cannot be handed on.
+            for worker in list(held.values()):
+                drop(worker)
+        for chunk in unsent:
+            lost.extend(chunk)
+        return lost
+
+    def _merge(
+        self, chunk: list[_Pending], reply: tuple
+    ) -> Iterator[tuple[int, LintResult]]:
+        """Fold a reply's snapshots into the parent's; yield its results."""
+        results, metrics, spans, profile = reply
+        get_registry().merge_snapshot(metrics)
+        if spans:
+            tracer = get_tracer()
+            if getattr(tracer, "enabled", False):
+                tracer.merge_records(spans)
+        if profile:
+            profiler = get_profiler()
+            if profiler is not None:
+                profiler.merge_snapshot(profile)
+        for (index, _, key), result in zip(chunk, results):
+            yield index, self.service._store(key, result)
+
     def _fall_back(
-        self, pending: list[tuple[int, LintRequest, Optional[str]]], reason: str
+        self, pending: list[_Pending], reason: str
     ) -> Iterator[tuple[int, LintResult]]:
         """Check in the parent what the pool could not: counted, not silent."""
         get_registry().inc("lint.pool.fallbacks", len(pending))
@@ -789,7 +997,7 @@ class ParallelExecutor:
         yield from self._in_parent(pending)
 
     def _in_parent(
-        self, pending: list[tuple[int, LintRequest, Optional[str]]]
+        self, pending: list[_Pending]
     ) -> Iterator[tuple[int, LintResult]]:
         for index, request, key in pending:
             yield index, self.service._store(key, self.service._lint(request))

@@ -1,38 +1,29 @@
 """The pre-warmed worker pool: persistent processes, hot services.
 
 ``weblint --jobs N`` opens a :class:`~repro.core.service.ParallelExecutor`
-per batch, so every batch pays worker spawn plus per-worker service
+per batch, so every batch pays worker start-up plus per-worker service
 rebuild and dispatch-table compilation -- which is exactly why small
 batches lose to sequential (BENCH_parallel.json).  :class:`WarmPool` is
 the same executor kept open for the life of the daemon: workers run
 :func:`repro.core.service._worker_init` once, compile their tables
-once, and every subsequent batch is pure lint work plus IPC.  Cache
-hits, chunking, crash fallback (``lint.pool.fallbacks``) and rebuilding
-a broken pool (``lint.pool.rebuilds``) all come from the executor.
+once, and every later batch is lint work plus one pipe round trip per
+worker.  A request of up to ``4 x jobs`` documents goes as one chunk
+per worker; cache hits, crash fallback (``lint.pool.fallbacks``) and
+replacing a dead worker (``lint.pool.rebuilds``) all come from the
+executor.
 
-``prewarm()`` forces every worker process to start and initialise
-*before* the first request arrives, so the first client sees the same
-latency as the thousandth.
+``prewarm()`` starts every worker and waits for each one's ready
+message *before* the first request arrives, so the first client sees
+the same latency as the thousandth.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional
 
 from repro.core.service import LintRequest, LintResult, ParallelExecutor
 from repro.obs.metrics import get_registry
-
-
-def _warm_probe(hold_s: float) -> int:
-    """Worker-side probe: hold the worker briefly, report its pid.
-
-    The hold spreads concurrent probes across distinct workers, so the
-    parent can tell how many processes have actually initialised.
-    """
-    time.sleep(hold_s)
-    return os.getpid()
 
 
 class WarmPool(ParallelExecutor):
@@ -45,29 +36,22 @@ class WarmPool(ParallelExecutor):
     #: Batches on the pool right now (feeds ``daemon.workers.busy``).
     _busy = 0
 
-    def prewarm(self, timeout_s: float = 30.0, hold_s: float = 0.05) -> int:
-        """Start and initialise every worker; return how many are warm.
+    def prewarm(self, timeout_s: float = 30.0) -> int:
+        """Start every worker and wait for its ready message; return
+        how many are warm.
 
-        Submits held probes in rounds until every worker pid has been
-        seen (or the deadline passes), which forces the executor to
-        spawn all processes and run the service-building initializer in
-        each -- the whole point of a *pre*-warmed pool.
+        A worker says it is ready once it has built its service and
+        compiled its tables -- the whole point of a *pre*-warmed pool.
         """
-        pool = self._pool_for(self.jobs)
-        if pool is None:
-            return 0
-        seen: set[int] = set()
+        workers = self._checkout(self.jobs)
         deadline = time.monotonic() + timeout_s
-        while len(seen) < self.jobs and time.monotonic() < deadline:
-            remaining = max(1.0, deadline - time.monotonic())
-            probes = [pool.submit(_warm_probe, hold_s) for _ in range(self.jobs)]
-            try:
-                for probe in probes:
-                    seen.add(probe.result(timeout=remaining))
-            except Exception:  # pragma: no cover - spawn failure mid-warm
-                break
-        get_registry().set_gauge("daemon.workers", len(seen) or 1)
-        return len(seen)
+        warm = sum(
+            worker.greet(max(0.0, deadline - time.monotonic())) for worker in workers
+        )
+        for worker in workers:
+            self._checkin(worker)
+        get_registry().set_gauge("daemon.workers", warm or 1)
+        return warm
 
     def check_batch(self, requests: list[LintRequest]) -> list[LintResult]:
         """Check one request's documents on the warm workers, in input order."""

@@ -228,10 +228,17 @@ def _excerpt(text: str, limit: int = 30) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
+#: The suggestion candidates in a fixed order: among equally close
+#: properties the first wins, so the answer does not depend on the
+#: process's string hash seed.
+_SUGGESTION_ORDER = tuple(sorted(CSS_PROPERTIES))
+
+
 def suggest_property(name: str) -> str | None:
-    """Closest known property for a probable typo."""
+    """Closest known property for a probable typo; ties go to the
+    alphabetically first."""
     best, best_distance = None, 3
-    for candidate in CSS_PROPERTIES:
+    for candidate in _SUGGESTION_ORDER:
         if abs(len(candidate) - len(name)) >= best_distance:
             continue
         distance = _edit_distance(name, candidate, best_distance)

@@ -295,11 +295,11 @@ class TestResultCache:
         before = cold.check_many([PathSource(p) for p in paths], jobs=2)
         pools = []
 
-        def no_pool(*args, **kwargs):
-            pools.append(kwargs)
+        def no_pool(*args):
+            pools.append(args)
             raise OSError("a fully warm batch must not start worker processes")
 
-        monkeypatch.setattr(service_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(service_module, "_start_workers", no_pool)
         warm = LintService(cache=ResultCache(tmp_path / "cache"))
         with use_registry() as registry:
             after = warm.check_many([PathSource(p) for p in paths], jobs=2)

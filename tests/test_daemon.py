@@ -295,14 +295,14 @@ class TestWarmPool:
         import repro.core.service as service_module
 
         built = []
-        real_pool = service_module.ProcessPoolExecutor
+        real_start = service_module._start_workers
 
-        def counting_pool(*args, **kwargs):
-            built.append(kwargs["max_workers"])
+        def counting_start(specification, count):
+            built.append(count)
             time.sleep(0.05)  # widen the window a check-then-build race needs
-            return real_pool(*args, **kwargs)
+            return real_start(specification, count)
 
-        monkeypatch.setattr(service_module, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(service_module, "_start_workers", counting_start)
         outcomes: list[object] = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -365,6 +365,56 @@ class TestWarmPool:
             assert registry.value("lint.pool.rebuilds") == 1
             assert registry.value("lint.pool.fallbacks") == rerun
             assert len(in_parent) == rerun  # every document ran on a worker
+
+
+def count_chunks(requests, collect_trace, collect_profile):
+    """A ``_worker_run_chunk`` stand-in that counts each call in the
+    chunk's metrics snapshot, which the parent merges."""
+    results, metrics, spans, profile = _worker_run_chunk(
+        requests, collect_trace, collect_profile
+    )
+    metrics["test.pool.chunks"] = metrics.get("test.pool.chunks", 0) + 1
+    return results, metrics, spans, profile
+
+
+class TestChunking:
+    """How a batch reaches the workers: a small one as one chunk per
+    worker, a big one as many chunks; results come back in input order."""
+
+    def test_a_small_batch_is_one_chunk_per_worker(self, monkeypatch):
+        import repro.core.service as service_module
+
+        requests = [
+            LintRequest(StringSource(page, name=f"doc{i}.html"))
+            for i, page in enumerate(DISTINCT_PAGES)
+        ]
+        expected = LintService().check_many(requests)
+        monkeypatch.setattr(service_module, "_worker_run_chunk", count_chunks)
+        with use_registry() as registry, WarmPool(LintService(), jobs=2) as pool:
+            got = pool.check_batch(requests)
+        assert registry.value("test.pool.chunks") == 2
+        assert registry.value("lint.files") == 4
+        assert [r.name for r in got] == [r.name for r in expected]
+        assert [_diag_rows(r) for r in got] == [_diag_rows(r) for r in expected]
+
+    def test_a_big_batch_is_many_chunks(self, monkeypatch):
+        import repro.core.service as service_module
+
+        jobs = 2
+        requests = [
+            LintRequest(
+                StringSource(make_document(f"<p>page {i}<img src=x>"), name=f"p{i:03}")
+            )
+            for i in range(200)
+        ]
+        monkeypatch.setattr(service_module, "_worker_run_chunk", count_chunks)
+        with use_registry() as registry:
+            got = LintService().check_many(requests, jobs=jobs)
+        assert registry.value("test.pool.chunks") > 2 * jobs
+        assert registry.value("lint.files") == 200
+        assert registry.value("lint.pool.fallbacks") == 0
+        assert [r.name for r in got] == [f"p{i:03}" for i in range(200)]
+        assert all(r.diagnostics for r in got)
 
 
 class TestLifecycleJournal:

@@ -103,6 +103,34 @@ class TestSuggestions:
     def test_no_suggestion(self):
         assert suggest_property("zzzzzzzz") is None
 
+    def test_ties_do_not_depend_on_the_hash_seed(self):
+        """Equally close properties: every process picks the same one,
+        so a lint cache filled by one process serves every other's
+        answer."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "from repro.plugins.csslint import suggest_property\n"
+            "print(suggest_property('wieght'), suggest_property('foo'))\n"
+        )
+        answers = set()
+        for seed in ("1", "2", "3", "4"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=str(Path(repro.__file__).parents[1]),
+            )
+            answers.add(subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            ).stdout)
+        assert len(answers) == 1, answers
+
 
 class TestScanScript:
     def test_balanced_ok(self):
