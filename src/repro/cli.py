@@ -529,7 +529,7 @@ def _report(results, emit, reporter, out, err, failures=()) -> int:
         if result.error is not None:
             failures.append(result.error)
         else:
-            total += len(result.diagnostics)
+            total += result.count
     reporter.end()
     for failure in failures:
         err.write(f"weblint: {failure}\n")

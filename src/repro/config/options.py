@@ -41,6 +41,10 @@ def _expand_identifier(identifier: str) -> list[str]:
     return ids_in_category(category)
 
 
+#: The built-in content-free anchor texts, lower-cased once.
+_CONTENT_FREE = frozenset(word.lower() for word in constants.CONTENT_FREE_ANCHOR_TEXT)
+
+
 @dataclass
 class Options:
     """All knobs, with paper defaults."""
@@ -58,6 +62,10 @@ class Options:
     custom_attributes: dict[str, set[str]] = field(default_factory=dict)
     case_style: Optional[str] = None    # "upper" | "lower" | None
     stop_after: Optional[int] = None    # cap on diagnostics per document
+    #: What :meth:`here_words` last returned, and the extra words it saw.
+    _here_words: Optional[tuple[frozenset[str], frozenset[str]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def with_defaults(cls) -> "Options":
@@ -172,10 +180,21 @@ class Options:
 
     # -- here-words -------------------------------------------------------------------
 
-    def here_words(self) -> set[str]:
-        base = {word.lower() for word in constants.CONTENT_FREE_ANCHOR_TEXT}
-        base.update(word.lower() for word in self.extra_here_words)
-        return base
+    def here_words(self) -> frozenset[str]:
+        """The content-free anchor texts, lower-cased: the built-in
+        ones plus ``extra_here_words``.
+
+        Built again only when ``extra_here_words`` has changed since the
+        last call (callers may add to it in place); every anchor the
+        engine closes asks.
+        """
+        extra = self.extra_here_words
+        cached = self._here_words
+        if cached is None or cached[0] != extra:
+            seen = frozenset(extra)
+            words = _CONTENT_FREE.union(word.lower() for word in seen)
+            cached = self._here_words = (seen, words)
+        return cached[1]
 
     # -- misc ---------------------------------------------------------------------------
 

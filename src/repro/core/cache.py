@@ -37,11 +37,14 @@ Each record is one JSON-object line::
 whose body is ``"d":<rows>``, the entry's diagnostics, followed -- when
 the lint that stored it collected them -- by ``,"l":<links>,"a":<anchors>``:
 the page's links as ``[url, line, element, kind]`` rows and its anchor
-names, sorted.  A hit on a record with links hands them back, so a page
-that is linted and link-checked again is not tokenized at all; a record
-without them (stored by a batch that did not want links) still serves
-its diagnostics.  The key and the crc sit at fixed offsets, so indexing
-the log never decodes a body.  The rules that keep it safe:
+names, sorted.  ``<rows>`` is the text of the daemon's ``/lint`` rows
+(:func:`repro.core.diagnostics.encode_diagnostics`), so a result a pool
+worker encoded is appended as it arrived.  A hit on a record with
+links hands them back, so a page that is linted and link-checked again
+is not tokenized at all; a record without them (stored by a batch that
+did not want links) still serves its diagnostics.  The key and the crc
+sit at fixed offsets, so indexing the log never decodes a body.  The
+rules that keep it safe:
 
 - *Appends go through* :class:`repro.store.JsonLog`: one ``os.write``
   per record under the log's exclusive file lock, so writers in any
@@ -71,7 +74,8 @@ the log never decodes a body.  The rules that keep it safe:
 
 Diagnostics are stored *filename-free* and re-bound to the requesting
 document's name on every hit, so two identical files at different paths
-share one entry and still report their own names.
+share one entry and still report their own names.  Both tiers hold a
+record's body as text; a hit decodes it.
 
 Metrics (see docs/observability.md and docs/caching.md):
 ``cache.lint.hits`` / ``misses`` / ``stores`` / ``evictions`` (memory
@@ -93,8 +97,12 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Optional, Sequence, Union
 
 from repro.core import constants
-from repro.core.diagnostics import Diagnostic
-from repro.core.messages import Category
+from repro.core.diagnostics import (
+    Diagnostic,
+    EncodedDiagnostics,
+    diagnostic_from_row,
+    encode_diagnostics,
+)
 from repro.html.links import Link
 from repro.obs.metrics import get_registry
 from repro.store import JsonLog
@@ -162,29 +170,6 @@ def result_key(text: str, fingerprint: bytes) -> str:
     return digest.hexdigest()
 
 
-def _diagnostic_to_dict(diagnostic: Diagnostic) -> dict:
-    return {
-        "id": diagnostic.message_id,
-        "category": diagnostic.category.value,
-        "text": diagnostic.text,
-        "line": diagnostic.line,
-        "column": diagnostic.column,
-        "arguments": diagnostic.arguments,
-    }
-
-
-def _diagnostic_from_dict(raw: dict, filename: str) -> Diagnostic:
-    return Diagnostic(
-        message_id=raw["id"],
-        category=Category(raw["category"]),
-        text=raw["text"],
-        line=raw["line"],
-        column=raw.get("column", 0),
-        filename=filename,
-        arguments=dict(raw.get("arguments", {})),
-    )
-
-
 def _crc(key: bytes, body: bytes) -> int:
     return zlib.crc32(body, zlib.crc32(key))
 
@@ -216,8 +201,8 @@ class ResultCache:
     ) -> None:
         self.directory = Path(directory) if directory is not None else None
         self.memory_entries = max(1, memory_entries)
-        #: key -> the decoded record: {"d": rows[, "l": links, "a": anchors]}
-        self._memory: OrderedDict[str, dict] = OrderedDict()
+        #: key -> the record's body, as the log holds it
+        self._memory: OrderedDict[str, bytes] = OrderedDict()
         self._lock = threading.Lock()
         self._path = (
             self.directory / f"v{FORMAT_VERSION}" / _LOG_NAME
@@ -250,60 +235,65 @@ class ResultCache:
         """
         registry = get_registry()
         with self._lock:
-            record = self._memory.get(key)
-            if record is not None:
+            body = self._memory.get(key)
+            if body is not None:
                 self._memory.move_to_end(key)
-        if record is None:
-            record = self._load(key)
-            if record is not None:
-                self._remember(key, record)
-        if record is None:
+        remember = body is None
+        if remember:
+            body = self._load(key)
+        if body is None:
             registry.inc("cache.lint.misses")
             return None
-        registry.inc("cache.lint.hits")
         try:
+            record = json.loads(b"{" + body + b"}")
             result = CachedResult(
-                [_diagnostic_from_dict(row, filename) for row in record["d"]]
+                [diagnostic_from_row(row, filename) for row in record["d"]]
             )
             if "l" in record:
                 result.links = [Link(*row) for row in record["l"]]
                 result.anchors = set(record["a"])
         except (KeyError, TypeError, ValueError):
             # An entry whose crc held but that does not describe a
-            # result (a future format, say) degrades to a miss too.
+            # result (a future format, say) degrades to a miss.
             registry.inc("cache.lint.corrupt")
             registry.inc("cache.lint.misses")
             return None
+        if remember:
+            self._remember(key, body)
+        registry.inc("cache.lint.hits")
         return result
 
     def put(
         self,
         key: str,
-        diagnostics: Sequence[Diagnostic],
+        diagnostics: Union[EncodedDiagnostics, Sequence[Diagnostic]],
         links: Optional[Sequence[Link]] = None,
         anchors: Optional[Iterable[str]] = None,
     ) -> None:
         """Store ``diagnostics`` -- and the page's ``links`` and
         ``anchors`` when the lint collected them -- under ``key``
-        (memory, then disk)."""
+        (memory, then disk).
+
+        ``diagnostics`` come encoded, as a pool worker sends them, or
+        as objects, which are encoded here.
+        """
         registry = get_registry()
-        record: dict = {"d": [_diagnostic_to_dict(d) for d in diagnostics]}
-        if links is not None:
-            record["l"] = [
-                [link.url, link.line, link.element, link.kind] for link in links
-            ]
-            record["a"] = sorted(anchors or ())
-        try:
-            # The record's body is the object without its braces.
-            body = json.dumps(record, separators=(",", ":"))[1:-1]
-        except (TypeError, ValueError):
+        if not isinstance(diagnostics, EncodedDiagnostics):
+            diagnostics = encode_diagnostics(diagnostics)
+        if diagnostics.rows is None:
             # A plugin rule put something non-JSON in arguments; caching
             # this entry would lose information, so skip it.
             registry.inc("cache.lint.unserialisable")
             return
-        self._remember(key, record)
+        body = '"d":' + diagnostics.rows
+        if links is not None:
+            rows = [[link.url, link.line, link.element, link.kind] for link in links]
+            body += ',"l":' + json.dumps(rows, separators=(",", ":"))
+            body += ',"a":' + json.dumps(sorted(anchors or ()), separators=(",", ":"))
+        data = body.encode("ascii")
+        self._remember(key, data)
         registry.inc("cache.lint.stores")
-        if self._path is not None and not self._append(key, body):
+        if self._path is not None and not self._append(key, body, data):
             # A read-only or full cache directory degrades to memory-only.
             registry.inc("cache.lint.write_errors")
 
@@ -350,9 +340,9 @@ class ResultCache:
 
     # -- internals ---------------------------------------------------------
 
-    def _remember(self, key: str, record: dict) -> None:
+    def _remember(self, key: str, body: bytes) -> None:
         with self._lock:
-            self._memory[key] = record
+            self._memory[key] = body
             self._memory.move_to_end(key)
             while len(self._memory) > self.memory_entries:
                 self._memory.popitem(last=False)
@@ -365,9 +355,10 @@ class ResultCache:
         self._index.clear()
         self._scanned = 0
 
-    def _append(self, key: str, body: str) -> bool:
-        """Append one record; ``False`` when it could not be written whole."""
-        crc = _crc(key.encode("ascii"), body.encode("ascii"))
+    def _append(self, key: str, body: str, data: bytes) -> bool:
+        """Append one record (``data`` is ``body`` encoded); ``False``
+        when it could not be written whole."""
+        crc = _crc(key.encode("ascii"), data)
         line = f'{{"k":"{key}","c":"{crc:08x}",{body}}}\n'
         with self._disk:
             if self._writer is None:
@@ -388,7 +379,8 @@ class ResultCache:
                 return False
         return True
 
-    def _load(self, key: str) -> Optional[dict]:
+    def _load(self, key: str) -> Optional[bytes]:
+        """The body of ``key``'s record on disk, its crc checked."""
         if self._path is None:
             return None
         with self._disk:
@@ -403,19 +395,11 @@ class ResultCache:
                 body = os.pread(self._reader.fileno(), length, offset)
             except OSError:
                 body = b""
-            if len(body) != length or _crc(key.encode("ascii"), body) != crc:
-                del self._index[key]
-                body = None
-        record = None
-        if body is not None:
-            try:
-                record = json.loads(b"{" + body + b"}")
-            except ValueError:
-                pass
-        if not isinstance(record, dict) or not isinstance(record.get("d"), list):
-            get_registry().inc("cache.lint.corrupt")
-            return None
-        return record
+            if len(body) == length and _crc(key.encode("ascii"), body) == crc:
+                return body
+            del self._index[key]
+        get_registry().inc("cache.lint.corrupt")
+        return None
 
     def _refresh(self) -> None:
         """Index the whole lines appended since the last look (``_disk`` held).

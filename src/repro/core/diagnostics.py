@@ -3,13 +3,17 @@
 A :class:`Diagnostic` is what the checker produces and what reporters
 format.  It is deliberately dumb data: formatting belongs to
 :mod:`repro.core.reporter`, enable/disable policy to
-:mod:`repro.config`.
+:mod:`repro.config`.  What is written as JSON -- the lint cache's
+records, the daemon's ``/lint`` rows, ``-f jsonl`` and ``pages.jsonl``
+-- comes from one encoder here, :func:`encode_diagnostics`.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, Iterable, NamedTuple, Optional
 
 from repro.core.messages import Category, Message, message
 
@@ -51,16 +55,97 @@ class Diagnostic:
         return f"{self.filename}({self.line}): {self.text}"
 
 
-def diagnostic_record(diagnostic: Diagnostic) -> dict[str, object]:
-    """One diagnostic inside a ``-f jsonl`` document line or a
-    ``pages.jsonl`` page record (the filename lives on the record)."""
-    return {
-        "id": diagnostic.message_id,
-        "category": diagnostic.category.value,
-        "line": diagnostic.line,
-        "column": diagnostic.column,
-        "message": diagnostic.text,
-    }
+class EncodedDiagnostics(NamedTuple):
+    """One result's diagnostics as the JSON text their consumers write.
+
+    ``rows`` is the list of result rows (``id``, ``category``, ``text``,
+    ``line``, ``column``, ``arguments``) that a lint-cache record and
+    the daemon's ``/lint`` response both hold; it is ``None`` when an
+    argument is not JSON (a plugin's), which neither can store.
+    ``records`` is the list of ``-f jsonl`` / ``pages.jsonl`` rows:
+    sorted keys, ``message`` for the text, no arguments.  ``counts``
+    tallies the diagnostics by category name, naming only those present.
+    """
+
+    rows: Optional[str]
+    records: str
+    counts: dict[str, int]
+
+    @property
+    def count(self) -> int:
+        return sum(self.counts.values())
+
+
+#: ``json.dumps(arguments)`` without the encoder ``json.dumps`` builds
+#: on every call: its own C encoder with its defaults, built once.
+#: Without ``json.dumps``' circular check, a self-containing value
+#: raises ``RecursionError`` instead of ``ValueError``.
+_encode_value = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii,
+    None, ": ", ", ", False, False, True,
+)
+
+
+def encode_diagnostics(diagnostics: Iterable[Diagnostic]) -> EncodedDiagnostics:
+    """Encode ``diagnostics`` once into both row shapes.
+
+    The one diagnostic encoder: the result cache, the daemon protocol,
+    the JSON-lines reporter and the page spill all write its text, and
+    a pool worker sends it in place of the objects.  Each list is byte
+    for byte what ``json.dumps`` writes for the rows as dicts.
+    """
+    rows: Optional[list[str]] = []
+    records: list[str] = []
+    counts: dict[str, int] = {}
+    string = encode_basestring_ascii
+    for diagnostic in diagnostics:
+        value = diagnostic.category._value_
+        counts[value] = counts.get(value, 0) + 1
+        category = string(value)
+        message_id = string(diagnostic.message_id)
+        text = string(diagnostic.text)
+        line = diagnostic.line
+        column = diagnostic.column
+        records.append(
+            f'{{"category": {category}, "column": {column}, "id": {message_id}, '
+            f'"line": {line}, "message": {text}}}'
+        )
+        if rows is None:
+            continue
+        try:
+            arguments = "".join(_encode_value(diagnostic.arguments, 0))
+        except (TypeError, ValueError, RecursionError):
+            rows = None
+            continue
+        rows.append(
+            f'{{"id": {message_id}, "category": {category}, "text": {text}, '
+            f'"line": {line}, "column": {column}, "arguments": {arguments}}}'
+        )
+    return EncodedDiagnostics(
+        None if rows is None else f"[{', '.join(rows)}]",
+        f"[{', '.join(records)}]",
+        counts,
+    )
+
+
+_CATEGORIES = {category.value: category for category in Category}
+
+
+def diagnostic_from_row(row: dict, filename: str) -> Diagnostic:
+    """One decoded result row as a :class:`Diagnostic` of ``filename``.
+
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` for a row that
+    does not describe a diagnostic.
+    """
+    return Diagnostic(
+        message_id=row["id"],
+        category=_CATEGORIES[row["category"]],
+        text=row["text"],
+        line=row["line"],
+        column=row.get("column", 0),
+        filename=filename,
+        arguments=dict(row.get("arguments", {})),
+    )
 
 
 def count_by_category(

@@ -33,8 +33,9 @@ from typing import IO, Iterable, Optional
 
 from repro.core.diagnostics import (
     Diagnostic,
+    EncodedDiagnostics,
     count_by_category,
-    diagnostic_record,
+    encode_diagnostics,
 )
 from repro.core.messages import message
 from repro.obs.metrics import get_registry
@@ -96,9 +97,11 @@ class Reporter:
         """Diagnostics reported so far, by category, plus ``"total"``."""
         return dict(self._counts)
 
-    def _record(self, items: list[Diagnostic]) -> None:
-        self._counts["total"] = self._counts.get("total", 0) + len(items)
-        for key, value in count_by_category(items, include_zero=False).items():
+    def _record(self, by_category: dict[str, int]) -> None:
+        """Add diagnostics counted by category (as
+        ``count_by_category(..., include_zero=False)`` counts them)."""
+        self._counts["total"] = self._counts.get("total", 0) + sum(by_category.values())
+        for key, value in by_category.items():
             self._counts[key] = self._counts.get(key, 0) + value
 
     def report(
@@ -108,7 +111,7 @@ class Reporter:
     ) -> str:
         """Render all diagnostics; write to ``stream`` if given."""
         items = list(diagnostics)
-        self._record(items)
+        self._record(count_by_category(items, include_zero=False))
         if not items:
             text = self.empty()
         else:
@@ -258,7 +261,7 @@ class JSONReporter(Reporter):
         stream: Optional[IO[str]] = None,
     ) -> str:
         items = list(diagnostics)
-        self._record(items)
+        self._record(count_by_category(items, include_zero=False))
         payload = json.dumps([self._as_dict(d) for d in items], indent=2)
         if stream is not None:
             stream.write(payload + "\n")
@@ -275,23 +278,23 @@ class JsonlReporter(Reporter):
     document's diagnostics.  Lines arrive in *completion* order; sort
     by ``file`` for a canonical view.  Unreadable documents become
     ``{"file": ..., "error": ...}`` records so the stream stays an
-    exact account of the batch.
+    exact account of the batch.  :meth:`emit` writes a result's
+    ``encoded`` rows as they are, so a pooled result, encoded by its
+    worker, is never decoded here.
     """
 
     name = "jsonl"
     streams_incrementally = True
 
     def format(self, diagnostic: Diagnostic) -> str:  # pragma: no cover
-        return json.dumps(diagnostic_record(diagnostic), sort_keys=True)
+        return encode_diagnostics([diagnostic]).records[1:-1]
 
-    def _document(self, filename: str, items: list[Diagnostic]) -> str:
-        return json.dumps(
-            {
-                "file": filename,
-                "count": len(items),
-                "diagnostics": [diagnostic_record(d) for d in items],
-            },
-            sort_keys=True,
+    def _document(self, filename: str, encoded: EncodedDiagnostics) -> str:
+        """One document's line: ``json.dumps`` of ``{"file", "count",
+        "diagnostics"}`` with sorted keys, the rows spliced in."""
+        return (
+            f'{{"count": {encoded.count}, "diagnostics": {encoded.records}, '
+            f'"file": {json.dumps(filename)}}}'
         )
 
     def _write(self, line: str) -> None:
@@ -312,9 +315,9 @@ class JsonlReporter(Reporter):
                 {"file": result.name, "error": str(error)}, sort_keys=True
             ))
             return
-        diagnostics = list(result.diagnostics)
-        self._record(diagnostics)
-        self._write(self._document(result.name, diagnostics))
+        encoded = result.encoded
+        self._record(encoded.counts)
+        self._write(self._document(result.name, encoded))
 
     def report(
         self,
@@ -322,15 +325,15 @@ class JsonlReporter(Reporter):
         stream: Optional[IO[str]] = None,
     ) -> str:
         """The buffered contract: one line per distinct filename."""
-        items = list(diagnostics)
-        self._record(items)
         by_file: dict[str, list[Diagnostic]] = {}
-        for diagnostic in items:
+        for diagnostic in diagnostics:
             by_file.setdefault(diagnostic.filename, []).append(diagnostic)
-        text = "\n".join(
-            self._document(filename, group)
-            for filename, group in by_file.items()
-        )
+        lines = []
+        for filename, group in by_file.items():
+            encoded = encode_diagnostics(group)
+            self._record(encoded.counts)
+            lines.append(self._document(filename, encoded))
+        text = "\n".join(lines)
         if stream is not None and text:
             stream.write(text + "\n")
         return text
@@ -354,7 +357,7 @@ class StatsReporter(Reporter):
         stream: Optional[IO[str]] = None,
     ) -> str:
         items = list(diagnostics)
-        self._record(items)
+        self._record(count_by_category(items, include_zero=False))
         payload = json.dumps(
             {
                 "diagnostics": self.count,

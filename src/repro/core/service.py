@@ -48,18 +48,24 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import json
 import multiprocessing.connection
 import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Generator, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.config.options import Options
-from repro.core.diagnostics import Diagnostic
+from repro.core.diagnostics import (
+    Diagnostic,
+    EncodedDiagnostics,
+    diagnostic_from_row,
+    encode_diagnostics,
+)
 from repro.core.engine import Engine
 from repro.core.registry import RuleRegistry, default_registry
 from repro.core.rules.base import Rule
@@ -198,7 +204,6 @@ class LintRequest:
     links: bool = False
 
 
-@dataclass
 class LintResult:
     """What checking one document produced.
 
@@ -206,17 +211,78 @@ class LintResult:
     structured error string for a document that could not be read or
     fetched.  Errors never abort the batch.  ``links`` and ``anchors``
     are set when the request asked for them and the document was read.
+
+    The diagnostics may travel as text: :attr:`encoded` encodes them
+    once (:func:`repro.core.diagnostics.encode_diagnostics`) for the
+    consumers that write JSON -- the result cache, ``-f jsonl``, the
+    daemon's response -- and a pool worker sends only that text
+    (:meth:`pack`).  :attr:`diagnostics` then decodes it on first use.
+    Change no diagnostic once the result has been encoded.
     """
 
-    name: str
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    error: Optional[str] = None
-    links: Optional[list[Link]] = None
-    anchors: Optional[set[str]] = None
+    def __init__(
+        self,
+        name: str,
+        diagnostics: Optional[list[Diagnostic]] = None,
+        error: Optional[str] = None,
+        links: Optional[list[Link]] = None,
+        anchors: Optional[set[str]] = None,
+    ) -> None:
+        self.name = name
+        self._diagnostics = [] if diagnostics is None else diagnostics
+        self._encoded: Optional[EncodedDiagnostics] = None
+        self.error = error
+        self.links = links
+        self.anchors = anchors
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def diagnostics(self) -> list[Diagnostic]:
+        if self._diagnostics is None:
+            self._diagnostics = [
+                diagnostic_from_row(row, self.name)
+                for row in json.loads(self._encoded.rows)
+            ]
+        return self._diagnostics
+
+    @property
+    def encoded(self) -> EncodedDiagnostics:
+        """The diagnostics as the JSON text their consumers write."""
+        if self._encoded is None:
+            self._encoded = encode_diagnostics(self._diagnostics)
+        return self._encoded
+
+    @property
+    def count(self) -> int:
+        """How many diagnostics, counted without decoding them."""
+        if self._diagnostics is None:
+            return self._encoded.count
+        return len(self._diagnostics)
+
+    def pack(self) -> None:
+        """Keep the diagnostics only as text: what a pool worker sends.
+
+        Diagnostics with an argument that is not JSON stay objects,
+        since the text cannot hold them.
+        """
+        if self.encoded.rows is not None:
+            self._diagnostics = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LintResult):
+            return NotImplemented
+        return (self.name, self.diagnostics, self.error, self.links, self.anchors) == (
+            other.name, other.diagnostics, other.error, other.links, other.anchors
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"LintResult(name={self.name!r}, diagnostics={self.diagnostics!r}, "
+            f"error={self.error!r}, links={self.links!r}, anchors={self.anchors!r})"
+        )
 
 
 # -- the service ------------------------------------------------------------
@@ -439,7 +505,7 @@ class LintService:
     def _store(self, key: Optional[str], result: LintResult) -> LintResult:
         """Write a fresh result under the key :meth:`_lookup` returned."""
         if key is not None and result.ok:
-            self.cache.put(key, result.diagnostics, result.links, result.anchors)
+            self.cache.put(key, result.encoded, result.links, result.anchors)
         return result
 
     def _unreadable(self, source: DocumentSource, exc: SourceError) -> LintResult:
@@ -602,7 +668,13 @@ def _worker_run_chunk(
     collect_trace: bool,
     collect_profile: bool,
 ) -> tuple[list[LintResult], dict, Optional[list], Optional[dict]]:
-    """Check one chunk; return results plus observability snapshots."""
+    """Check one chunk; return results plus observability snapshots.
+
+    Each result's diagnostics go back as their encoded text, which the
+    parent appends to the result cache and writes out as it is.  They
+    are encoded here, after ``lint.check_ms`` has timed each lint, so
+    that timer still covers the engine alone.
+    """
     service = _WORKER_SERVICE
     assert service is not None, "worker used before _worker_init ran"
     tracer = Tracer() if collect_trace else None
@@ -614,6 +686,8 @@ def _worker_run_chunk(
         if profiler is not None:
             stack.enter_context(use_profiler(profiler))
         results = [service.check(r) for r in requests]
+    for result in results:
+        result.pack()
     return (
         results,
         registry.snapshot(),
@@ -716,7 +790,9 @@ class ParallelExecutor:
     settles in the parent what needs no worker -- cache hits and
     unreadable documents -- then ships the rest in chunks, merges every
     worker's observability snapshots, and stores each fresh result in
-    the service's cache exactly once.
+    the service's cache exactly once.  Workers send each result's
+    diagnostics already encoded (:meth:`LintResult.pack`), and the
+    parent stores and writes that text without decoding it.
 
     Each worker is a ``multiprocessing`` child with its own duplex pipe,
     driven by the thread whose batch holds it: a batch takes idle

@@ -20,12 +20,16 @@ Response::
     {"results": [{"name": "a.html", "error": null,
                   "diagnostics": [{"id": ..., "category": ...,
                                    "text": ..., "line": ...,
-                                   "column": ...}, ...]}, ...]}
+                                   "column": ..., "arguments": {...}},
+                                  ...]}, ...]}
 
-Diagnostics reuse the result cache's dict codec so the wire format and
-the on-disk cache format cannot drift apart.  Decoding is strict:
-anything malformed raises :class:`ProtocolError`, which the server
-turns into a 400 instead of a traceback.
+A result's ``diagnostics`` are the very text a lint-cache record holds
+(``EncodedDiagnostics.rows`` from
+:func:`repro.core.diagnostics.encode_diagnostics`), so the wire format
+and the on-disk cache format cannot drift apart; a pooled result's rows,
+encoded by its worker, are spliced in as they arrived.  Decoding is
+strict: anything malformed raises :class:`ProtocolError`, which the
+server turns into a 400 instead of a traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.core.cache import _diagnostic_from_dict, _diagnostic_to_dict
+from repro.core.diagnostics import diagnostic_from_row
 from repro.core.service import LintRequest, LintResult, StringSource
 
 #: Cap on documents per request, so one client cannot park an
@@ -97,22 +101,22 @@ def decode_batch_request(
 
 
 def encode_batch_response(results: list[LintResult]) -> str:
-    """Encode lint results (diagnostics or structured error) as JSON."""
-    return json.dumps(
-        {
-            "results": [
-                {
-                    "name": result.name,
-                    "error": result.error,
-                    "diagnostics": [
-                        _diagnostic_to_dict(diagnostic)
-                        for diagnostic in result.diagnostics
-                    ],
-                }
-                for result in results
-            ],
-        }
-    )
+    """Encode lint results (diagnostics or structured error) as JSON.
+
+    The bytes of ``json.dumps`` over ``{"results": [{"name", "error",
+    "diagnostics"}, ...]}``, with each result's encoded rows spliced in.
+    Raises ``TypeError`` when a diagnostic argument is not JSON.
+    """
+    entries = []
+    for result in results:
+        rows = result.encoded.rows
+        if rows is None:
+            raise TypeError(f"{result.name}: a diagnostic argument is not JSON")
+        entries.append(
+            f'{{"name": {json.dumps(result.name)}, '
+            f'"error": {json.dumps(result.error)}, "diagnostics": {rows}}}'
+        )
+    return f'{{"results": [{", ".join(entries)}]}}'
 
 
 def decode_batch_response(body: str) -> list[LintResult]:
@@ -138,7 +142,7 @@ def decode_batch_response(body: str) -> list[LintResult]:
             raise ProtocolError(f"result {index} 'diagnostics' must be a list")
         try:
             diagnostics = [
-                _diagnostic_from_dict(row, filename=name) for row in rows
+                diagnostic_from_row(row, filename=name) for row in rows
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(

@@ -28,7 +28,7 @@ from bisect import insort
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from repro.core.diagnostics import Diagnostic, diagnostic_record
+from repro.core.diagnostics import Diagnostic, encode_diagnostics
 from repro.core.messages import Category
 from repro.store import JsonLog, write_atomic
 
@@ -280,10 +280,10 @@ class PageSpill:
         self.path = Path(path)
         self._log: Optional[JsonLog] = None
 
-    def _write(self, record: dict[str, object]) -> None:
+    def _write(self, line: str) -> None:
         if self._log is None:
             self._log = JsonLog(self.path, fresh=True)
-        self._log.append(record)
+        self._log.write(line + "\n")
 
     def write_page(
         self,
@@ -293,15 +293,14 @@ class PageSpill:
         phase: str = "lint",
     ) -> None:
         if error is not None:
-            self._write({"page": page, "error": error})
+            self._write(json.dumps({"page": page, "error": error}, sort_keys=True))
             return
-        items = [diagnostic_record(d) for d in diagnostics]
-        self._write({
-            "page": page,
-            "phase": phase,
-            "count": len(items),
-            "diagnostics": items,
-        })
+        # The record JsonLog.append would write (sorted keys), rows spliced in.
+        encoded = encode_diagnostics(diagnostics)
+        self._write(
+            f'{{"count": {encoded.count}, "diagnostics": {encoded.records}, '
+            f'"page": {json.dumps(page)}, "phase": {json.dumps(phase)}}}'
+        )
 
     def close(self) -> None:
         if self._log is not None:

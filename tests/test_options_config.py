@@ -98,6 +98,20 @@ class TestOptions:
         assert "start here" in options.here_words()
         assert "here" in options.here_words()
 
+    def test_here_words_follow_changes_after_a_call(self):
+        """The set is built once per state of the extra words: a later
+        ``set_option`` or a copy's own additions are still seen."""
+        options = Options.with_defaults()
+        before = options.here_words()
+        assert options.here_words() is before  # not rebuilt per call
+        options.set_option("here_words", "Go On, Next")
+        assert {"go on", "next", "here"} <= options.here_words()
+        clone = options.copy()
+        clone.extra_here_words.add("Zebra")
+        assert "zebra" in clone.here_words()
+        assert "zebra" not in options.here_words()
+        assert "go on" in clone.here_words()
+
     def test_set_option_values(self):
         options = Options.with_defaults()
         options.set_option("max-title-length", "100")
