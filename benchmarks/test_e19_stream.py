@@ -1,23 +1,25 @@
 """E19 -- memory-bounded streaming reports (buffered vs rollup).
 
 The streaming diagnostics pipeline (docs/architecture.md, "Streaming
-reports") claims the rollup-mode site check holds *bounded* memory: as
-a site grows 10x, the buffered :class:`SiteReport` path keeps every
-page's diagnostics until the end and its traced-heap high-water grows
-roughly linearly, while the rollup path keeps only the site-check
-core's page-name index, flat integer link graph and
-currently-unresolved links, so its high-water barely moves.
+reports") claims the streamed poacher audit holds *bounded* memory: as
+a site grows 10x, the buffered :meth:`Poacher.crawl` keeps every page's
+diagnostics and links in its :class:`CrawlReport` until the end and its
+traced-heap high-water grows roughly linearly, while
+:meth:`Poacher.crawl_stream` -- what ``poacher --format jsonl`` and
+``--shards`` run -- folds each page into a :class:`SiteRollup` and
+spills it to ``pages.jsonl`` as the frontier completes it.
 
 This benchmark measures both regimes on the same generated site at 50
-and 500 pages (pages come straight out of
-:meth:`PageGenerator.iter_site`, never materialised as a dict) and
-asserts the headline property the ISSUE gates on:
+and 500 pages.  The pages are written to disk and mounted with
+:meth:`VirtualWeb.add_site`, as the poacher CLI mounts a site, before
+either measurement starts; each pass crawls a fresh mount.  It asserts
+the headline property:
 
 - the streaming high-water at 500 pages is at most
   ``MAX_STREAM_GROWTH`` times the high-water at 50 pages, while the
   buffered high-water grows by well over 3x;
-- the rollup renders the *same* summary the buffered report renders
-  (memory-bounded must not mean approximate).
+- the rollup carries the buffered report's totals (memory-bounded must
+  not mean approximate).
 
 Both peaks are tracemalloc's traced Python heap: the buffered regime
 reads it directly, the streaming regime reads it through
@@ -43,27 +45,25 @@ from repro.config.options import Options
 from repro.core.service import LintService
 from repro.obs.memory import MemorySampler
 from repro.obs.metrics import MetricsRegistry
+from repro.robot.poacher import Poacher
 from repro.site.report import render_text_report
-from repro.site.rollup import PageSpill, SiteRollup
-from repro.site.sitecheck import SiteChecker
+from repro.site.rollup import SiteRollup
 from repro.workload import GeneratorConfig, PageGenerator
+from repro.www.client import UserAgent
+from repro.www.virtualweb import VirtualWeb
 
 from conftest import print_table, record
 
 #: Site sizes: the second is 10x the first and the pair carries the
 #: gated growth ratio.  E19_FULL=1 adds a 100x site (several minutes
-#: per regime -- far too slow for the CI smoke, but the flat-memory
-#: claim holds there too).
+#: per regime -- far too slow for the CI smoke).
 SIZES = (50, 500, 5000) if os.environ.get("E19_FULL") else (50, 500)
 
 #: The streaming high-water at SIZES[1] must stay within this factor
-#: of the high-water at SIZES[0].  Measured ~1.42 at 10x growth before
-#: the batched-tokenizer PR; the slots tokens then cut the *absolute*
-#: high-water at every size but shrank the small-site base more than
-#: the large-site peak (288 vs 382 KB at 50 pages, 489 vs 553 KB at
-#: 500), so the ratio settled ~1.70.  The gate exists to catch the
-#: rollup growing an O(pages) appetite -- that failure mode lands at
-#: 3x+ like the buffered regime -- not to pin the transient floor.
+#: of the high-water at SIZES[0].  The gate exists to catch the
+#: streamed audit growing an O(pages) appetite -- that failure mode
+#: lands at 3x+ like the buffered regime -- not to pin the transient
+#: floor.
 MAX_STREAM_GROWTH = 2.0
 
 #: Page shape: substantial pages (the per-page lint transient is the
@@ -80,52 +80,57 @@ CONFIG = GeneratorConfig(
     table_rows=10,
 )
 
+#: The poacher CLI mounts a site directory here and starts at its index.
+BASE_URL = "http://localhost/"
+START_URL = "http://localhost/index.html"
 
-def _checker() -> SiteChecker:
+
+def _write_site(n_pages: int, tmp_path):
+    """The generated site on disk, written once per size."""
+    site = tmp_path / f"site-{n_pages}"
+    if not site.is_dir():
+        for name, text in PageGenerator(seed=7, config=CONFIG).iter_site(n_pages):
+            path = site / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+    return site
+
+
+def _poacher(site) -> Poacher:
+    """A poacher over a fresh mount of ``site``."""
+    web = VirtualWeb()
+    web.add_site(BASE_URL, site)
     options = Options.with_defaults()
     options.follow_links = True
-    return SiteChecker(service=LintService(options=options))
+    return Poacher(UserAgent(web), service=LintService(options=options))
 
 
-def _pages(n_pages: int):
-    return PageGenerator(seed=7, config=CONFIG).iter_site(n_pages)
-
-
-def _buffered_pass(n_pages: int) -> tuple[float, float, str]:
-    """(peak_bytes, wall_s, rendered) for the buffered SiteReport path."""
-    checker = _checker()
+def _buffered_pass(site) -> tuple[float, float, list[str]]:
+    """(peak_bytes, wall_s, summary lines) for the buffered crawl."""
+    poacher = _poacher(site)
     gc.collect()
     tracemalloc.start()
     start = time.perf_counter()
-    report = checker.check_pages(_pages(n_pages), root="bench")
-    rendered = render_text_report(report)
+    summary = poacher.crawl(START_URL).summary_lines()
     wall = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return float(peak), wall, rendered
+    return float(peak), wall, summary
 
 
-def _streaming_pass(
-    n_pages: int, tmp_path
-) -> tuple[float, float, str, SiteRollup]:
-    """Same measurement through the rollup + spill path."""
-    checker = _checker()
+def _streaming_pass(site, report_dir) -> tuple[float, float, SiteRollup]:
+    """Same measurement through the streamed audit and its spill."""
+    poacher = _poacher(site)
     gc.collect()
     sampler = MemorySampler(
         interval_s=0.02, registry=MetricsRegistry()
     ).start()
     start = time.perf_counter()
-    with PageSpill(tmp_path / f"pages-{n_pages}.jsonl") as spill:
-        rollup = checker.check_pages(
-            _pages(n_pages),
-            root="bench",
-            rollup=SiteRollup(root="bench"),
-            spill=spill,
-        )
-    rendered = render_text_report(rollup)
+    rollup = poacher.crawl_stream(START_URL, report_dir=report_dir)
+    render_text_report(rollup)  # what the CLI prints, inside the window
     wall = time.perf_counter() - start
     peak = float(sampler.stop())
-    return peak, wall, rendered, rollup
+    return peak, wall, rollup
 
 
 def _warm_both_paths(tmp_path) -> None:
@@ -136,17 +141,9 @@ def _warm_both_paths(tmp_path) -> None:
     land inside whichever regime happens to run first and skew its
     floor.
     """
-    checker = _checker()
-    render_text_report(checker.check_pages(_pages(10), root="warm"))
-    with PageSpill(tmp_path / "warm.jsonl") as spill:
-        render_text_report(
-            checker.check_pages(
-                _pages(10),
-                root="warm",
-                rollup=SiteRollup(root="warm"),
-                spill=spill,
-            )
-        )
+    site = _write_site(10, tmp_path)
+    _buffered_pass(site)
+    _streaming_pass(site, tmp_path / "warm-report")
 
 
 def test_streaming_high_water_stays_flat(tmp_path):
@@ -156,16 +153,20 @@ def test_streaming_high_water_stays_flat(tmp_path):
     buffered_peaks: dict[int, float] = {}
     stream_peaks: dict[int, float] = {}
     for n_pages in SIZES:
-        buffered_peak, buffered_wall, buffered_text = _buffered_pass(n_pages)
-        stream_peak, stream_wall, stream_text, rollup = _streaming_pass(
-            n_pages, tmp_path
+        site = _write_site(n_pages, tmp_path)
+        buffered_peak, buffered_wall, summary = _buffered_pass(site)
+        stream_peak, stream_wall, rollup = _streaming_pass(
+            site, tmp_path / f"report-{n_pages}"
         )
 
-        # Memory-bounded must not mean approximate: the rollup renders
-        # the exact summary the buffered report renders, and carries
-        # the same totals.
-        assert stream_text == buffered_text
+        # Memory-bounded must not mean approximate: the rollup carries
+        # the totals the buffered summary prints.
         assert rollup.pages == n_pages
+        assert summary[0] == f"poacher: crawled {n_pages} page(s) from {START_URL}"
+        assert summary[-1] == (
+            f"total: {rollup.total_messages} problem(s), "
+            f"{rollup.count('bad-link')} broken link(s)"
+        )
 
         buffered_peaks[n_pages] = buffered_peak
         stream_peaks[n_pages] = stream_peak
@@ -197,7 +198,7 @@ def test_streaming_high_water_stays_flat(tmp_path):
         "",
     ))
     print_table(
-        "E19: report memory high-water, buffered vs streaming",
+        "E19: poacher audit memory high-water, buffered vs streaming",
         rows,
         ("pages", "buffered KB", "buffered s", "stream KB", "stream s"),
     )

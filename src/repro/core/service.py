@@ -63,6 +63,7 @@ from repro.config.options import Options
 from repro.core.diagnostics import (
     Diagnostic,
     EncodedDiagnostics,
+    count_by_category,
     diagnostic_from_row,
     encode_diagnostics,
 )
@@ -490,8 +491,9 @@ class LintService:
             return None, key
         registry = get_registry()
         registry.inc("lint.files")
-        for diagnostic in cached.diagnostics:
-            registry.inc(f"lint.diagnostics.{diagnostic.category.value}")
+        tally = count_by_category(cached.diagnostics, include_zero=False)
+        for category, count in tally.items():
+            registry.inc(f"lint.diagnostics.{category}", count)
         result = LintResult(name=source.name, diagnostics=cached.diagnostics)
         if request.links:
             if cached.links is None:
@@ -543,8 +545,9 @@ class LintService:
                 diagnostics=len(diagnostics),
                 duration_ms=round(elapsed_ms, 3),
             )
-        for diagnostic in diagnostics:
-            registry.inc(f"lint.diagnostics.{diagnostic.category.value}")
+        tally = count_by_category(diagnostics, include_zero=False)
+        for category, count in tally.items():
+            registry.inc(f"lint.diagnostics.{category}", count)
         return LintResult(
             name=source.name,
             diagnostics=diagnostics,

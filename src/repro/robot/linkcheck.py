@@ -78,16 +78,6 @@ class LinkChecker:
     def checked_count(self) -> int:
         return len(self._cache)
 
-    def broken_links(self) -> list[LinkStatus]:
-        return [status for status in self._cache.values() if status.broken]
-
-    def moved_links(self) -> list[LinkStatus]:
-        return [
-            status
-            for status in self._cache.values()
-            if status.ok and status.redirected_to
-        ]
-
 
 class FragmentChecker:
     """Validate ``page.html#name`` fragments across a crawl.

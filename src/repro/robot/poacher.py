@@ -26,7 +26,6 @@ from typing import Callable, Optional, Union
 
 from repro.config.options import Options
 from repro.core.diagnostics import Diagnostic
-from repro.core.linter import Weblint
 from repro.core.service import LintRequest, LintResult, LintService, StringSource
 from repro.robot.frontier import FrontierJournal, shard_owns
 from repro.robot.linkcheck import FragmentChecker, LinkChecker, LinkStatus
@@ -131,7 +130,6 @@ class Poacher:
     def __init__(
         self,
         agent: UserAgent,
-        weblint: Optional[Weblint] = None,
         options: Optional[Options] = None,
         policy: Optional[TraversalPolicy] = None,
         service: Optional[LintService] = None,
@@ -139,12 +137,8 @@ class Poacher:
     ) -> None:
         self.agent = agent
         if service is None:
-            if weblint is not None:
-                service = weblint.service
-            else:
-                service = LintService(options=options)
+            service = LintService(options=options)
         self.service = service
-        self.weblint = weblint
         self.options = service.options
         self.policy = policy if policy is not None else TraversalPolicy()
         self.robot = Robot(agent, self.policy, journal=journal)
@@ -272,22 +266,24 @@ class Poacher:
             report_dir = Path(report_dir)
             spill = PageSpill(report_dir / PAGES_FILENAME)
 
-        def emit(
-            url: str, diagnostics: list[Diagnostic], error: Optional[str] = None
-        ) -> None:
+        def emit(result: LintResult) -> None:
+            # The spill and ``on_result`` write the same encoded rows:
+            # the result encodes its diagnostics once, for both.
             if spill is not None:
-                spill.write_page(url, diagnostics, error=error)
-            if on_result is not None:
-                on_result(
-                    LintResult(name=url, diagnostics=diagnostics, error=error)
+                spill.write_page(
+                    result.name,
+                    result.encoded if result.ok else (),
+                    error=result.error,
                 )
+            if on_result is not None:
+                on_result(result)
 
         def on_page(url: str, response: Response) -> list[Link]:
-            result, findings = self._audit(url, response)
-            diagnostics = [*result.diagnostics, *findings]
+            page, findings = self._audit(url, response)
+            diagnostics = [*page.diagnostics, *findings]
             rollup.add_page(url, diagnostics)
-            emit(url, diagnostics)
-            return result.links
+            emit(LintResult(name=url, diagnostics=diagnostics))
+            return page.links
 
         try:
             self.robot.crawl(
@@ -304,7 +300,7 @@ class Poacher:
             for url, error in failures:
                 if shard_owns(url, self.policy.shards, self.policy.shard):
                     rollup.note_page_error()
-                    emit(url, [], error)
+                    emit(LintResult(name=url, error=error))
         finally:
             if spill is not None:
                 spill.close()

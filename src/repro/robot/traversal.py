@@ -208,14 +208,10 @@ class CrawlProgress:
         in_flight = self.robot.in_flight
         queued = self.robot.frontier_size
         rate = self.rate(now)
-        hits = (
-            registry.value("www.cache.hits")
-            + registry.value("www.conditional.revalidated")
-            + registry.value("cache.lint.hits")
+        hits = registry.value("www.conditional.revalidated") + registry.value(
+            "cache.lint.hits"
         )
-        misses = registry.value("www.cache.misses") + registry.value(
-            "cache.lint.misses"
-        )
+        misses = registry.value("cache.lint.misses")
         ratio = hits / (hits + misses) if hits + misses else 0.0
         busiest = self.robot.busiest_slot()
         slots = (

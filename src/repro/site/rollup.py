@@ -17,8 +17,13 @@ object holding every page's diagnostics.  At audit scale that object
   per-page detail (drill-downs, diffing two audits) reads the spill;
   everything render-side works from the rollup alone.
 
-``repro.tools.merge_shards`` combines per-shard rollups and spills into
-one canonical report directory.
+Two producers, one summary:
+:meth:`repro.robot.poacher.Poacher.crawl_stream` (``poacher --format
+jsonl`` and ``--shards``) feeds a rollup and a spill each crawled page
+as the frontier completes it, and :meth:`SiteRollup.from_report` rolls
+up the :class:`~repro.site.sitecheck.SiteReport` that ``weblint -R``
+builds.  ``repro.tools.merge_shards`` combines per-shard rollups and
+spills into one canonical report directory.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from bisect import insort
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from repro.core.diagnostics import Diagnostic, encode_diagnostics
+from repro.core.diagnostics import Diagnostic, EncodedDiagnostics, encode_diagnostics
 from repro.core.messages import Category
 from repro.store import JsonLog, write_atomic
 
@@ -116,9 +121,6 @@ class SiteRollup:
 
     def note_page_error(self, count: int = 1) -> None:
         self.page_errors += count
-
-    def note_links(self, count: int = 1) -> None:
-        self.link_edges += count
 
     # -- views ---------------------------------------------------------
 
@@ -270,9 +272,9 @@ class PageSpill:
     by the ``page`` key for a canonical view -- ``merge_shards`` does
     exactly that when it rewrites merged spills).  Records:
 
-    - ``{"page", "phase", "count", "diagnostics"}`` for a checked page
-      (``phase`` is ``"lint"`` for the per-document pass, ``"site"``
-      for cross-page findings attached afterwards);
+    - ``{"page", "phase", "count", "diagnostics"}`` for a checked page,
+      its lint diagnostics and link findings together (``phase`` is
+      always ``"lint"``);
     - ``{"page", "error"}`` for a page that could not be read/fetched.
     """
 
@@ -288,18 +290,22 @@ class PageSpill:
     def write_page(
         self,
         page: str,
-        diagnostics: Iterable[Diagnostic],
+        diagnostics: Union[EncodedDiagnostics, Iterable[Diagnostic]],
         error: Optional[str] = None,
-        phase: str = "lint",
     ) -> None:
+        """Append ``page``'s record: its ``diagnostics`` -- encoded, as a
+        ``LintResult`` already holds them, or objects, encoded here --
+        or the ``error`` that stopped it."""
         if error is not None:
             self._write(json.dumps({"page": page, "error": error}, sort_keys=True))
             return
+        if not isinstance(diagnostics, EncodedDiagnostics):
+            diagnostics = encode_diagnostics(diagnostics)
         # The record JsonLog.append would write (sorted keys), rows spliced in.
-        encoded = encode_diagnostics(diagnostics)
         self._write(
-            f'{{"count": {encoded.count}, "diagnostics": {encoded.records}, '
-            f'"page": {json.dumps(page)}, "phase": {json.dumps(phase)}}}'
+            f'{{"count": {diagnostics.count}, '
+            f'"diagnostics": {diagnostics.records}, '
+            f'"page": {json.dumps(page)}, "phase": "lint"}}'
         )
 
     def close(self) -> None:

@@ -3,39 +3,34 @@
 Runs weblint over every page of a site and adds the site-level analyses
 the paper attaches to the ``-R`` switch:
 
-- ``directory-index``: directories without an index file (directory
-  walks only);
+- ``directory-index``: directories without an index file;
 - ``orphan-page``: pages no other checked page links to;
 - ``bad-link``: relative links whose target does not exist;
 - ``bad-fragment``: ``#fragment`` links to an anchor the target page
   does not define.
 
 The last three, and the link graph behind the navigation analysis, come
-from one core, :class:`_SiteCore`, whatever the entry point:
-:meth:`SiteChecker.check_directory` (``weblint -R``) feeds it pages as
-their lint results resolve, :meth:`SiteChecker.check_pages` as a
-stream delivers them.  Pages may arrive in any order; each link
-resolves as soon as both of its endpoints are known, so the core holds
-the page names, a compact link graph and the still-unresolved links --
-never every page's text or link list.  A :class:`SiteReport` is a
-materialised view of the core's findings; a
-:class:`~repro.site.rollup.SiteRollup` counts (and a
-:class:`~repro.site.rollup.PageSpill` spills) the same findings in
-bounded memory.
+from one core, :class:`_SiteCore`, which :meth:`SiteChecker.check_directory`
+(``weblint -R``) feeds each page as its lint result resolves.  Pages may
+arrive in any order (``--jobs`` completes them out of walk order); each
+link resolves as soon as both of its endpoints are known, so the core
+holds the page names, a compact link graph and the still-unresolved
+links -- never every page's text or link list.  A :class:`SiteReport`
+is a materialised view of the core's findings, and
+:meth:`~repro.site.rollup.SiteRollup.from_report` counts them for the
+site summary.
 
 :func:`~repro.site.links.judge_link`, which poacher calls too, decides
-every ``bad-link`` and ``bad-fragment``.  The only differences between a
-directory walk and a page stream live in the target resolver
-(:class:`_FileResolver` vs :class:`_PageSetResolver`): how a link
-target is named, whether a target that never arrived as a page exists
-anyway (on disk vs never), its anchors (unknown unless it is an HTML
-file) and the ``bad-link`` status text.  The rest is one policy:
-``#fragment`` and ``?query`` are stripped before resolving; a link to a
-directory names that directory's index page, which judges its fragment;
-and only the site root's index pages are exempt from ``orphan-page``.
-A file has no query, so ``-R`` strips it; poacher keeps it, because a
-server may answer each query differently.  Both judge
-``page.html?y=2#sec`` by the anchors of the page ``page.html`` serves.
+every ``bad-link`` and ``bad-fragment``.  A link target is named by
+:class:`_FileResolver`: a path under the site root (or, outside it, an
+absolute path), looked up on disk when it never arrived as a checked
+page.  ``#fragment`` and ``?query`` are stripped before resolving; a
+link to a directory names that directory's index page, which judges its
+fragment; and only the site root's index pages are exempt from
+``orphan-page``.  A file has no query, so ``-R`` strips it; poacher
+keeps it, because a server may answer each query differently.  Both
+judge ``page.html?y=2#sec`` by the anchors of the page ``page.html``
+serves.
 
 External (``http:`` ...) links are left to the poacher robot by default
 -- exactly the division of labour the paper describes between ``-R``
@@ -58,13 +53,11 @@ from typing import Optional, Union
 from repro.config.options import Options
 from repro.core import constants
 from repro.core.diagnostics import Diagnostic
-from repro.core.linter import Weblint
-from repro.core.service import LintRequest, LintService, PathSource, StringSource
+from repro.core.service import LintRequest, LintService, PathSource
 from repro.site.links import Link, extract_anchor_names, judge_link
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.site.orphans import build_incoming_counts, find_orphans
-from repro.site.rollup import PageSpill, SiteRollup
 from repro.site.walker import find_html_files, has_index_file, iter_directories
 
 
@@ -127,19 +120,14 @@ class SiteChecker:
 
     def __init__(
         self,
-        weblint: Optional[Weblint] = None,
         options: Optional[Options] = None,
         service: Optional[LintService] = None,
         jobs: int = 1,
         agent=None,
     ) -> None:
         if service is None:
-            if weblint is not None:
-                service = weblint.service
-            else:
-                service = LintService(options=options)
+            service = LintService(options=options)
         self.service = service
-        self.weblint = weblint
         self.options = service.options
         self.jobs = jobs
         #: Optional UserAgent; when set, external links are validated.
@@ -156,7 +144,7 @@ class SiteChecker:
         with tracer.span("site.check", root=str(root)):
             files = find_html_files(root)
             names = {str(path): _relative_name(path, root) for path in files}
-            core = _SiteCore(self, _FileResolver(root))
+            core = _SiteCore(self, root)
             errors: dict[str, str] = {}
 
             # One batch through the lint pipeline (parallel when jobs > 1),
@@ -185,76 +173,6 @@ class SiteChecker:
             core.materialise(report)
         registry.observe("site.check_ms", (time.perf_counter() - start) * 1000.0)
         return report
-
-    def check_pages(
-        self,
-        pages,
-        root: str = "stream",
-        rollup: Optional[SiteRollup] = None,
-        spill: Optional[PageSpill] = None,
-    ) -> Union[SiteReport, SiteRollup]:
-        """Streaming site check over an iterable of ``(name, text)`` pairs.
-
-        The streamed counterpart of :meth:`check_directory`, for pages
-        that arrive one at a time -- e.g. fed out of a crawl frontier
-        as each fetch completes.  Each page is linted and folded into
-        the site-check core the moment it arrives; findings that need
-        the complete page set resolve once the stream ends.  Link
-        targets resolve against the page *names* (no filesystem).
-
-        Two sinks for the same findings:
-
-        - Default: returns a materialised :class:`SiteReport` (every
-          page's diagnostics held until the end), pages sorted by name.
-        - ``rollup=``: the memory-bounded audit path.  Each page's
-          diagnostics are tallied into the given
-          :class:`~repro.site.rollup.SiteRollup` (and spilled to
-          ``spill`` when given) the moment the page resolves.  Returns
-          the rollup, which equals
-          ``SiteRollup.from_report(<the SiteReport>)``.
-        """
-        registry = get_registry()
-        tracer = get_tracer()
-        start = time.perf_counter()
-        core = _SiteCore(self, _PageSetResolver())
-        report = SiteReport(root=str(root)) if rollup is None else None
-        # The rollup sink's lint message counts.  Only pages with
-        # problems take a slot: on a mostly-clean site it stays near-empty.
-        problem_counts: dict[str, int] = {}
-        with tracer.span("site.check_stream", root=str(root)):
-            for name, text in pages:
-                result = self.service.check(
-                    LintRequest(StringSource(text, name=name), links=True)
-                )
-                if result.error is not None:
-                    if report is not None:
-                        report.page_errors.append(result.error)
-                    else:
-                        rollup.note_page_error()
-                        if spill is not None:
-                            spill.write_page(name, (), error=result.error)
-                    continue
-                registry.inc("site.files.checked")
-                if report is not None:
-                    report.page_diagnostics[name] = result.diagnostics
-                else:
-                    rollup.count_diagnostics(result.diagnostics)
-                    if result.diagnostics:
-                        problem_counts[name] = len(result.diagnostics)
-                    if spill is not None:
-                        spill.write_page(name, result.diagnostics)
-                core.add_page(name, result.links, result.anchors)
-            with tracer.span("site.analyses", pages=len(core.names)):
-                core.finish()
-                if report is None:
-                    core.roll_up(rollup, spill, problem_counts)
-                else:
-                    report.pages = sorted(core.known)
-                    core.materialise(report)
-        registry.observe(
-            "site.check_ms", (time.perf_counter() - start) * 1000.0
-        )
-        return rollup if report is None else report
 
     # -- site-level checks ----------------------------------------------------------
 
@@ -312,9 +230,9 @@ class _SiteCore:
     currently-unresolved links -- not every page's :class:`Link` list.
     """
 
-    def __init__(self, checker: SiteChecker, resolver) -> None:
+    def __init__(self, checker: SiteChecker, root: Path) -> None:
         self.checker = checker
-        self.resolver = resolver
+        self.resolver = _FileResolver(root)
         self.follow = checker.options.follow_links
         self.known: dict[str, int] = {}  # page name -> interned id
         self.names: list[str] = []
@@ -448,7 +366,7 @@ class _SiteCore:
         anchors = self.resolver.anchors(target) if exists else None
         defined = None if anchors is None else anchors.__contains__
         for entry in entries:
-            self._judge(entry, exists, self.resolver.status, defined)
+            self._judge(entry, exists, "file not found", defined)
 
     def _check_external(self) -> None:
         """HEAD-validate absolute ``http(s):`` links via the checker's agent.
@@ -473,84 +391,19 @@ class _SiteCore:
         for index in range(0, len(ids), 2):
             yield self.names[ids[index]], self.names[ids[index + 1]]
 
-    # -- sinks ---------------------------------------------------------------
-
-    def _ordered_findings(self) -> list[Diagnostic]:
-        """Findings grouped by page, each page's in attach order."""
-        return [
-            diagnostic
-            for _, diagnostic in sorted(
-                self.findings, key=lambda item: (item[1].filename, item[0])
-            )
-        ]
+    # -- the report ----------------------------------------------------------
 
     def materialise(self, report: SiteReport) -> None:
-        """Attach every finding to its page and fill the link graph."""
-        for diagnostic in self._ordered_findings():
+        """Attach every finding to its page, each page's in attach order,
+        and fill the link graph in name order, whatever order the pages
+        arrived in."""
+        for _, diagnostic in sorted(
+            self.findings, key=lambda item: (item[1].filename, item[0])
+        ):
             report.page_diagnostics.setdefault(diagnostic.filename, []).append(
                 diagnostic
             )
-        report.link_graph = list(self.edge_pairs())
-
-    def roll_up(
-        self,
-        rollup: SiteRollup,
-        spill: Optional[PageSpill],
-        problem_counts: dict[str, int],
-    ) -> None:
-        """Count (and spill) the findings, pages, edges and navigation."""
-        from repro.site.navigation import analyse_navigation
-
-        findings = self._ordered_findings()
-        rollup.count_diagnostics(findings)
-        by_page: dict[str, list[Diagnostic]] = {}
-        for diagnostic in findings:
-            by_page.setdefault(diagnostic.filename, []).append(diagnostic)
-        for page, diagnostics in by_page.items():
-            problem_counts[page] = problem_counts.get(page, 0) + len(diagnostics)
-            if spill is not None:
-                spill.write_page(page, diagnostics, phase="site")
-        pages_sorted = sorted(self.known)
-        for page in pages_sorted:
-            rollup.note_page(page, problem_counts.get(page, 0))
-        rollup.note_links(len(self.edge_ids) // 2)
-        if pages_sorted:
-            nav_root = next(
-                (page for page in pages_sorted
-                 if page.rsplit("/", 1)[-1].startswith("index.")),
-                pages_sorted[0],
-            )
-            navigation = analyse_navigation(
-                pages_sorted, self.edge_pairs(), root=nav_root
-            )
-            rollup.navigation_lines = navigation.summary_lines()
-
-
-class _PageSetResolver:
-    """Link targets are page names; only pages that arrived exist."""
-
-    status = "page not found"
-
-    def name(self, page: str, path: str) -> str:
-        """Resolve ``path`` against page name ``page``, filesystem-free."""
-        if path.startswith("/"):
-            combined = path.lstrip("/")
-        else:
-            base = page.rsplit("/", 1)[0] if "/" in page else ""
-            combined = f"{base}/{path}" if base else path
-        parts: list[str] = []
-        for piece in combined.split("/"):
-            if piece in ("", "."):
-                continue
-            if piece == "..":
-                if parts:
-                    parts.pop()
-                continue
-            parts.append(piece)
-        return "/".join(parts)
-
-    def exists(self, target: str) -> bool:
-        return False
+        report.link_graph = sorted(self.edge_pairs())
 
 
 class _FileResolver:
@@ -564,8 +417,6 @@ class _FileResolver:
     A target that never arrived as a checked page (an image, a text
     file, a directory, a file outside the site) is looked up on disk.
     """
-
-    status = "file not found"
 
     def __init__(self, root: Path) -> None:
         self.root = root

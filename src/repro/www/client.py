@@ -2,9 +2,8 @@
 
 Performs GET/HEAD requests against a :class:`~repro.www.virtualweb.VirtualWeb`
 (or anything else with a ``handle(Request) -> Response`` method), following
-redirects with loop detection, and optionally caching responses -- the
-facilities weblint's ``check_url``, the gateway and the poacher robot rely
-on.
+redirects with loop detection -- the facilities weblint's ``check_url``,
+the gateway and the poacher robot rely on.
 
 On top of the basic fetch path sits the resilience layer the crawling
 front-ends need against an unreliable web:
@@ -45,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.obs.metrics import get_registry
@@ -211,7 +210,6 @@ class UserAgent:
         web=None,
         max_redirects: int = 5,
         agent_name: str = "weblint-repro/2.0",
-        cache: bool = False,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         timeout_s: Optional[float] = None,
@@ -228,7 +226,6 @@ class UserAgent:
         #: GETs are conditional and 304s revalidate the stored copy.
         self.http_cache = http_cache
         self._sleep = sleep
-        self._cache: Optional[dict[tuple[str, str], Response]] = {} if cache else None
         self.requests_made = 0
 
     # -- public API ------------------------------------------------------------
@@ -248,13 +245,6 @@ class UserAgent:
             )
         registry = get_registry()
         url = resolve(url, "")
-        cache_key = (method.upper(), url)
-        if self._cache is not None:
-            if cache_key in self._cache:
-                registry.inc("www.cache.hits")
-                return self._cache[cache_key]
-            registry.inc("www.cache.misses")
-
         start = time.perf_counter()
         seen: list[str] = []
         current = url
@@ -289,10 +279,6 @@ class UserAgent:
         registry.observe(
             "www.fetch.latency_ms", (time.perf_counter() - start) * 1000.0
         )
-        # Never cache failures: with caching on, a cached 404/503 would
-        # be re-served to every retry and every later crawl of the URL.
-        if self._cache is not None and final.ok:
-            self._cache[cache_key] = final
         return final
 
     # -- the conditional single-hop fetch ---------------------------------------

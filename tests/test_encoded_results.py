@@ -166,20 +166,23 @@ class TestEncoder:
     @encoder_settings
     @given(diagnostics_strategy, awkward_text)
     def test_page_spill_record_is_the_reference_bytes(self, diagnostics, page):
-        # A fresh path per example: the spill truncates it on first write.
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "pages.jsonl"
-            with PageSpill(path) as spill:
-                spill.write_page(page, diagnostics)
-            assert path.read_bytes() == (json.dumps(
-                {
-                    "page": page,
-                    "phase": "lint",
-                    "count": len(diagnostics),
-                    "diagnostics": [reference_record(d) for d in diagnostics],
-                },
-                sort_keys=True,
-            ) + "\n").encode("utf-8")
+        reference = (json.dumps(
+            {
+                "page": page,
+                "phase": "lint",
+                "count": len(diagnostics),
+                "diagnostics": [reference_record(d) for d in diagnostics],
+            },
+            sort_keys=True,
+        ) + "\n").encode("utf-8")
+        # Given as objects, or encoded as a LintResult holds them.
+        for given_as in (diagnostics, encode_diagnostics(diagnostics)):
+            # A fresh path per write: the spill truncates it on first write.
+            with tempfile.TemporaryDirectory() as directory:
+                path = Path(directory) / "pages.jsonl"
+                with PageSpill(path) as spill:
+                    spill.write_page(page, given_as)
+                assert path.read_bytes() == reference
 
     @encoder_settings
     @given(diagnostics_with(awkward_text))  # 1 and "1" would be one JSON key
@@ -339,3 +342,56 @@ class TestNoDiagnosticsInTheParent:
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         )
         assert finished.stdout.split() == ["1", "0"], finished.stderr
+
+
+class TestOneEncodingPerCrawledPage:
+    """``poacher --format jsonl --state-dir`` spills each page to
+    ``pages.jsonl`` and streams it to stdout from one encoding."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_the_spill_and_the_stream_share_one_encoding(
+        self, tmp_path, monkeypatch, warm
+    ):
+        import repro.core.reporter
+        import repro.core.service
+        import repro.site.rollup
+        from repro.robot.poacher import Poacher
+        from repro.www.client import UserAgent
+        from tests.edge_site import CRAWL_START, edge_web
+
+        def crawl(report_dir):
+            cache = ResultCache(tmp_path / "cache") if warm else None
+            stream = io.StringIO()
+            Poacher(
+                UserAgent(edge_web()), service=LintService(cache=cache)
+            ).crawl_stream(
+                CRAWL_START,
+                report_dir=report_dir,
+                on_result=JsonlReporter().begin(stream).emit,
+            )
+            return stream.getvalue().splitlines()
+
+        if warm:
+            crawl(tmp_path / "cold")
+        encodings = []
+
+        def counting_encode(diagnostics):
+            encodings.append(1)
+            return encode_diagnostics(diagnostics)
+
+        for module in (repro.core.service, repro.site.rollup, repro.core.reporter):
+            monkeypatch.setattr(module, "encode_diagnostics", counting_encode)
+        lines = crawl(tmp_path / "report")
+        spill = [
+            json.loads(line)
+            for line in (tmp_path / "report" / "pages.jsonl").read_text().splitlines()
+        ]
+        pages = [record for record in spill if "error" not in record]
+        assert pages and len(spill) > len(pages)  # the edge web has failures
+        assert len(encodings) == len(pages)
+        # Both sinks carry the same rows, page by page.
+        streamed = {record.pop("file"): record for record in map(json.loads, lines)}
+        assert {record.pop("page"): record for record in spill} == {
+            name: record if "error" in record else {**record, "phase": "lint"}
+            for name, record in streamed.items()
+        }

@@ -639,65 +639,3 @@ class TestResumeFromAnyCut:
                 )
             assert resumed.summary_lines() == summary
             assert [url for url in survived if page_gets(web, url)] == []
-
-
-# ---------------------------------------------------------------------------
-# Streamed site checking
-
-
-class TestStreamedSiteCheck:
-    PAGES = {
-        "index.html": make_document(
-            '<p><a href="a.html">a</a> <a href="sub/b.html#sec">b</a> '
-            '<a href="missing.html">gone</a> <a href="sub/">sub</a> '
-            '<a href="a.html?from=index#top">a again</a></p>'
-        ),
-        "a.html": make_document('<p><a name="top">leaf</a></p>'),
-        "sub/index.html": make_document(
-            '<p><a href="b.html#sec">b</a> <a href="../index.html">up</a></p>'
-        ),
-        "sub/b.html": make_document('<p><a name="sec">anchored</a></p>'),
-        "deep/index.html": make_document("<p>nobody links here either</p>"),
-        "lonely.html": make_document("<p>nobody links here</p>"),
-    }
-
-    def test_streamed_matches_directory_walk(self, tmp_path):
-        from repro.site.sitecheck import SiteChecker
-
-        for name, text in self.PAGES.items():
-            path = tmp_path / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-        with use_registry():
-            walked = SiteChecker(
-                options=Options.with_defaults()
-            ).check_directory(tmp_path)
-            streamed = SiteChecker(
-                options=Options.with_defaults()
-            ).check_pages(sorted(self.PAGES.items()))
-        assert streamed.pages == sorted(self.PAGES)
-        assert sorted(walked.pages) == streamed.pages
-        # Only the resolver's status text tells the two apart here.
-        for page in streamed.pages:
-            assert [
-                (d.message_id, d.line, d.text)
-                for d in streamed.page_diagnostics.get(page, [])
-            ] == [
-                (d.message_id, d.line,
-                 d.text.replace("(file not found)", "(page not found)"))
-                for d in walked.page_diagnostics.get(page, [])
-            ]
-        assert sorted(streamed.link_graph) == sorted(walked.link_graph)
-
-    def test_streamed_analyses_fire(self):
-        from repro.site.sitecheck import SiteChecker
-
-        with use_registry():
-            report = SiteChecker(
-                options=Options.with_defaults()
-            ).check_pages(iter(sorted(self.PAGES.items())))
-        assert report.count("bad-link") == 1
-        assert report.count("orphan-page") == 2
-        assert report.count("bad-fragment") == 0
-        assert ("index.html", "a.html") in report.link_graph
-        assert ("index.html", "sub/index.html") in report.link_graph

@@ -532,14 +532,6 @@ class TestRobotAndClientMetrics:
             assert registry.value("www.bytes_fetched") > 0
             assert registry.snapshot()["www.fetch.latency_ms"]["count"] == 1
 
-    def test_client_counts_cache_hits(self):
-        agent = UserAgent(self._web(), cache=True)
-        with use_registry() as registry:
-            agent.get("http://localhost/index.html")
-            agent.get("http://localhost/index.html")
-            assert registry.value("www.cache.hits") == 1
-            assert registry.value("www.requests") == 1
-
     def test_crawl_records_latency_and_retries(self):
         web = self._FlakyWeb(
             self._web(), flaky={"http://localhost/page1.html"}

@@ -251,30 +251,6 @@ class TestCircuitBreaker:
         assert breaker.open_hosts() == ["h"]
 
 
-class TestCacheRetryInteraction:
-    def test_failures_never_cached(self, web):
-        agent = UserAgent(web, cache=True)
-        assert agent.get("http://h/missing.html").status == 404
-        web.add_page("http://h/missing.html", "now exists")
-        assert agent.get("http://h/missing.html").ok
-
-    def test_cache_misses_counted(self, web):
-        agent = UserAgent(web, cache=True)
-        with use_registry() as registry:
-            agent.get("http://h/a.html")
-            agent.get("http://h/a.html")
-            assert registry.value("www.cache.misses") == 1
-            assert registry.value("www.cache.hits") == 1
-
-    def test_transient_failure_then_cached_success(self, web):
-        web.add_fault("http://h/a.html", status=503, times=1)
-        agent = UserAgent(web, cache=True)
-        assert agent.get("http://h/a.html").status == 503
-        assert agent.get("http://h/a.html").ok  # not served from cache
-        assert agent.get("http://h/a.html").ok  # now it is
-        assert agent.requests_made == 2
-
-
 def build_fault_site(seed: int = FAULT_SEED) -> VirtualWeb:
     """The acceptance scenario: 20% transient 5xx, a dead host, a slow host."""
     web = VirtualWeb(faults=FaultInjector(seed=seed), sleep=no_sleep)

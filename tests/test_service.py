@@ -424,6 +424,38 @@ class TestObservabilityMerge:
         par_hist = parallel.snapshot().get("lint.check_ms")
         assert par_hist["count"] == seq_hist["count"] == len(corpus_dir)
 
+    @pytest.mark.parametrize("path", ["inline", "pooled", "cache hit"])
+    def test_diagnostic_counters_count_every_diagnostic_once(
+        self, corpus_dir, tmp_path, path
+    ):
+        """``lint.diagnostics.<category>`` equals the per-diagnostic
+        tally, and names only the categories that occurred."""
+        from collections import Counter
+
+        from repro.core.cache import ResultCache
+
+        requests = lambda: [LintRequest(PathSource(p)) for p in corpus_dir]  # noqa: E731
+        cache = ResultCache(tmp_path / "cache") if path == "cache hit" else None
+        service = LintService(cache=cache)
+        if cache is not None:
+            service.check_many(requests())
+        with use_registry() as registry:
+            results = service.check_many(
+                requests(), jobs=2 if path == "pooled" else 1
+            )
+            counters = {
+                name.rpartition(".")[2]: value
+                for name, value in registry.snapshot().items()
+                if name.startswith("lint.diagnostics.")
+            }
+            hits = registry.value("cache.lint.hits")
+        tally = Counter(
+            d.category.value for result in results for d in result.diagnostics
+        )
+        assert len(tally) > 1
+        assert counters == dict(tally)
+        assert hits == (len(corpus_dir) if cache is not None else 0)
+
     def test_trace_spans_merge_back(self, corpus_dir):
         service = LintService()
         with use_tracer() as tracer:

@@ -260,19 +260,17 @@ class TestSiteChecker:
         assert ("index.html", "broken.html") in report.link_graph
 
 
-def _walk_and_stream(tmp_path, pages):
-    """The same pages checked as a directory walk and as a page stream."""
+def _walk(tmp_path, pages):
+    """``pages`` written under ``tmp_path`` and checked as a directory."""
     for name, text in pages.items():
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-    walked = SiteChecker().check_directory(tmp_path)
-    streamed = SiteChecker().check_pages(sorted(pages.items()))
-    return walked, streamed
+    return SiteChecker().check_directory(tmp_path)
 
 
 class TestOneSitePolicy:
-    """The walk and the stream share one link and orphan policy."""
+    """``-R``'s one link and orphan policy."""
 
     def test_query_string_is_stripped_before_resolving(self, tmp_path):
         pages = {
@@ -282,15 +280,15 @@ class TestOneSitePolicy:
             ),
             "page.html": make_document("<p>no anchors here</p>"),
         }
-        for report in _walk_and_stream(tmp_path, pages):
-            assert report.count("bad-link") == 0
-            [bad] = [
-                d for d in report.page_diagnostics["index.html"]
-                if d.message_id == "bad-fragment"
-            ]
-            assert bad.arguments["fragment"] == "sec"
-            assert bad.arguments["target"] == "page.html?y=2"
-            assert report.link_graph.count(("index.html", "page.html")) == 2
+        report = _walk(tmp_path, pages)
+        assert report.count("bad-link") == 0
+        [bad] = [
+            d for d in report.page_diagnostics["index.html"]
+            if d.message_id == "bad-fragment"
+        ]
+        assert bad.arguments["fragment"] == "sec"
+        assert bad.arguments["target"] == "page.html?y=2"
+        assert report.link_graph.count(("index.html", "page.html")) == 2
 
     def test_directory_link_names_its_index_page(self, tmp_path):
         pages = {
@@ -302,21 +300,19 @@ class TestOneSitePolicy:
                 '<p><a href="../index.html">home</a></p>'
             ),
         }
-        for report in _walk_and_stream(tmp_path, pages):
-            assert report.count("bad-link") == 0
-            # The fragment of a directory link is judged against the
-            # directory's index page.
-            [bad] = [
-                d for d in report.all_diagnostics()
-                if d.message_id == "bad-fragment"
-            ]
-            assert (bad.arguments["target"], bad.arguments["fragment"]) == (
-                "sub/", "none",
-            )
-            assert report.count("orphan-page") == 0
-            assert report.link_graph.count(
-                ("index.html", "sub/index.html")
-            ) == 3
+        report = _walk(tmp_path, pages)
+        assert report.count("bad-link") == 0
+        # The fragment of a directory link is judged against the
+        # directory's index page.
+        [bad] = [
+            d for d in report.all_diagnostics()
+            if d.message_id == "bad-fragment"
+        ]
+        assert (bad.arguments["target"], bad.arguments["fragment"]) == (
+            "sub/", "none",
+        )
+        assert report.count("orphan-page") == 0
+        assert report.link_graph.count(("index.html", "sub/index.html")) == 3
 
     def test_fragment_into_a_non_html_file_is_not_checked(self, tmp_path):
         (tmp_path / "notes.txt").write_text("plain text, no anchors\n")
@@ -333,12 +329,11 @@ class TestOneSitePolicy:
             "index.html": make_document("<p>home</p>"),
             "deep/index.html": make_document("<p>nobody links here</p>"),
         }
-        for report in _walk_and_stream(tmp_path, pages):
-            orphans = [
-                d.filename for d in report.all_diagnostics()
-                if d.message_id == "orphan-page"
-            ]
-            assert orphans == ["deep/index.html"]
+        orphans = [
+            d.filename for d in _walk(tmp_path, pages).all_diagnostics()
+            if d.message_id == "orphan-page"
+        ]
+        assert orphans == ["deep/index.html"]
 
     def test_resolver_owns_the_status_and_outside_targets(self, tmp_path):
         (tmp_path / "outside.html").write_text(make_document("<p>x</p>"))
@@ -349,16 +344,10 @@ class TestOneSitePolicy:
                 '<a href="gone.html">gone</a></p>'
             ),
         }
-        walked, streamed = _walk_and_stream(site, pages)
-        # On disk the outside file exists; a page stream has no outside.
-        assert [d.text for d in walked.all_diagnostics()
+        # The outside file exists on disk, so only gone.html is broken.
+        assert [d.text for d in _walk(site, pages).all_diagnostics()
                 if d.message_id == "bad-link"] == [
             "target gone.html for link not found (file not found)"
-        ]
-        assert [d.text for d in streamed.all_diagnostics()
-                if d.message_id == "bad-link"] == [
-            "target ../outside.html for link not found (page not found)",
-            "target gone.html for link not found (page not found)",
         ]
 
 

@@ -23,14 +23,14 @@ from repro.robot.frontier import shard_owns
 from repro.robot.traversal import Robot, TraversalPolicy
 from repro.site.links import extract_links
 from repro.site.report import render_text_report
-from repro.site.rollup import PageSpill, SiteRollup
+from repro.site.rollup import SiteRollup
 from repro.site.sitecheck import SiteChecker
 from repro.workload.generator import PageGenerator
 from repro.www.client import UserAgent
 from repro.www.virtualweb import VirtualWeb
 
 from .conftest import make_document
-from .edge_site import EDGE_PAGES
+from .edge_site import write_edge_site
 
 BAD = make_document("<p>unclosed <b>bold\n<p>1 < 2</p>")
 CLEAN = make_document("<p>Nothing wrong here.</p>")
@@ -197,21 +197,53 @@ class TestJsonlReporter:
 # SiteRollup properties
 
 
-def _site_pages(n_pages=24, seed=9):
-    return list(PageGenerator(seed=seed).site(n_pages).items())
+def _write_site(root, pages=None):
+    """A generated site (or ``pages``) written under ``root``."""
+    if pages is None:
+        pages = PageGenerator(seed=9).site(24)
+    for name, text in pages.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return root
 
 
-def _buffered_report(pages):
+def _following_links() -> Options:
     options = Options.with_defaults()
     options.follow_links = True
-    return SiteChecker(service=LintService(options=options)).check_pages(
-        iter(pages), root="prop-site"
-    )
+    return options
+
+
+def _site_check(root, service=None):
+    """``weblint -R`` over ``root``, following links."""
+    if service is None:
+        service = LintService(options=_following_links())
+    return SiteChecker(service=service).check_directory(root)
+
+
+def _site_report(tmp_path):
+    return _site_check(_write_site(tmp_path / "site"))
+
+
+class _ShuffledService(LintService):
+    """Hands each batch's results back in a shuffled completion order,
+    as ``--jobs`` may; ``orders`` keeps the page names in that order."""
+
+    def __init__(self, seed):
+        super().__init__(options=_following_links())
+        self.rng = random.Random(seed)
+        self.orders = []
+
+    def iter_check(self, requests, jobs=1):
+        results = list(super().iter_check(requests, jobs=jobs))
+        self.rng.shuffle(results)
+        self.orders.append([result.name for result in results])
+        yield from results
 
 
 class TestSiteRollup:
-    def test_from_report_matches_legacy_counts(self):
-        report = _buffered_report(_site_pages())
+    def test_from_report_matches_legacy_counts(self, tmp_path):
+        report = _site_report(tmp_path)
         rollup = SiteRollup.from_report(report, navigation=False)
         assert rollup.pages == len(report.pages)
         assert rollup.total_messages == report.count()
@@ -221,8 +253,8 @@ class TestSiteRollup:
             == len(report.pages_with_problems())
         )
 
-    def test_render_parity_between_report_and_rollup(self):
-        report = _buffered_report(_site_pages())
+    def test_render_parity_between_report_and_rollup(self, tmp_path):
+        report = _site_report(tmp_path)
         assert render_text_report(report) == render_text_report(
             SiteRollup.from_report(report)
         )
@@ -239,30 +271,29 @@ class TestSiteRollup:
             (3, "zebra.html"),
         ]
 
-    def test_streamed_rollup_is_arrival_order_independent(self):
+    def test_site_check_is_completion_order_independent(self, tmp_path):
         # A generated site, and the edge-case site's directory links,
         # query strings, fragments and subdirectory index pages.
-        for pages in (_site_pages(), sorted(EDGE_PAGES.items())):
-            report = _buffered_report(pages)
-            reference = SiteRollup.from_report(report)
-            rng = random.Random(4)
-            for _ in range(3):
-                shuffled = list(pages)
-                rng.shuffle(shuffled)
-                options = Options.with_defaults()
-                options.follow_links = True
-                rollup = SiteChecker(
-                    service=LintService(options=options)
-                ).check_pages(
-                    iter(shuffled),
-                    root="prop-site",
-                    rollup=SiteRollup(root="prop-site"),
-                )
-                assert rollup.to_payload() == reference.to_payload()
+        roots = (
+            _write_site(tmp_path / "generated"),
+            write_edge_site(tmp_path / "edge"),
+        )
+        for root in roots:
+            reference = _site_check(root)
+            payload = SiteRollup.from_report(reference).to_payload()
+            walk_order = [str(root / page) for page in reference.pages]
+            orders = []
+            for seed in range(3):
+                service = _ShuffledService(seed)
+                report = _site_check(root, service=service)
+                orders.extend(service.orders)
+                assert report == reference
+                assert SiteRollup.from_report(report).to_payload() == payload
+            assert any(order != walk_order for order in orders)
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-    def test_partitioned_rollups_merge_to_the_whole(self, shards):
-        report = _buffered_report(_site_pages())
+    def test_partitioned_rollups_merge_to_the_whole(self, tmp_path, shards):
+        report = _site_report(tmp_path)
         reference = SiteRollup.from_report(report, navigation=False)
         parts = [SiteRollup(root=report.root) for _ in range(shards)]
         for page in report.pages:
@@ -274,49 +305,21 @@ class TestSiteRollup:
             owner = next(
                 k for k in range(shards) if shard_owns(source, shards, k)
             )
-            parts[owner].note_links(1)
+            parts[owner].link_edges += 1
         merged = parts[0]
         for part in parts[1:]:
             merged.merge(part)
         merged.count_diagnostics(report.site_diagnostics)
         assert merged.to_payload() == reference.to_payload()
 
-    def test_payload_round_trip(self):
-        report = _buffered_report(_site_pages())
+    def test_payload_round_trip(self, tmp_path):
+        report = _site_report(tmp_path)
         rollup = SiteRollup.from_report(report)
         clone = SiteRollup.from_payload(
             json.loads(json.dumps(rollup.to_payload()))
         )
         assert clone == rollup
         assert render_text_report(clone) == render_text_report(rollup)
-
-    def test_spill_records_both_phases(self, tmp_path):
-        pages = _site_pages(8)
-        spill_path = tmp_path / "pages.jsonl"
-        options = Options.with_defaults()
-        options.follow_links = True
-        with PageSpill(spill_path) as spill:
-            SiteChecker(service=LintService(options=options)).check_pages(
-                iter(pages),
-                root="spill-site",
-                rollup=SiteRollup(root="spill-site"),
-                spill=spill,
-            )
-        records = [
-            json.loads(line)
-            for line in spill_path.read_text().splitlines()
-        ]
-        lint = [r for r in records if r.get("phase") == "lint"]
-        assert len(lint) == len(pages)
-        site_counts = sum(
-            r["count"] for r in records if r.get("phase") == "site"
-        )
-        assert site_counts == sum(
-            1
-            for r in records
-            if r.get("phase") == "site"
-            for _ in r["diagnostics"]
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -605,8 +605,8 @@ class TestCrawlProgress:
         clock = FakeClock(100.0)
         _robot, progress = _progress_fixture(clock)
         with use_registry() as registry:
-            registry.inc("www.cache.hits", 3)
-            registry.inc("www.cache.misses", 1)
+            registry.inc("cache.lint.hits", 3)
+            registry.inc("cache.lint.misses", 1)
             # 2 pages/s over the 10s window ending at t=109.
             for second in range(100, 110):
                 clock.now = second

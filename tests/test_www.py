@@ -272,12 +272,6 @@ class TestUserAgent:
         web.add_redirect("http://h/moved-ok", "/a.html")
         assert UserAgent(web).exists("http://h/moved-ok")
 
-    def test_cache(self, web):
-        agent = UserAgent(web, cache=True)
-        agent.get("http://h/a.html")
-        agent.get("http://h/a.html")
-        assert agent.requests_made == 1
-
     def test_user_agent_header_sent(self, web):
         UserAgent(web, agent_name="test-bot/1.0").get("http://h/a.html")
         assert web.request_log[-1].headers.get("User-Agent") == "test-bot/1.0"
