@@ -306,6 +306,16 @@ class ServiceSpecification:
     cascade_heuristics: bool = True
 
 
+def _count_diagnostics(
+    registry: MetricsRegistry, diagnostics: list[Diagnostic]
+) -> None:
+    """Add one result's diagnostics to the ``lint.diagnostics.<category>``
+    counters, one increment per category."""
+    tally = count_by_category(diagnostics, include_zero=False)
+    for category, count in tally.items():
+        registry.inc(f"lint.diagnostics.{category}", count)
+
+
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalise a ``--jobs`` value: ``0``/``None`` means one per CPU."""
     import os
@@ -491,9 +501,7 @@ class LintService:
             return None, key
         registry = get_registry()
         registry.inc("lint.files")
-        tally = count_by_category(cached.diagnostics, include_zero=False)
-        for category, count in tally.items():
-            registry.inc(f"lint.diagnostics.{category}", count)
+        _count_diagnostics(registry, cached.diagnostics)
         result = LintResult(name=source.name, diagnostics=cached.diagnostics)
         if request.links:
             if cached.links is None:
@@ -545,9 +553,7 @@ class LintService:
                 diagnostics=len(diagnostics),
                 duration_ms=round(elapsed_ms, 3),
             )
-        tally = count_by_category(diagnostics, include_zero=False)
-        for category, count in tally.items():
-            registry.inc(f"lint.diagnostics.{category}", count)
+        _count_diagnostics(registry, diagnostics)
         return LintResult(
             name=source.name,
             diagnostics=diagnostics,

@@ -270,11 +270,7 @@ class Poacher:
             # The spill and ``on_result`` write the same encoded rows:
             # the result encodes its diagnostics once, for both.
             if spill is not None:
-                spill.write_page(
-                    result.name,
-                    result.encoded if result.ok else (),
-                    error=result.error,
-                )
+                spill.write_page(result)
             if on_result is not None:
                 on_result(result)
 

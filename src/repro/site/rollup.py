@@ -33,8 +33,9 @@ from bisect import insort
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from repro.core.diagnostics import Diagnostic, EncodedDiagnostics, encode_diagnostics
+from repro.core.diagnostics import Diagnostic
 from repro.core.messages import Category
+from repro.core.service import LintResult
 from repro.store import JsonLog, write_atomic
 
 #: How many worst pages a rollup keeps (mirrors SLOWEST_FETCHES_KEPT).
@@ -287,25 +288,18 @@ class PageSpill:
             self._log = JsonLog(self.path, fresh=True)
         self._log.write(line + "\n")
 
-    def write_page(
-        self,
-        page: str,
-        diagnostics: Union[EncodedDiagnostics, Iterable[Diagnostic]],
-        error: Optional[str] = None,
-    ) -> None:
-        """Append ``page``'s record: its ``diagnostics`` -- encoded, as a
-        ``LintResult`` already holds them, or objects, encoded here --
-        or the ``error`` that stopped it."""
-        if error is not None:
-            self._write(json.dumps({"page": page, "error": error}, sort_keys=True))
+    def write_page(self, result: LintResult) -> None:
+        """Append the record of one page's ``result``: the error that
+        stopped the page, or its diagnostics as the result encodes them."""
+        if not result.ok:
+            record = {"page": result.name, "error": result.error}
+            self._write(json.dumps(record, sort_keys=True))
             return
-        if not isinstance(diagnostics, EncodedDiagnostics):
-            diagnostics = encode_diagnostics(diagnostics)
         # The record JsonLog.append would write (sorted keys), rows spliced in.
+        encoded = result.encoded
         self._write(
-            f'{{"count": {diagnostics.count}, '
-            f'"diagnostics": {diagnostics.records}, '
-            f'"page": {json.dumps(page)}, "phase": "lint"}}'
+            f'{{"count": {encoded.count}, "diagnostics": {encoded.records}, '
+            f'"page": {json.dumps(result.name)}, "phase": "lint"}}'
         )
 
     def close(self) -> None:

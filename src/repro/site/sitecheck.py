@@ -14,8 +14,8 @@ from one core, :class:`_SiteCore`, which :meth:`SiteChecker.check_directory`
 (``weblint -R``) feeds each page as its lint result resolves.  Pages may
 arrive in any order (``--jobs`` completes them out of walk order); each
 link resolves as soon as both of its endpoints are known, so the core
-holds the page names, a compact link graph and the still-unresolved
-links -- never every page's text or link list.  A :class:`SiteReport`
+holds the page names, the link graph and the still-unresolved links
+-- never every page's text or link list.  A :class:`SiteReport`
 is a materialised view of the core's findings, and
 :meth:`~repro.site.rollup.SiteRollup.from_report` counts them for the
 site summary.
@@ -45,7 +45,6 @@ from __future__ import annotations
 import os
 import posixpath
 import time
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -225,9 +224,9 @@ class _SiteCore:
 
     Bounded cross-page state: each link resolves the moment both of its
     endpoints are known and the rest park in one table keyed by target,
-    so steady-state memory is the page-name set, a compact integer link
-    graph (for the navigation and orphan analyses) and the
-    currently-unresolved links -- not every page's :class:`Link` list.
+    so steady-state memory is the page-name set, the link graph (for
+    the navigation and orphan analyses) and the currently-unresolved
+    links -- not every page's :class:`Link` list.
     """
 
     def __init__(self, checker: SiteChecker, root: Path) -> None:
@@ -236,9 +235,8 @@ class _SiteCore:
         self.follow = checker.options.follow_links
         self.known: dict[str, int] = {}  # page name -> interned id
         self.names: list[str] = []
-        #: The link graph as a flat (source id, target id) pair array:
-        #: 8 bytes per edge instead of a Python list per page.
-        self.edge_ids = array("L")
+        #: The link graph, as (source, target) page-name pairs.
+        self.edges: list[tuple[str, str]] = []
         #: Anchor-name sets by page id, kept only when non-empty.
         self.anchors: dict[int, set[str]] = {}
         #: target -> [(source id, line, url, link index)] for links whose
@@ -297,7 +295,7 @@ class _SiteCore:
 
     def _link_to(self, target_id: int, entry: tuple[int, int, str, int]) -> None:
         """A link whose target is a checked page: an edge, and its fragment."""
-        self._add_edge(entry[0], target_id)
+        self.edges.append((self.names[entry[0]], self.names[target_id]))
         self._judge_into(target_id, entry)
 
     def _judge_into(self, target_id: int, entry: tuple[int, int, str, int]) -> None:
@@ -305,10 +303,6 @@ class _SiteCore:
         if self.follow:
             anchors = self.anchors.get(target_id, ())
             self._judge(entry, True, "", anchors.__contains__)
-
-    def _add_edge(self, source_id: int, target_id: int) -> None:
-        self.edge_ids.append(source_id)
-        self.edge_ids.append(target_id)
 
     def _judge(self, entry, exists: bool, status: str, defined, kind=_LOCAL) -> None:
         """Keep :func:`judge_link`'s finding on one link, if any."""
@@ -337,7 +331,7 @@ class _SiteCore:
         if self.follow and self.checker.agent is not None:
             self._check_external()
 
-        incoming = build_incoming_counts(self.edge_pairs())
+        incoming = build_incoming_counts(self.edges)
         roots = [
             name for name in self.checker.options.index_filenames
             if name in self.known
@@ -385,12 +379,6 @@ class _SiteCore:
             self._judge(entry, status.ok, status.describe(), None, _EXTERNAL)
         get_registry().inc("site.external_links.checked", checker.checked_count)
 
-    def edge_pairs(self):
-        """The materialised edges as ``(source, target)`` name pairs."""
-        ids = self.edge_ids
-        for index in range(0, len(ids), 2):
-            yield self.names[ids[index]], self.names[ids[index + 1]]
-
     # -- the report ----------------------------------------------------------
 
     def materialise(self, report: SiteReport) -> None:
@@ -403,7 +391,7 @@ class _SiteCore:
             report.page_diagnostics.setdefault(diagnostic.filename, []).append(
                 diagnostic
             )
-        report.link_graph = sorted(self.edge_pairs())
+        report.link_graph = sorted(self.edges)
 
 
 class _FileResolver:

@@ -12,7 +12,8 @@ print on the edge-case sites of ``tests/edge_site.py``:
   then ``rollup.to_payload()``;
 - ``cli-*.txt``: ``poacher`` on the directory edge site -- the default
   output, ``--format jsonl`` (lines sorted), and the ``rollup.json`` /
-  ``report.txt`` / ``pages.jsonl`` merged from ``--shards 2``.
+  ``report.txt`` / ``pages.jsonl`` merged from ``--shards 2``, which is
+  also the ``pages.jsonl`` an unsharded ``--state-dir`` run spills.
 
 Every output must be the same at frontier concurrency 1 and 2, and the
 two modes must agree page by page.
@@ -181,11 +182,21 @@ class TestCliGolden:
             code, out = _poacher_cli(str(site), "-j", jobs, "--state-dir", state)
             assert (code, out) == (1, want)
 
-    def test_jsonl_output(self, site, jobs):
-        code, out = _poacher_cli(str(site), "-j", jobs, "--format", "jsonl")
-        assert code == 1
-        lines = "".join(sorted(out.splitlines(keepends=True)))
-        assert lines == (GOLDEN / "cli-jsonl.txt").read_text()
+    def test_jsonl_output(self, site, tmp_path, jobs):
+        state = str(tmp_path / "state")
+        spill = tmp_path / "state" / "report" / "pages.jsonl"
+        # No state dir, then a cold and a warm one, whose spill holds the
+        # records that merging two shards' spills gives.
+        for extra in ((), ("--state-dir", state), ("--state-dir", state)):
+            code, out = _poacher_cli(str(site), "-j", jobs, "--format", "jsonl", *extra)
+            assert code == 1
+            lines = "".join(sorted(out.splitlines(keepends=True)))
+            assert lines == (GOLDEN / "cli-jsonl.txt").read_text()
+            if extra:
+                records = spill.read_text().splitlines(keepends=True)
+                records.sort(key=lambda line: json.loads(line)["page"])
+                want = (GOLDEN / "cli-merged-pages.jsonl").read_text()
+                assert "".join(records) == want
 
     def test_merged_shards(self, site, tmp_path, jobs):
         state = tmp_path / "state"

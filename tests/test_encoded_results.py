@@ -166,23 +166,20 @@ class TestEncoder:
     @encoder_settings
     @given(diagnostics_strategy, awkward_text)
     def test_page_spill_record_is_the_reference_bytes(self, diagnostics, page):
-        reference = (json.dumps(
-            {
-                "page": page,
-                "phase": "lint",
-                "count": len(diagnostics),
-                "diagnostics": [reference_record(d) for d in diagnostics],
-            },
-            sort_keys=True,
-        ) + "\n").encode("utf-8")
-        # Given as objects, or encoded as a LintResult holds them.
-        for given_as in (diagnostics, encode_diagnostics(diagnostics)):
-            # A fresh path per write: the spill truncates it on first write.
-            with tempfile.TemporaryDirectory() as directory:
-                path = Path(directory) / "pages.jsonl"
-                with PageSpill(path) as spill:
-                    spill.write_page(page, given_as)
-                assert path.read_bytes() == reference
+        # A fresh path per example: the spill truncates it on first write.
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "pages.jsonl"
+            with PageSpill(path) as spill:
+                spill.write_page(LintResult(name=page, diagnostics=diagnostics))
+            assert path.read_bytes() == (json.dumps(
+                {
+                    "page": page,
+                    "phase": "lint",
+                    "count": len(diagnostics),
+                    "diagnostics": [reference_record(d) for d in diagnostics],
+                },
+                sort_keys=True,
+            ) + "\n").encode("utf-8")
 
     @encoder_settings
     @given(diagnostics_with(awkward_text))  # 1 and "1" would be one JSON key
@@ -352,9 +349,6 @@ class TestOneEncodingPerCrawledPage:
     def test_the_spill_and_the_stream_share_one_encoding(
         self, tmp_path, monkeypatch, warm
     ):
-        import repro.core.reporter
-        import repro.core.service
-        import repro.site.rollup
         from repro.robot.poacher import Poacher
         from repro.www.client import UserAgent
         from tests.edge_site import CRAWL_START, edge_web
@@ -379,8 +373,12 @@ class TestOneEncodingPerCrawledPage:
             encodings.append(1)
             return encode_diagnostics(diagnostics)
 
-        for module in (repro.core.service, repro.site.rollup, repro.core.reporter):
-            monkeypatch.setattr(module, "encode_diagnostics", counting_encode)
+        # Every module that imported the encoder calls it under its name.
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro.") and (
+                getattr(module, "encode_diagnostics", None) is encode_diagnostics
+            ):
+                monkeypatch.setattr(module, "encode_diagnostics", counting_encode)
         lines = crawl(tmp_path / "report")
         spill = [
             json.loads(line)
