@@ -10,14 +10,18 @@ a document to the engine and populates afterwards.
 
 Correctness rests entirely on the key.  An entry is addressed by::
 
-    sha256( service fingerprint || 0x00 || document bytes )
+    sha256( service fingerprint || 0x00 || content digest )
 
-where the *service fingerprint* digests everything that can change what
-the engine would emit: the options fingerprint (every semantic field --
-see :meth:`repro.config.options.Options.fingerprint`), the HTML spec
-name, the rule set (registry names + enabled flags, in order), the
-cascade-heuristics switch, the weblint version and the on-disk format
-version.  Change any of them and every key changes,
+where the *content digest* is the document's identity in both caches,
+the hex sha256 of its UTF-8 text (:func:`repro.store.content_digest`),
+which the HTTP cache also names the page's stored body by -- so a page
+the HTTP cache revalidated finds its record without its text being
+read -- and the *service fingerprint* digests everything that can
+change what the engine would emit: the options fingerprint (every
+semantic field -- see :meth:`repro.config.options.Options.fingerprint`),
+the HTML spec name, the rule set (registry names + enabled flags, in
+order), the cascade-heuristics switch, the weblint version and the
+on-disk format version.  Change any of them and every key changes,
 so invalidation is automatic -- there is no "stale entry" state to
 manage, only misses.
 
@@ -27,7 +31,7 @@ Two tiers:
   checks inside one process -- the site checker re-linting a template
   shared by many pages hits this tier;
 - an optional disk tier (``directory=``): one append-only log,
-  ``<directory>/v4/results.jsonl``, shared by every process that opens
+  ``<directory>/v5/results.jsonl``, shared by every process that opens
   the directory.
 
 Each record is one JSON-object line::
@@ -66,8 +70,9 @@ rules that keep it safe:
 - *No fsync.*  An entry lost to a crash is a miss that costs one lint;
   the crc and the torn-tail rule are what keep it from being a wrong hit.
 - *Clearing.*  :meth:`ResultCache.clear` (``weblint --cache-clear``)
-  deletes the log, ``v4/`` once empty, a version-3 log
-  (``<directory>/v3/results.jsonl``), a version-2 segment directory
+  deletes the log, ``v5/`` once empty, the version-4 and version-3
+  logs (``<directory>/v4/results.jsonl``, keyed by the whole text, and
+  ``v3/``), a version-2 segment directory
   (``<directory>/v2/seg-*.log``) and a version-1 tree
   (``<directory>/<key[:2]>/<key>.json`` plus its leftover ``.tmp``
   files); nothing else in the directory.
@@ -97,18 +102,17 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Optional, Sequence, Union
 
 from repro.core import constants
-from repro.core.diagnostics import (
-    Diagnostic,
-    EncodedDiagnostics,
-    diagnostic_from_row,
-    encode_diagnostics,
-)
+from repro.core.diagnostics import Diagnostic, EncodedDiagnostics, diagnostic_from_row
 from repro.html.links import Link
 from repro.obs.metrics import get_registry
-from repro.store import JsonLog
+from repro.store import JsonLog, content_digest
 
-#: Bump when the on-disk entry layout changes; old entries become misses.
-FORMAT_VERSION = 4
+#: Bump when the on-disk entry layout or the key changes; old entries
+#: become misses.
+FORMAT_VERSION = 5
+
+#: The oldest version whose disk tier is one log, ``v<N>/results.jsonl``.
+_FIRST_LOG_VERSION = 3
 
 #: Filename a hit is bound to when the caller names none.
 _UNBOUND = "-"
@@ -161,13 +165,21 @@ def service_fingerprint(
     return hashlib.sha256(payload).digest()
 
 
-def result_key(text: str, fingerprint: bytes) -> str:
-    """The content-addressed cache key for one (document, service) pair."""
-    digest = hashlib.sha256()
-    digest.update(fingerprint)
-    digest.update(b"\x00")
-    digest.update(text.encode("utf-8", errors="surrogatepass"))
-    return digest.hexdigest()
+def result_key(
+    text: Optional[str], fingerprint: bytes, digest: Optional[str] = None
+) -> str:
+    """The content-addressed cache key for one (document, service) pair.
+
+    Hashes the service fingerprint with the document's content digest:
+    ``digest`` when the caller knows it (and ``text`` is then not
+    read), else the digest of ``text``.
+    """
+    if digest is None:
+        digest = content_digest(text)
+    key = hashlib.sha256(fingerprint)
+    key.update(b"\x00")
+    key.update(digest.encode("ascii"))
+    return key.hexdigest()
 
 
 def _crc(key: bytes, body: bytes) -> int:
@@ -266,7 +278,7 @@ class ResultCache:
     def put(
         self,
         key: str,
-        diagnostics: Union[EncodedDiagnostics, Sequence[Diagnostic]],
+        diagnostics: EncodedDiagnostics,
         links: Optional[Sequence[Link]] = None,
         anchors: Optional[Iterable[str]] = None,
     ) -> None:
@@ -274,12 +286,11 @@ class ResultCache:
         ``anchors`` when the lint collected them -- under ``key``
         (memory, then disk).
 
-        ``diagnostics`` come encoded, as a pool worker sends them, or
-        as objects, which are encoded here.
+        ``diagnostics`` come encoded (:attr:`LintResult.encoded
+        <repro.core.service.LintResult.encoded>`), as a pool worker
+        sends them.
         """
         registry = get_registry()
-        if not isinstance(diagnostics, EncodedDiagnostics):
-            diagnostics = encode_diagnostics(diagnostics)
         if diagnostics.rows is None:
             # A plugin rule put something non-JSON in arguments; caching
             # this entry would lose information, so skip it.
@@ -300,10 +311,10 @@ class ResultCache:
     def clear(self) -> int:
         """Drop every entry (both tiers); returns entries removed on disk.
 
-        Removes this format's log, the version-3 log, a version-2
-        segment directory and a version-1 shard tree.  Counts the log's
-        distinct keys and the version-1 entries (one file each); the
-        version-3 log and version-2 segments go unread.
+        Removes this format's log, the version-4 and version-3 logs, a
+        version-2 segment directory and a version-1 shard tree.  Counts
+        the log's distinct keys and the version-1 entries (one file
+        each); the older logs and version-2 segments go unread.
         """
         with self._lock:
             self._memory.clear()
@@ -317,7 +328,8 @@ class ResultCache:
             except OSError:
                 pass
             _sweep(self._path.parent, lambda name: name == _LOG_NAME)
-        _sweep(self.directory / "v3", lambda name: name == _LOG_NAME)
+        for version in range(_FIRST_LOG_VERSION, FORMAT_VERSION):
+            _sweep(self.directory / f"v{version}", lambda name: name == _LOG_NAME)
         _sweep(self.directory / "v2", _V2_SEGMENT.fullmatch)
         legacy = 0
         for name in _listdir(self.directory):

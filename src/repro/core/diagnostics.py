@@ -75,6 +75,29 @@ class EncodedDiagnostics(NamedTuple):
     def count(self) -> int:
         return sum(self.counts.values())
 
+    def followed_by(self, other: "EncodedDiagnostics") -> "EncodedDiagnostics":
+        """These diagnostics, then ``other``'s: what encoding both lists
+        as one would give."""
+        counts = dict(self.counts)
+        for category, count in other.counts.items():
+            counts[category] = counts.get(category, 0) + count
+        rows = (
+            None if self.rows is None or other.rows is None
+            else _join_lists(self.rows, other.rows)
+        )
+        return EncodedDiagnostics(
+            rows, _join_lists(self.records, other.records), counts
+        )
+
+
+def _join_lists(first: str, second: str) -> str:
+    """Two encoded JSON lists as one, with the encoder's separator."""
+    if first == "[]":
+        return second
+    if second == "[]":
+        return first
+    return f"{first[:-1]}, {second[1:]}"
+
 
 #: ``json.dumps(arguments)`` without the encoder ``json.dumps`` builds
 #: on every call: its own C encoder with its defaults, built once.

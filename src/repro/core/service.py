@@ -10,7 +10,9 @@ once:
 
 - :class:`DocumentSource` -- where a document comes from.  Sources read
   lazily and exactly once; the text is cached so a caller can lint *and*
-  post-process (page weight) from a single read.
+  post-process (page weight) from a single read.  A source may know its
+  text's content digest without reading it (a page the HTTP cache
+  revalidated), and a cache hit on that digest reads nothing.
 - :class:`LintRequest` / :class:`LintResult` -- one unit of batch work.
   A failed read or fetch becomes a structured ``LintResult.error``
   instead of an exception, so one bad document never aborts a batch.
@@ -97,6 +99,9 @@ class DocumentSource:
 
     #: Label used as the diagnostics' filename.
     name: str = "-"
+    #: The text's :func:`~repro.store.content_digest` when the source
+    #: knows it without reading the text; the result cache keys on it.
+    digest: Optional[str] = None
     #: Whether instances can be pickled into a worker process unchanged.
     #: Non-portable sources (stdin handles, URL sources bound to a live
     #: agent) are materialised in the parent before fan-out.
@@ -228,10 +233,12 @@ class LintResult:
         error: Optional[str] = None,
         links: Optional[list[Link]] = None,
         anchors: Optional[set[str]] = None,
+        encoded: Optional[EncodedDiagnostics] = None,
     ) -> None:
         self.name = name
         self._diagnostics = [] if diagnostics is None else diagnostics
-        self._encoded: Optional[EncodedDiagnostics] = None
+        #: ``encoded``, when given, is what :attr:`encoded` would give.
+        self._encoded: Optional[EncodedDiagnostics] = encoded
         self.error = error
         self.links = links
         self.anchors = anchors
@@ -426,7 +433,7 @@ class LintService:
     def cache_fingerprint(self) -> bytes:
         """Digest of every configuration axis that can change lint output.
 
-        Combined with the document bytes this forms the
+        Combined with the document's content digest this forms the
         :class:`~repro.core.cache.ResultCache` key; see docs/caching.md
         for the invalidation rules it implies.
         """
@@ -449,12 +456,16 @@ class LintService:
             )
         return self._fingerprint
 
-    def _cache_key(self, text: str) -> Optional[str]:
+    def _cache_key(
+        self, text: Optional[str], digest: Optional[str] = None
+    ) -> Optional[str]:
         """The cache key for ``text`` -- or ``None`` when caching is off.
 
-        Observability runs that exist to watch the engine work
-        (an enabled tracer or an installed profiler) bypass the cache:
-        a span tree or rule profile served from cache would be a lie.
+        ``digest``, the text's content digest when the source knows it,
+        stands in for the text.  Observability runs that exist to watch
+        the engine work (an enabled tracer or an installed profiler)
+        bypass the cache: a span tree or rule profile served from cache
+        would be a lie.
         """
         if self.cache is None:
             return None
@@ -463,7 +474,7 @@ class LintService:
             return None
         from repro.core.cache import result_key
 
-        return result_key(text, self.cache_fingerprint())
+        return result_key(text, self.cache_fingerprint(), digest)
 
     # -- checking ----------------------------------------------------------
 
@@ -484,32 +495,35 @@ class LintService:
         Returns ``(result, None)`` for a document settled here -- a
         cache hit, or unreadable -- and otherwise ``(None, key)``, where
         ``key`` is what a fresh result is stored under (``None`` when
-        caching is off).  Without a cache nothing is read.
+        caching is off).  Without a cache nothing is read, and a source
+        that knows its digest is read only for a record without the
+        links the request wants.
         """
         if self.cache is None:
             return None, None
         source = request.source
+        digest = source.digest
         try:
-            text = source.text()
+            text = source.text() if digest is None else None
+            key = self._cache_key(text, digest)
+            if key is None:
+                return None, None
+            cached = self.cache.get(key, filename=source.name)
+            if cached is None:
+                return None, key
+            links, anchors = cached.links, cached.anchors
+            if request.links and links is None:
+                # Stored by a lint that did not want links: scan for
+                # them, and leave the record as it is.
+                links, anchors = scan_page(source.text())
         except SourceError as exc:
             return self._unreadable(source, exc), None
-        key = self._cache_key(text)
-        if key is None:
-            return None, None
-        cached = self.cache.get(key, filename=source.name)
-        if cached is None:
-            return None, key
         registry = get_registry()
         registry.inc("lint.files")
         _count_diagnostics(registry, cached.diagnostics)
         result = LintResult(name=source.name, diagnostics=cached.diagnostics)
         if request.links:
-            if cached.links is None:
-                # Stored by a lint that did not want links: scan for
-                # them, and leave the record as it is.
-                result.links, result.anchors = scan_page(text)
-            else:
-                result.links, result.anchors = cached.links, cached.anchors
+            result.links, result.anchors = links, anchors
         return result, None
 
     def _store(self, key: Optional[str], result: LintResult) -> LintResult:

@@ -73,6 +73,12 @@ class Link:
             return False
         return self.scheme not in UNCHECKABLE_SCHEMES
 
+    @property
+    def followed(self) -> bool:
+        """Does a crawl follow this reference?  Checkable navigation
+        links only: embedded resources are link-checked, never crawled."""
+        return self.kind != "resource" and self.checkable
+
 
 class LinkFilter:
     """Yield a token stream unchanged, noting its links and anchors.

@@ -359,6 +359,7 @@ def _print_stats(registry, crawl_stats, stream) -> None:
             "robot.fetch.latency_ms",
             "www.retry.attempts",
             "www.conditional.revalidated",
+            "www.conditional.body_reads",
             "cache.lint.hits",
         )
     ):

@@ -97,13 +97,14 @@ class FragmentChecker:
         if absolute not in self._anchors:
             try:
                 response = self.agent.get(absolute)
+                names = (
+                    extract_anchor_names(response.body)
+                    if response.ok and response.is_html
+                    else None
+                )
             except FetchError:
-                response = None
-            self._anchors[absolute] = (
-                extract_anchor_names(response.body)
-                if response is not None and response.ok and response.is_html
-                else None
-            )
+                names = None
+            self._anchors[absolute] = names
         return self._anchors[absolute]
 
     def fragment_defined(

@@ -11,11 +11,15 @@ this class makes a one-liner::
 
 Every crawled page goes through one audit, :meth:`Poacher._audit`: lint
 the body -- the same pass, or the lint cache, yields the page's links
-and anchors, which the robot then follows -- validate each link once in
-link order, and build the page's ``bad-link`` / ``bad-fragment``
-findings.  :meth:`Poacher.crawl` keeps the resulting :class:`PageResult`
-objects as a buffered :class:`CrawlReport`; :meth:`Poacher.crawl_stream`
-folds the same diagnostics into a bounded rollup as pages complete.
+and anchors -- validate each link once in link order, build the page's
+``bad-link`` / ``bad-fragment`` findings, and hand the robot the
+absolute URLs the link check resolved, which it then follows.  The lint
+cache is keyed by the response's content digest, so a page the HTTP
+cache revalidated is audited from its cached record without its stored
+body being read.  :meth:`Poacher.crawl` keeps the resulting
+:class:`PageResult` objects as a buffered :class:`CrawlReport`;
+:meth:`Poacher.crawl_stream` folds the same diagnostics into a bounded
+rollup as pages complete.
 """
 
 from __future__ import annotations
@@ -25,14 +29,20 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.config.options import Options
-from repro.core.diagnostics import Diagnostic
-from repro.core.service import LintRequest, LintResult, LintService, StringSource
+from repro.core.diagnostics import Diagnostic, encode_diagnostics
+from repro.core.service import (
+    DocumentSource,
+    LintRequest,
+    LintResult,
+    LintService,
+    SourceError,
+)
 from repro.robot.frontier import FrontierJournal, shard_owns
 from repro.robot.linkcheck import FragmentChecker, LinkChecker, LinkStatus
-from repro.robot.traversal import CrawlProgress, Robot, TraversalPolicy
+from repro.robot.traversal import CrawlProgress, Robot, TraversalPolicy, followed_urls
 from repro.site.links import Link, judge_link
 from repro.site.rollup import PAGES_FILENAME, ROLLUP_FILENAME, PageSpill, SiteRollup
-from repro.www.client import UserAgent
+from repro.www.client import FetchError, UserAgent
 from repro.www.message import Response
 from repro.www.url import urlparse
 
@@ -57,6 +67,41 @@ class PageResult:
         )
 
 
+class _PageSource(DocumentSource):
+    """A crawled page: known to the lint cache by its response's digest,
+    and read only by a lint that needs the text."""
+
+    def __init__(self, url: str, response: Response) -> None:
+        self.name = url
+        self._response = response
+
+    @property
+    def digest(self) -> str:
+        return self._response.digest
+
+    def _read(self) -> str:
+        try:
+            return self._response.body
+        except FetchError as exc:  # a lost stored body whose refetch failed
+            raise SourceError(str(exc)) from exc
+
+
+@dataclass
+class _Audit:
+    """One page's audit.
+
+    ``lint`` is the page's lint result -- an error when its body could
+    not be read, and then nothing else is set -- ``findings`` its
+    ``bad-link`` / ``bad-fragment`` diagnostics in link order, and
+    ``follow`` the absolute URLs the robot follows from it.
+    """
+
+    lint: LintResult
+    page: PageResult
+    findings: list[Diagnostic] = field(default_factory=list)
+    follow: list[str] = field(default_factory=list)
+
+
 @dataclass
 class CrawlReport:
     """Site-wide crawl summary."""
@@ -70,7 +115,8 @@ class CrawlReport:
     urls_skipped_robots: int = 0
     #: (url, status) for every persistent HTTP error -- broken pages.
     broken_pages: list[tuple[str, int]] = field(default_factory=list)
-    #: (url, error text) for every transport failure.
+    #: (url, error text) for every transport failure, including a page
+    #: whose lost stored body could not be fetched again.
     unreachable_pages: list[tuple[str, str]] = field(default_factory=list)
 
     def page(self, url: str) -> Optional[PageResult]:
@@ -145,33 +191,32 @@ class Poacher:
         self.link_checker = LinkChecker(agent)
         self.fragment_checker = FragmentChecker(agent)
 
-    def _audit(
-        self, url: str, response: Response
-    ) -> tuple[PageResult, list[Diagnostic]]:
+    def _audit(self, url: str, response: Response) -> _Audit:
         """Lint one crawled page and validate each of its links once.
 
-        The one per-page audit behind both crawl modes.  Returns the
-        page's :class:`PageResult` -- which alone also keeps the moved
-        links, because redirects are not problems; its ``links`` are
-        what the robot follows -- and its ``bad-link`` /
-        ``bad-fragment`` diagnostics in link order, as
+        The one per-page audit behind both crawl modes.  Its
+        :class:`PageResult` alone also keeps the moved links, because
+        redirects are not problems; its findings are as
         :func:`~repro.site.links.judge_link` decides them.  A fragment
-        into the page itself is judged by the page's own anchors.
-        With ``follow_links`` off no link is checked at all.
+        into the page itself is judged by the page's own anchors.  The
+        URLs to follow are the ones the link check resolved.  With
+        ``follow_links`` off no link is checked at all, and the followed
+        links are resolved here.
         """
         lint = self.service.check(
-            LintRequest(StringSource(response.body, name=url), links=True)
+            LintRequest(_PageSource(url, response), links=True)
         )
+        result = PageResult(url=url, size_bytes=response.length)
+        audit = _Audit(lint, result)
+        if not lint.ok:
+            return audit
         links, anchors = lint.links, lint.anchors
-        result = PageResult(
-            url=url,
-            diagnostics=lint.diagnostics,
-            links=links,
-            size_bytes=len(response.body),
-        )
-        findings: list[Diagnostic] = []
+        result.diagnostics = lint.diagnostics
+        result.links = links
         if not self.options.follow_links:
-            return result, findings
+            audit.follow = followed_urls(url, links)
+            return audit
+        findings, follow = audit.findings, audit.follow
         fragment_defined = self.fragment_checker.fragment_defined
         this_page = LinkStatus(url=url, status=response.status, ok=True)
         page = urlparse(url)
@@ -180,6 +225,8 @@ class Poacher:
                 status = this_page
             elif link.checkable:
                 status = self.link_checker.check(page, link.url)
+                if link.followed:
+                    follow.append(status.url)
                 if status.ok and status.redirected_to:
                     result.moved_links.append((link, status))
             else:
@@ -199,7 +246,7 @@ class Poacher:
                 result.broken_links.append((link, status))
             else:
                 result.bad_fragments.append(link)
-        return result, findings
+        return audit
 
     def crawl(
         self,
@@ -216,11 +263,16 @@ class Poacher:
         the merged report is identical to an uninterrupted crawl's.
         """
         report = CrawlReport(start_url=start_url)
+        #: (url, error) for pages whose stored body was lost for good.
+        unread: list[tuple[str, str]] = []
 
-        def on_page(url: str, response: Response) -> list[Link]:
-            page = self._audit(url, response)[0]
-            report.pages.append(page)
-            return page.links
+        def on_page(url: str, response: Response) -> list[str]:
+            audit = self._audit(url, response)
+            if audit.lint.ok:
+                report.pages.append(audit.page)
+            else:
+                unread.append((url, audit.lint.error))
+            return audit.follow
 
         self.robot.crawl(start_url, on_page, progress=progress, resume=resume)
         # Pages arrive in completion order; the canonical report sorts
@@ -231,7 +283,7 @@ class Poacher:
         report.pages_http_error = stats.pages_http_error
         report.urls_skipped_robots = stats.urls_skipped_robots
         report.broken_pages = sorted(stats.http_error_urls.items())
-        report.unreachable_pages = sorted(stats.failed_urls.items())
+        report.unreachable_pages = sorted([*stats.failed_urls.items(), *unread])
         return report
 
     def crawl_stream(
@@ -274,12 +326,24 @@ class Poacher:
             if on_result is not None:
                 on_result(result)
 
-        def on_page(url: str, response: Response) -> list[Link]:
-            page, findings = self._audit(url, response)
-            diagnostics = [*page.diagnostics, *findings]
+        def on_page(url: str, response: Response) -> list[str]:
+            audit = self._audit(url, response)
+            lint = audit.lint
+            if not lint.ok:
+                rollup.note_page_error()
+                emit(lint)
+                return audit.follow
+            diagnostics = [*lint.diagnostics, *audit.findings]
             rollup.add_page(url, diagnostics)
-            emit(LintResult(name=url, diagnostics=diagnostics))
-            return page.links
+            if spill is not None or on_result is not None:
+                # The lint result's rows were encoded for its cache
+                # record (or are encoded now, once); only the link
+                # findings are new.
+                encoded = lint.encoded.followed_by(
+                    encode_diagnostics(audit.findings)
+                )
+                emit(LintResult(name=url, diagnostics=diagnostics, encoded=encoded))
+            return audit.follow
 
         try:
             self.robot.crawl(

@@ -6,10 +6,12 @@ default, honours robots.txt, and hands every fetched page to a
 callback.  Both poacher and ad-hoc scripts build on this engine, just
 as the paper's poacher builds on the Perl robot module.
 
-The callback processes the page and returns its links, which the robot
-then follows.  Poacher's callback lints the page and gets the links from
-the same tokenizer pass (or from the lint cache), so a crawled page is
-tokenized once at most.  The robot scans a page for links itself only
+The callback processes the page and returns the absolute URLs the
+robot follows from it (:func:`followed_urls` of its links).  Poacher's
+callback lints the page and gets the links from the same tokenizer pass
+(or from the lint cache), and hands back the URLs its link check has
+already resolved, so a crawled page is tokenized once at most and each
+link is resolved once.  The robot scans a page for links itself only
 when no callback processes it: there is none, or another shard owns the
 page.
 
@@ -56,7 +58,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Callable, Optional
+from typing import IO, Callable, Iterable, Optional
 
 from repro.obs.events import get_event_log
 from repro.obs.export import Ticker
@@ -70,14 +72,21 @@ from repro.robot.frontier import (
 )
 from repro.site.links import Link, scan_page
 from repro.www.client import FetchError, UserAgent
-from repro.www.httpcache import body_digest
 from repro.www.message import Headers, Response
 from repro.www.robotstxt import RobotsTxt
 from repro.www.url import URL, resolve, urlparse
 
-#: ``on_page(url, response) -> links``: process one fetched HTML page and
-#: return its :class:`~repro.site.links.Link` list for the robot to follow.
-PageCallback = Callable[[str, Response], list[Link]]
+#: ``on_page(url, response) -> urls``: process one fetched HTML page and
+#: return the absolute URLs the robot follows from it, in link order
+#: (:func:`followed_urls` of the page's links).
+PageCallback = Callable[[str, Response], list[str]]
+
+
+def followed_urls(page_url: str, links: Iterable[Link]) -> list[str]:
+    """The absolute URLs a crawl follows from the page at ``page_url``:
+    its :attr:`~repro.site.links.Link.followed` links, in link order."""
+    page = urlparse(page_url)
+    return [resolve(page, link.url) for link in links if link.followed]
 
 
 @dataclass
@@ -310,12 +319,10 @@ class Robot:
             )
             try:
                 response = self.agent.get(robots_url)
+                text = response.body if response.ok else ""
             except FetchError:
-                response = None
-            if response is not None and response.ok:
-                self._robots_cache[host_key] = RobotsTxt(response.body)
-            else:
-                self._robots_cache[host_key] = RobotsTxt("")
+                text = ""
+            self._robots_cache[host_key] = RobotsTxt(text)
         return self._robots_cache[host_key]
 
     def allowed(self, url: str | URL) -> bool:
@@ -338,8 +345,8 @@ class Robot:
         """Crawl from ``start_url``; returns the visited URLs sorted.
 
         ``on_page(url, response)`` is called for every successfully
-        fetched HTML page, in completion order, and returns the page's
-        links, which the crawl follows.  The
+        fetched HTML page, in completion order, and returns the absolute
+        URLs the crawl follows from it.  The
         returned list is the canonical (URL-sorted) set of visited
         pages -- byte-identical at any ``concurrency``.  ``progress``
         (a :class:`CrawlProgress`) runs its live ticker for the
@@ -623,9 +630,9 @@ class Robot:
         # The final URL after redirects must never be queued again.
         frontier.mark_seen(response.url)
         self.stats.pages_fetched += 1
-        self.stats.bytes_fetched += len(response.body)
+        self.stats.bytes_fetched += response.length
         registry.inc("robot.pages.fetched")
-        registry.inc("robot.fetch.bytes", len(response.body))
+        registry.inc("robot.fetch.bytes", response.length)
         visited.append(response.url)
         if not response.is_html:
             if live and self.journal is not None:
@@ -640,32 +647,32 @@ class Robot:
         # ``dir/``) a concurrent crawl completes first, exactly one
         # shard processes the page.
         if on_page is not None and self._owns(response.url):
-            links = on_page(response.url, response)
+            targets = on_page(response.url, response)
         else:
             if on_page is not None:
                 registry.inc("robot.frontier.shard_skipped")
-            links = scan_page(response.body)[0]
-
-        page = urlparse(response.url)
-        for link in links:
-            # Embedded resources (images, scripts ...) are link-checked by
-            # poacher but never crawled.
-            if not link.checkable or link.kind == "resource":
-                continue
-            self._offer(resolve(page, link.url), depth + 1, frontier, start)
+            try:
+                targets = followed_urls(
+                    response.url, scan_page(response.body)[0]
+                )
+            except FetchError:  # a lost stored body whose refetch failed
+                targets = []
+        for target in targets:
+            self._offer(target, depth + 1, frontier, start)
         if live and self.journal is not None:
             self.journal.completed(self._ok_record(url, depth, response))
 
     @staticmethod
     def _ok_record(url: str, depth: int, response: Response) -> dict:
+        # A revalidated response knows its digest and length unread.
         return {
             "t": "ok",
             "url": url,
             "final": response.url,
             "d": depth,
-            "sha": body_digest(response.body),
+            "sha": response.digest,
             "ct": response.headers.get("Content-Type", "text/html"),
-            "n": len(response.body),
+            "n": response.length,
             "html": response.is_html,
         }
 

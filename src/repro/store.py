@@ -16,6 +16,9 @@ every read ignores.
 The only ``fsync`` is :meth:`JsonLog.sync`, which the frontier journal
 calls at its checkpoints.  Everything else is atomic against a crash of
 this process, not against a power cut.
+
+Both content-addressed stores -- the HTTP cache's body files and the
+lint cache's records -- know a document by one :func:`content_digest`.
 """
 
 from __future__ import annotations
@@ -23,12 +26,23 @@ from __future__ import annotations
 import contextlib
 import errno
 import fcntl
+import hashlib
 import json
 import os
 import tempfile
 import threading
 from pathlib import Path
 from typing import Iterator, Union
+
+
+def content_digest(text: str) -> str:
+    """A document's identity: the sha256 of its UTF-8 text, in hex.
+
+    The HTTP cache names a stored body by it, and the lint cache keys a
+    result by it, so a page the HTTP cache revalidated finds its lint
+    record without its text being read.
+    """
+    return hashlib.sha256(text.encode("utf-8", errors="surrogatepass")).hexdigest()
 
 
 def write_atomic(path: Union[str, Path], data: bytes) -> None:

@@ -33,7 +33,10 @@ transferring the body (``www.conditional.revalidated``), a changed page
 comes back as a normal 200 and refreshes the store
 (``www.conditional.modified``), and a 304 whose stored body has been
 evicted falls back to one full unconditional GET
-(``www.conditional.lost_body``).  See docs/caching.md.
+(``www.conditional.lost_body``).  The stored response
+(:class:`RevalidatedResponse`) takes its digest and length from the
+index and reads its body from the store only when something asks for
+it (``www.conditional.body_reads``).  See docs/caching.md.
 
 All knobs are off by default: a bare ``UserAgent(web)`` behaves exactly
 like the paper's simple LWP user agent.
@@ -41,6 +44,7 @@ like the paper's simple LWP user agent.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 import zlib
@@ -202,6 +206,60 @@ class _Outcome:
             return None
 
 
+class RevalidatedResponse(Response):
+    """A ``304`` turned back into the response the HTTP cache holds.
+
+    Its :attr:`digest` and :attr:`length` come from the cache's index
+    entry, and its :attr:`body` is read from the store the first time
+    something asks for it (``www.conditional.body_reads``), so a page
+    whose lint record is cached is served without its body being read.
+    A body that turns out to be gone or damaged then is fetched again
+    with one unconditional GET (``www.conditional.lost_body``); if that
+    GET fails, reading :attr:`body` raises :class:`FetchError`.
+    """
+
+    def __init__(self, agent: "UserAgent", entry, url: str) -> None:
+        # Not Response.__init__: it would set the body read lazily here.
+        self.status = entry.status
+        self.url = url
+        self.headers = Headers({"Content-Type": entry.content_type})
+        if entry.etag is not None:
+            self.headers.set("ETag", entry.etag)
+        if entry.last_modified is not None:
+            self.headers.set("Last-Modified", entry.last_modified)
+        self.redirects = ()
+        self._agent = agent
+        self._entry = entry
+        self._body: Optional[str] = None
+
+    @property
+    def body(self) -> str:
+        if self._body is None:
+            get_registry().inc("www.conditional.body_reads")
+            body = self._agent.http_cache.body_for(self._entry)
+            if body is None:
+                response = self._agent._refetch(self._entry.url)
+                get_registry().inc("www.bytes_fetched", len(response.body))
+                if not response.ok:
+                    raise FetchError(
+                        f"could not fetch {self._entry.url}: "
+                        f"{response.status} {response.reason}"
+                    )
+                body = response.body
+            self._body = body
+        return self._body
+
+    @property
+    def length(self) -> int:
+        # An entry from an index that predates lengths: read the body.
+        length = self._entry.length
+        return len(self.body) if length is None else length
+
+    @property
+    def digest(self) -> str:
+        return self._entry.body_sha256
+
+
 class UserAgent:
     """A small, polite HTTP client for the virtual web."""
 
@@ -264,13 +322,12 @@ class UserAgent:
             )
 
         assert response is not None
-        final = Response(
-            status=response.status,
-            url=current,
-            body=response.body,
-            headers=response.headers,
-            redirects=tuple(seen[:-1]),
-        )
+        if len(seen) > 1 or response.url != current:
+            # A copy, not a new Response: a revalidated one keeps its
+            # body unread.
+            response = copy.copy(response)
+            response.url = current
+            response.redirects = tuple(seen[:-1])
         registry.inc("www.requests")
         if len(seen) > 1:
             registry.inc("www.redirects", len(seen) - 1)
@@ -279,7 +336,7 @@ class UserAgent:
         registry.observe(
             "www.fetch.latency_ms", (time.perf_counter() - start) * 1000.0
         )
-        return final
+        return response
 
     # -- the conditional single-hop fetch ---------------------------------------
 
@@ -288,7 +345,7 @@ class UserAgent:
 
         Returns ``(response, wire_bytes)`` where ``wire_bytes`` is the
         body length actually transferred -- zero for a revalidated 304,
-        whose body is resurrected from the :class:`HttpCache`.
+        whose body stays in the :class:`HttpCache` until it is read.
         """
         registry = get_registry()
         entry = None
@@ -300,37 +357,27 @@ class UserAgent:
         if entry is not None:
             registry.inc("www.conditional.requests")
         if response.status == 304 and entry is not None:
-            body = self.http_cache.body_for(entry)
-            if body is None:
+            if not self.http_cache.has_body(entry.body_sha256):
                 # The index outlived the stored body: the validator
-                # matched but there is nothing to serve.  Pay for one
-                # full unconditional GET instead.
-                registry.inc("www.conditional.lost_body")
-                response = self._issue(method, url, None)
-                if self.http_cache is not None and response.ok:
-                    self.http_cache.store(url, response)
+                # matched but there is nothing to serve.
+                response = self._refetch(url)
                 return response, len(response.body)
             registry.inc("www.conditional.revalidated")
-            headers = Headers(
-                {
-                    "Content-Type": entry.content_type,
-                    "Content-Length": str(
-                        len(body.encode("utf-8", errors="surrogatepass"))
-                    ),
-                }
-            )
-            if entry.etag is not None:
-                headers.set("ETag", entry.etag)
-            if entry.last_modified is not None:
-                headers.set("Last-Modified", entry.last_modified)
-            return Response(
-                status=entry.status, url=url, body=body, headers=headers
-            ), 0
+            return RevalidatedResponse(self, entry, url), 0
         if self.http_cache is not None and method == "GET" and response.ok:
             if entry is not None:
                 registry.inc("www.conditional.modified")
             self.http_cache.store(url, response)
         return response, len(response.body)
+
+    def _refetch(self, url: str) -> Response:
+        """One full unconditional GET for a revalidated URL whose stored
+        body is gone; an ok response refreshes the store."""
+        get_registry().inc("www.conditional.lost_body")
+        response = self._issue("GET", url, None)
+        if response.ok:
+            self.http_cache.store(url, response)
+        return response
 
     # -- the resilient single-hop fetch ----------------------------------------
 

@@ -10,11 +10,14 @@ mostly-unchanged site skip almost all of its byte transfer.
 
 :class:`HttpCache` is that client-side store:
 
-- per-URL metadata (validators, status, content type, body digest) in
-  one index;
-- bodies kept content-addressed (sha256), in memory and -- when a
-  ``directory`` is given -- as one file per digest, so two URLs serving
-  identical bytes share one stored body;
+- per-URL metadata (validators, status, content type, body digest and
+  length) in one index;
+- bodies kept content-addressed (:func:`repro.store.content_digest`),
+  in memory and -- when a ``directory`` is given -- as one file per
+  digest, so two URLs serving identical bytes share one stored body.
+  The cache knows which bodies it holds (those it stored, less those
+  evicted, plus one listing of ``bodies/`` at ``load()``), so a ``304``
+  for a body it lacks is known at once;
 - ``save()`` / ``load()`` persist the index atomically as versioned
   JSON; a missing, corrupt or wrong-version index loads as an empty
   cache, never an error -- a crawl always proceeds, at worst cold.
@@ -25,16 +28,17 @@ mostly-unchanged site skip almost all of its byte transfer.
 The consumer is :class:`repro.www.client.UserAgent` (pass
 ``http_cache=``): it sends the stored validators with every GET, turns a
 ``304`` back into the stored response (counted in
-``www.conditional.revalidated``), and falls back to a full unconditional
-GET when a ``304`` arrives but the stored body has been evicted
+``www.conditional.revalidated``) -- whose digest and length come from
+the index, and whose body is read only when something asks for it --
+and falls back to a full unconditional GET when the stored body is gone
 (``www.conditional.lost_body``).  The ``poacher --state-dir`` switch
 wires a persistent instance into a crawl.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,15 +46,16 @@ from typing import Optional, Union
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.store import write_atomic
+from repro.store import content_digest, write_atomic
 from repro.www.message import Response
 
 #: Bump when the index layout changes; old state dirs reload as cold.
+#: (An entry without ``length`` -- written before it was recorded --
+#: still loads; reading its body fills the length in.)
 FORMAT_VERSION = 1
 
-
-def body_digest(body: str) -> str:
-    return hashlib.sha256(body.encode("utf-8", errors="surrogatepass")).hexdigest()
+#: A stored body's file name: ``<digest>.body`` under ``bodies/``.
+_BODY_SUFFIX = ".body"
 
 
 @dataclass
@@ -63,6 +68,9 @@ class CachedEntry:
     body_sha256: str
     etag: Optional[str] = None
     last_modified: Optional[str] = None
+    #: The body's length in characters (``len(body)``); ``None`` for an
+    #: entry an older index holds without it.
+    length: Optional[int] = None
 
     @property
     def has_validators(self) -> bool:
@@ -76,6 +84,7 @@ class CachedEntry:
             "body_sha256": self.body_sha256,
             "etag": self.etag,
             "last_modified": self.last_modified,
+            "length": self.length,
         }
 
     @classmethod
@@ -87,6 +96,7 @@ class CachedEntry:
             body_sha256=raw["body_sha256"],
             etag=raw.get("etag"),
             last_modified=raw.get("last_modified"),
+            length=None if raw.get("length") is None else int(raw["length"]),
         )
 
 
@@ -102,6 +112,8 @@ class HttpCache:
         self.directory = Path(directory) if directory is not None else None
         self._entries: dict[str, CachedEntry] = {}
         self._bodies: dict[str, str] = {}
+        #: Digests of the bodies this cache holds, in memory or on disk.
+        self._held: set[str] = set()
         self._lock = threading.Lock()
         #: Has the index changed since it was last read or written in full?
         self._changed = False
@@ -115,9 +127,27 @@ class HttpCache:
         with self._lock:
             return self._entries.get(url)
 
+    def has_body(self, digest: str) -> bool:
+        """Does the cache hold the body for ``digest``, as far as it knows?
+
+        A body file that vanished or was damaged since :meth:`load`
+        listed it is found out only when it is read.
+        """
+        with self._lock:
+            return digest in self._held
+
     def body_for(self, entry: CachedEntry) -> Optional[str]:
-        """The stored body for ``entry``, or ``None`` if it was evicted."""
-        return self.body_by_digest(entry.body_sha256)
+        """The stored body for ``entry``, or ``None`` if it is gone.
+
+        Reading the body of an entry an older index holds without its
+        length records the length, and the next :meth:`save` writes it.
+        """
+        body = self.body_by_digest(entry.body_sha256)
+        if body is not None and entry.length is None:
+            with self._lock:
+                entry.length = len(body)
+                self._changed = True
+        return body
 
     def body_by_digest(self, digest: str) -> Optional[str]:
         """The stored body for ``digest`` directly, bypassing the index.
@@ -133,25 +163,32 @@ class HttpCache:
             return body
         if self.directory is None:
             return None
+        path = self._body_path(digest)
         try:
-            body = self._body_path(digest).read_text(
-                encoding="utf-8", errors="surrogatepass"
-            )
+            body = path.read_text(encoding="utf-8", errors="surrogatepass")
         except OSError:
-            return None
-        if body_digest(body) != digest:
+            body = None
+        found = body is not None and content_digest(body) == digest
+        if body is not None and not found:
             # A torn or tampered body file must not masquerade as the
-            # validated representation.
-            return None
+            # validated representation; removing it lets a refetch
+            # store the body again.
+            try:
+                path.unlink()
+            except OSError:
+                pass
         with self._lock:
-            self._bodies[digest] = body
-        return body
+            if found:
+                self._bodies[digest] = body
+            else:
+                self._held.discard(digest)
+        return body if found else None
 
     # -- population --------------------------------------------------------
 
     def store(self, url: str, response: Response) -> None:
         """Remember ``response`` (an ok GET) and its validators for ``url``."""
-        digest = body_digest(response.body)
+        digest = content_digest(response.body)
         entry = CachedEntry(
             url=url,
             status=response.status,
@@ -159,10 +196,12 @@ class HttpCache:
             body_sha256=digest,
             etag=response.headers.get("ETag"),
             last_modified=response.headers.get("Last-Modified"),
+            length=len(response.body),
         )
         with self._lock:
             self._entries[url] = entry
             self._bodies[digest] = response.body
+            self._held.add(digest)
             self._changed = True
         if self.directory is not None:
             self._write_body(digest, response.body)
@@ -178,6 +217,7 @@ class HttpCache:
             return
         with self._lock:
             self._bodies.pop(entry.body_sha256, None)
+            self._held.discard(entry.body_sha256)
         if self.directory is not None:
             try:
                 self._body_path(entry.body_sha256).unlink()
@@ -227,11 +267,23 @@ class HttpCache:
         be read in full marks the cache changed, so the next
         :meth:`save` rewrites it.  A missing index is a silent cold
         start; one that does not parse, or parses to the wrong shape,
-        counts in ``www.httpcache.corrupt``.
+        counts in ``www.httpcache.corrupt``.  Also lists the stored
+        bodies, once, for :meth:`has_body`.
         """
         if self.directory is None:
             return 0
         with get_tracer().span("www.httpcache.load"):
+            try:
+                names = os.listdir(self.directory / "bodies")
+            except OSError:
+                names = []
+            held = {
+                name[: -len(_BODY_SUFFIX)]
+                for name in names
+                if name.endswith(_BODY_SUFFIX)
+            }
+            with self._lock:
+                self._held |= held
             try:
                 raw = self._index_path().read_bytes()
             except OSError:
@@ -268,7 +320,7 @@ class HttpCache:
 
     def _body_path(self, digest: str) -> Path:
         assert self.directory is not None
-        return self.directory / "bodies" / f"{digest}.body"
+        return self.directory / "bodies" / f"{digest}{_BODY_SUFFIX}"
 
     def _write_body(self, digest: str, body: str) -> None:
         assert self.directory is not None

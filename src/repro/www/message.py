@@ -8,7 +8,10 @@ robot care (2xx success, 3xx redirect with Location, 404, 5xx).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
+
+from repro.store import content_digest
 
 REASON_PHRASES = {
     200: "OK",
@@ -106,6 +109,16 @@ class Response:
     @property
     def reason(self) -> str:
         return reason_for(self.status)
+
+    @property
+    def length(self) -> int:
+        """The body's length in characters."""
+        return len(self.body)
+
+    @cached_property
+    def digest(self) -> str:
+        """The body's :func:`~repro.store.content_digest`, hashed once."""
+        return content_digest(self.body)
 
     @property
     def ok(self) -> bool:

@@ -43,7 +43,7 @@ from repro.core.cache import (
     result_key,
     service_fingerprint,
 )
-from repro.core.diagnostics import Diagnostic
+from repro.core.diagnostics import Diagnostic, EncodedDiagnostics, encode_diagnostics
 from repro.core.messages import Category
 from repro.core.registry import default_registry
 from repro.core.service import LintRequest, LintService, PathSource, StringSource
@@ -93,14 +93,15 @@ def record_keys(log: Path) -> list[str]:
     return [json.loads(data[start:end])["k"] for start, end in record_spans(log)]
 
 
-def stub_diagnostics(count: int) -> list[Diagnostic]:
-    return [
+def stub_rows(count: int) -> EncodedDiagnostics:
+    """``count`` diagnostics, encoded as ``ResultCache.put`` takes them."""
+    return encode_diagnostics(
         Diagnostic(
             message_id="img-alt", category=Category.WARNING,
             text=f"finding {index}", line=index + 1, column=1,
         )
         for index in range(count)
-    ]
+    )
 
 
 class TestKeyInvalidation:
@@ -332,7 +333,7 @@ def write_from_two_threads(directory: Path, writer: int, per_thread: int) -> Non
 
     def work(thread: int) -> None:
         for index in range(per_thread):
-            cache.put(stress_key(writer, thread, index), stub_diagnostics(index % 4))
+            cache.put(stress_key(writer, thread, index), stub_rows(index % 4))
 
     threads = [threading.Thread(target=work, args=(thread,)) for thread in (0, 1)]
     for thread in threads:
@@ -355,8 +356,8 @@ class TestLinksInRecords:
         links, anchors = scan_page(LINKED_PAGE)
         key, bare = keys_for("linked", "bare")
         writer = ResultCache(tmp_path / "cache")
-        writer.put(key, stub_diagnostics(1), links, anchors)
-        writer.put(bare, stub_diagnostics(1))
+        writer.put(key, stub_rows(1), links, anchors)
+        writer.put(bare, stub_rows(1))
         writer.close()
         found = ResultCache(tmp_path / "cache").get(key)
         assert (found.links, found.anchors) == (links, anchors)
@@ -368,7 +369,7 @@ class TestLinksInRecords:
         """The crc covers the links as well as the rows."""
         [key] = keys_for("linked")
         writer = ResultCache(tmp_path / "cache")
-        writer.put(key, stub_diagnostics(1), *scan_page(LINKED_PAGE))
+        writer.put(key, stub_rows(1), *scan_page(LINKED_PAGE))
         writer.close()
         [log] = logs(tmp_path / "cache")
         data = bytearray(log.read_bytes())
@@ -410,7 +411,7 @@ class TestSegmentLog:
         reader = ResultCache(tmp_path / "cache")
         [key] = keys_for("shared")
         assert reader.get(key) is None  # indexes the directory as it is
-        writer.put(key, stub_diagnostics(2))
+        writer.put(key, stub_rows(2))
         with use_registry() as registry:
             found = reader.get(key, filename="x.html").diagnostics
         assert [d.text for d in found] == ["finding 0", "finding 1"]
@@ -423,7 +424,7 @@ class TestSegmentLog:
         cache_dir = tmp_path / "cache"
         key, absent = keys_for("key", "absent")
         writer = ResultCache(cache_dir)
-        writer.put(key, stub_diagnostics(2))
+        writer.put(key, stub_rows(2))
         writer.close()
         reader = ResultCache(cache_dir)
         assert reader.get(absent) is None  # indexes the whole record
@@ -442,16 +443,16 @@ class TestSegmentLog:
         cache_dir = tmp_path / "cache"
         old, new, later, absent = keys_for("old", "new", "later", "absent")
         holder = ResultCache(cache_dir)
-        holder.put(old, stub_diagnostics(1))
+        holder.put(old, stub_rows(1))
         assert holder.get(absent) is None  # indexes the old log
         other = ResultCache(cache_dir)
         assert other.clear() == 1
-        other.put(new, stub_diagnostics(2))
+        other.put(new, stub_rows(2))
         other.close()
         assert [d.text for d in holder.get(new).diagnostics] == [
             "finding 0", "finding 1",
         ]
-        holder.put(later, stub_diagnostics(1))
+        holder.put(later, stub_rows(1))
         holder.close()
         [log] = logs(cache_dir)
         assert record_keys(log) == [new, later]
@@ -460,7 +461,7 @@ class TestSegmentLog:
         keys = keys_for(*(f"document {index}" for index in range(20)))
         for key in keys:
             cache = ResultCache(tmp_path / "cache")
-            cache.put(key, stub_diagnostics(1))
+            cache.put(key, stub_rows(1))
             cache.close()
         [segment] = logs(tmp_path / "cache")
         assert record_keys(segment) == keys
@@ -503,9 +504,9 @@ class TestSegmentLog:
     def test_collected_instance_releases_its_segment(self, tmp_path):
         a, b = keys_for("a", "b")
         cache = ResultCache(tmp_path / "cache")
-        cache.put(a, [])
+        cache.put(a, encode_diagnostics([]))
         del cache
-        ResultCache(tmp_path / "cache").put(b, [])
+        ResultCache(tmp_path / "cache").put(b, encode_diagnostics([]))
         assert len(logs(tmp_path / "cache")) == 1
 
     def test_forked_child_does_not_hold_the_segment(self, tmp_path):
@@ -515,7 +516,7 @@ class TestSegmentLog:
 
         a, b = keys_for("a", "b")
         cache = ResultCache(tmp_path / "cache")
-        cache.put(a, [])
+        cache.put(a, encode_diagnostics([]))
         context = multiprocessing.get_context("fork")
         started = context.Event()
         child = context.Process(target=announce_then_sleep, args=(started,))
@@ -525,7 +526,7 @@ class TestSegmentLog:
             # announced itself, it has closed what it inherited.
             assert started.wait(30)
             cache.close()
-            ResultCache(tmp_path / "cache").put(b, [])
+            ResultCache(tmp_path / "cache").put(b, encode_diagnostics([]))
             assert len(logs(tmp_path / "cache")) == 1
         finally:
             child.terminate()
@@ -536,7 +537,7 @@ class TestSegmentLog:
         keys = keys_for("first", "second", "third")
         cache = ResultCache(cache_dir)
         for key in keys:
-            cache.put(key, stub_diagnostics(2))
+            cache.put(key, stub_rows(2))
         cache.close()
         [log] = logs(cache_dir)
         _, end = record_spans(log)[-1]
@@ -546,7 +547,7 @@ class TestSegmentLog:
             assert fresh.get(keys[0]) and fresh.get(keys[1])
             assert fresh.get(keys[2]) is None
             assert registry.snapshot().get("cache.lint.corrupt") is None
-            fresh.put(keys[2], stub_diagnostics(2))  # opens the log: cuts the tail
+            fresh.put(keys[2], stub_rows(2))  # opens the log: cuts the tail
             fresh.close()
         assert registry.snapshot().get("cache.lint.corrupt") == 1
         assert record_keys(log) == keys
@@ -563,16 +564,16 @@ class TestSegmentLog:
         cache_dir = tmp_path / "cache"
         a, glued, after, killed = keys_for("a", "glued", "after", "killed")
         holder = ResultCache(cache_dir)
-        holder.put(a, stub_diagnostics(1))  # opens the log
+        holder.put(a, stub_rows(1))  # opens the log
         elsewhere = ResultCache(tmp_path / "elsewhere")
-        elsewhere.put(killed, stub_diagnostics(3))
+        elsewhere.put(killed, stub_rows(3))
         elsewhere.close()
         [other] = logs(tmp_path / "elsewhere")
         [log] = logs(cache_dir)
         with log.open("ab") as handle:  # the killed writer's partial line
             handle.write(other.read_bytes()[:fragment])
-        holder.put(glued, stub_diagnostics(2))
-        holder.put(after, stub_diagnostics(2))
+        holder.put(glued, stub_rows(2))
+        holder.put(after, stub_rows(2))
         holder.close()
         assert len(record_spans(log)) == 3
         with use_registry() as registry:
@@ -595,7 +596,7 @@ class TestSegmentLog:
         cache_dir = tmp_path / "cache"
         a, b, c = keys_for("a", "b", "c")
         cache = ResultCache(cache_dir)
-        cache.put(a, stub_diagnostics(1))
+        cache.put(a, stub_rows(1))
         [log] = logs(cache_dir)
         size = log.stat().st_size
         real_write = os.write
@@ -607,12 +608,12 @@ class TestSegmentLog:
 
         monkeypatch.setattr(os, "write", failing_write)
         with use_registry() as registry:
-            cache.put(b, stub_diagnostics(3))
+            cache.put(b, stub_rows(3))
         monkeypatch.undo()
         assert registry.snapshot().get("cache.lint.write_errors") == 1
         assert log.stat().st_size == size
         assert cache.get(b) is not None  # the memory tier kept it
-        cache.put(c, stub_diagnostics(1))
+        cache.put(c, stub_rows(1))
         cache.close()
         assert record_keys(log) == [a, c]
         assert sorted(cache_dir.rglob("*")) == [log.parent, log]
@@ -623,7 +624,7 @@ class TestSegmentLog:
         cache_dir = tmp_path / "cache"
         old, new, newer = keys_for("old", "new", "newer")
         warm = ResultCache(cache_dir)
-        warm.put(old, stub_diagnostics(1))
+        warm.put(old, stub_rows(1))
         warm.close()
         before = {path: path.stat().st_size for path in cache_dir.rglob("*")}
         tree = [cache_dir, *cache_dir.rglob("*")]
@@ -644,8 +645,8 @@ class TestSegmentLog:
             with use_registry() as registry:
                 cache = ResultCache(cache_dir)
                 assert cache.get(old) is not None
-                cache.put(new, stub_diagnostics(1))
-                cache.put(newer, stub_diagnostics(1))
+                cache.put(new, stub_rows(1))
+                cache.put(newer, stub_rows(1))
                 assert cache.get(new) is not None  # memory-only
                 cache.close()
         finally:

@@ -210,7 +210,7 @@ class TestEncoder:
         cache = ResultCache(tmp_path / "cache")
         with use_registry() as registry:
             cache.put("0" * 64, result.encoded)
-            cache.put("1" * 64, diagnostics)
+            cache.put("1" * 64, encode_diagnostics(diagnostics))
         counts = registry.snapshot()
         assert counts.get("cache.lint.unserialisable") == 2
         assert "cache.lint.stores" not in counts
@@ -343,7 +343,9 @@ class TestNoDiagnosticsInTheParent:
 
 class TestOneEncodingPerCrawledPage:
     """``poacher --format jsonl --state-dir`` spills each page to
-    ``pages.jsonl`` and streams it to stdout from one encoding."""
+    ``pages.jsonl`` and streams it to stdout from one encoding, in which
+    each diagnostic is encoded once: the page's lint rows (encoded for
+    its cache record, or on a hit) and its link findings."""
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_the_spill_and_the_stream_share_one_encoding(
@@ -354,7 +356,7 @@ class TestOneEncodingPerCrawledPage:
         from tests.edge_site import CRAWL_START, edge_web
 
         def crawl(report_dir):
-            cache = ResultCache(tmp_path / "cache") if warm else None
+            cache = ResultCache(tmp_path / "cache")
             stream = io.StringIO()
             Poacher(
                 UserAgent(edge_web()), service=LintService(cache=cache)
@@ -367,10 +369,11 @@ class TestOneEncodingPerCrawledPage:
 
         if warm:
             crawl(tmp_path / "cold")
-        encodings = []
+        encoded = []
 
         def counting_encode(diagnostics):
-            encodings.append(1)
+            diagnostics = list(diagnostics)
+            encoded.extend(diagnostics)
             return encode_diagnostics(diagnostics)
 
         # Every module that imported the encoder calls it under its name.
@@ -386,7 +389,8 @@ class TestOneEncodingPerCrawledPage:
         ]
         pages = [record for record in spill if "error" not in record]
         assert pages and len(spill) > len(pages)  # the edge web has failures
-        assert len(encodings) == len(pages)
+        written = sum(record["count"] for record in pages)
+        assert written and len(encoded) == written
         # Both sinks carry the same rows, page by page.
         streamed = {record.pop("file"): record for record in map(json.loads, lines)}
         assert {record.pop("page"): record for record in spill} == {

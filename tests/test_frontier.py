@@ -27,12 +27,12 @@ from repro.robot.frontier import (
     request_fingerprint,
 )
 from repro.robot.poacher import Poacher
-from repro.robot.traversal import Robot, TraversalPolicy
+from repro.robot.traversal import Robot, TraversalPolicy, followed_urls
 from repro.site.links import extract_links
-from repro.store import read_log
+from repro.store import content_digest, read_log
 from repro.workload import PageGenerator
 from repro.www.client import UserAgent
-from repro.www.httpcache import HttpCache, body_digest
+from repro.www.httpcache import HttpCache
 from repro.www.virtualweb import VirtualWeb
 from tests.conftest import make_document
 
@@ -471,7 +471,7 @@ class TestKillAndResume:
             consumed.append(url)
             if len(consumed) == 3:
                 raise RuntimeError("simulated kill")
-            return extract_links(response.body)
+            return followed_urls(url, extract_links(response.body))
 
         http_cache, journal = self._state(tmp_path, "state")
         with use_registry():
@@ -531,7 +531,7 @@ class TestKillAndResume:
         assert partial.page("http://h/a.html") is not None
         body_file = (
             tmp_path / "state" / "http" / "bodies"
-            / f"{body_digest(SITE['a.html'])}.body"
+            / f"{content_digest(SITE['a.html'])}.body"
         )
         assert body_file.exists()
         body_file.unlink()

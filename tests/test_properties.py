@@ -20,7 +20,7 @@ from repro.baselines.htmlchek import HtmlchekChecker
 from repro.baselines.strict import StrictValidator
 from repro.baselines.tidylike import TidyLikeFixer
 from repro.core.cache import FORMAT_VERSION, ResultCache, result_key
-from repro.core.diagnostics import Diagnostic
+from repro.core.diagnostics import Diagnostic, encode_diagnostics
 from repro.core.messages import Category
 from repro.html.tokenizer import tokenize
 from repro.obs.metrics import use_registry
@@ -244,7 +244,7 @@ class TestCacheSegmentTornTail:
                 os.truncate(log, cut)
                 with use_registry() as registry:
                     writer = ResultCache(directory)
-                    writer.put(new_key, new_rows)
+                    writer.put(new_key, encode_diagnostics(new_rows))
                     writer.close()
                 torn = cut not in ends and cut != 0
                 assert registry.snapshot().get("cache.lint.corrupt", 0) == torn
@@ -277,7 +277,7 @@ def _keys_and_diagnostics(entries) -> tuple[list[str], list[list[Diagnostic]]]:
 def _write_log(directory: str, keys, stored) -> Path:
     cache = ResultCache(directory)
     for key, diagnostics in zip(keys, stored):
-        cache.put(key, diagnostics)
+        cache.put(key, encode_diagnostics(diagnostics))
     cache.close()
     [log] = Path(directory, f"v{FORMAT_VERSION}").glob("*")
     return log

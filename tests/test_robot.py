@@ -7,7 +7,7 @@ import pytest
 from repro.config.options import Options
 from repro.robot.linkcheck import LinkChecker
 from repro.robot.poacher import Poacher
-from repro.robot.traversal import Robot, TraversalPolicy
+from repro.robot.traversal import Robot, TraversalPolicy, followed_urls
 from repro.site.links import extract_links
 from repro.www.client import UserAgent
 from repro.www.virtualweb import VirtualWeb
@@ -73,7 +73,7 @@ class TestTraversal:
         def on_page(url, response):
             links = extract_links(response.body)
             seen.append((url, len(links)))
-            return links  # what the robot follows
+            return followed_urls(url, links)  # what the robot follows
 
         visited = Robot(agent).crawl("http://h/index.html", on_page=on_page)
         assert ("http://h/index.html", 2) in seen

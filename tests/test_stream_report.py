@@ -20,7 +20,7 @@ from repro.core.reporter import JsonlReporter, get_reporter
 from repro.core.service import LintRequest, LintResult, LintService, StringSource
 from repro.obs import use_registry
 from repro.robot.frontier import shard_owns
-from repro.robot.traversal import Robot, TraversalPolicy
+from repro.robot.traversal import Robot, TraversalPolicy, followed_urls
 from repro.site.links import extract_links
 from repro.site.report import render_text_report
 from repro.site.rollup import SiteRollup
@@ -437,7 +437,7 @@ class TestShardOwns:
                 ).crawl(
                     "http://s/index.html",
                     lambda url, response: pages.append(url)
-                    or extract_links(response.body),
+                    or followed_urls(url, extract_links(response.body)),
                 )
         owners = [k for k in (0, 1) if "http://s/sub/" in processed[k]]
         assert owners == [0]
