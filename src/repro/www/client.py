@@ -215,7 +215,9 @@ class RevalidatedResponse(Response):
     whose lint record is cached is served without its body being read.
     A body that turns out to be gone or damaged then is fetched again
     with one unconditional GET (``www.conditional.lost_body``); if that
-    GET fails, reading :attr:`body` raises :class:`FetchError`.
+    GET fails, or serves other text than the one revalidated (the page
+    changed since its ``304``), reading :attr:`body` raises
+    :class:`FetchError`, so no text is taken for another's digest.
     """
 
     def __init__(self, agent: "UserAgent", entry, url: str) -> None:
@@ -245,15 +247,17 @@ class RevalidatedResponse(Response):
                         f"could not fetch {self._entry.url}: "
                         f"{response.status} {response.reason}"
                     )
+                if response.digest != self._entry.body_sha256:
+                    raise FetchError(
+                        f"{self._entry.url} changed since it was revalidated"
+                    )
                 body = response.body
             self._body = body
         return self._body
 
     @property
     def length(self) -> int:
-        # An entry from an index that predates lengths: read the body.
-        length = self._entry.length
-        return len(self.body) if length is None else length
+        return self._entry.length
 
     @property
     def digest(self) -> str:

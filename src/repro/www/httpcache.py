@@ -50,9 +50,8 @@ from repro.store import content_digest, write_atomic
 from repro.www.message import Response
 
 #: Bump when the index layout changes; old state dirs reload as cold.
-#: (An entry without ``length`` -- written before it was recorded --
-#: still loads; reading its body fills the length in.)
-FORMAT_VERSION = 1
+#: (Version 2 added each body's ``length``.)
+FORMAT_VERSION = 2
 
 #: A stored body's file name: ``<digest>.body`` under ``bodies/``.
 _BODY_SUFFIX = ".body"
@@ -66,11 +65,10 @@ class CachedEntry:
     status: int
     content_type: str
     body_sha256: str
+    #: The body's length in characters (``len(body)``).
+    length: int
     etag: Optional[str] = None
     last_modified: Optional[str] = None
-    #: The body's length in characters (``len(body)``); ``None`` for an
-    #: entry an older index holds without it.
-    length: Optional[int] = None
 
     @property
     def has_validators(self) -> bool:
@@ -94,9 +92,9 @@ class CachedEntry:
             status=int(raw["status"]),
             content_type=raw.get("content_type", "text/html"),
             body_sha256=raw["body_sha256"],
+            length=int(raw["length"]),
             etag=raw.get("etag"),
             last_modified=raw.get("last_modified"),
-            length=None if raw.get("length") is None else int(raw["length"]),
         )
 
 
@@ -137,17 +135,8 @@ class HttpCache:
             return digest in self._held
 
     def body_for(self, entry: CachedEntry) -> Optional[str]:
-        """The stored body for ``entry``, or ``None`` if it is gone.
-
-        Reading the body of an entry an older index holds without its
-        length records the length, and the next :meth:`save` writes it.
-        """
-        body = self.body_by_digest(entry.body_sha256)
-        if body is not None and entry.length is None:
-            with self._lock:
-                entry.length = len(body)
-                self._changed = True
-        return body
+        """The stored body for ``entry``, or ``None`` if it is gone."""
+        return self.body_by_digest(entry.body_sha256)
 
     def body_by_digest(self, digest: str) -> Optional[str]:
         """The stored body for ``digest`` directly, bypassing the index.
@@ -194,9 +183,9 @@ class HttpCache:
             status=response.status,
             content_type=response.headers.get("Content-Type", "text/html"),
             body_sha256=digest,
+            length=len(response.body),
             etag=response.headers.get("ETag"),
             last_modified=response.headers.get("Last-Modified"),
-            length=len(response.body),
         )
         with self._lock:
             self._entries[url] = entry

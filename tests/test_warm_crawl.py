@@ -6,9 +6,10 @@ page that revalidates (``304``) and whose lint record is cached is
 audited without its body being read (``HttpCache.body_by_digest`` is
 never called).  A body is read -- once, its digest checked -- only for a
 lint that misses; a body that is gone or damaged by then is fetched
-again, and a failed refetch is that page's error, not the crawl's.
-State an older version wrote (an index without lengths, a version-4
-lint log, a frontier journal) still gives the same report.
+again, and a failed refetch, or one that serves other text, is that
+page's error, not the crawl's.  State an older version wrote (a
+version-1 index without lengths, a version-4 lint log, a frontier
+journal) reloads cold and still gives the same report.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.config.options import Options
-from repro.core.cache import ResultCache
+from repro.core.cache import ResultCache, result_key
 from repro.core.reporter import JsonlReporter
 from repro.core.service import LintService
 from repro.obs import use_registry
@@ -33,7 +34,8 @@ from repro.store import content_digest
 from repro.workload import PageGenerator
 from repro.www.client import UserAgent
 from repro.www.faults import ConnectionFault
-from repro.www.httpcache import HttpCache
+from repro.www.httpcache import FORMAT_VERSION as HTTP_INDEX_VERSION, HttpCache
+from repro.www.message import Headers, Response
 from repro.www.virtualweb import VirtualWeb
 
 SITE = PageGenerator(seed=11).site(40)
@@ -242,6 +244,51 @@ class TestLostBodies:
             assert f"  unreachable page {page}: could not fetch {page}" in warm
             assert f"  {page}: " not in warm
 
+    def test_a_refetch_that_serves_other_text_is_the_pages_error(
+        self, site_dir, tmp_path, monkeypatch
+    ):
+        """The page changed between its ``304`` and the read of its lost
+        body: the new text is not linted under the old text's digest."""
+        web = mount(site_dir)
+        state = tmp_path / "state"
+        crawl(web, state)
+        page = ROOT + "index.html"
+        body_file(state, "index.html").unlink()
+        original_load = HttpCache.load
+
+        def load_stale(self):
+            loaded = original_load(self)
+            self._held.add(content_digest(SITE["index.html"]))
+            return loaded
+
+        monkeypatch.setattr(HttpCache, "load", load_stale)
+
+        class ChangedSinceItsValidator:
+            """Answers conditional GETs as before; a full GET of
+            ``page`` serves new text."""
+
+            def handle(self, request):
+                if request.url == page and "If-None-Match" not in request.headers:
+                    return Response(
+                        status=200, url=page, body="<p>changed</p>",
+                        headers=Headers({"Content-Type": "text/html"}),
+                    )
+                return web.handle(request)
+
+        with use_registry() as registry:
+            warm = crawl(
+                ChangedSinceItsValidator(), state, stream=True, options=pedantic()
+            )
+        assert registry.value("www.conditional.lost_body") == 1
+        records = [json.loads(line) for line in warm.splitlines() if line.startswith("{")]
+        errors = [record for record in records if "error" in record]
+        assert [record["file"] for record in errors] == [page]
+        assert "changed since it was revalidated" in errors[0]["error"]
+        # Nothing was stored under the old text's key.
+        fingerprint = LintService(options=pedantic()).cache_fingerprint()
+        old_key = result_key(None, fingerprint, content_digest(SITE["index.html"]))
+        assert ResultCache(state / "lint").get(old_key) is None
+
     def test_a_failed_refetch_leaves_a_robot_scan_going(
         self, site_dir, tmp_path, monkeypatch
     ):
@@ -261,13 +308,14 @@ class TestLostBodies:
 
 
 class TestStateAnOlderVersionWrote:
-    """An HTTP index without lengths, a version-4 lint log and a
+    """A version-1 HTTP index (no lengths), a version-4 lint log and a
     frontier journal, as the version before this layout left them."""
 
     @staticmethod
     def age(state: Path) -> None:
         index_path = state / "http" / "index.json"
         index = json.loads(index_path.read_text())
+        index["version"] = 1
         for entry in index["entries"].values():
             del entry["length"]
         index_path.write_text(json.dumps(index, indent=2, sort_keys=True))
@@ -281,18 +329,25 @@ class TestStateAnOlderVersionWrote:
         cold = crawl(web, state, stream=True)
         self.age(state)
         body_reads.clear()
-        # Slow once: every lint misses and every body is read, which
-        # records its length in the index.
-        assert crawl(web, state, stream=True) == cold
-        assert len(body_reads) == len(SITE)
+        # Slow once: the old index reloads cold, so every page is
+        # fetched in full and linted again, and the index is rewritten
+        # with lengths.
+        with use_registry() as registry:
+            assert crawl(web, state, stream=True) == cold
+        assert registry.value("www.httpcache.corrupt") == 1
+        assert registry.value("www.conditional.requests") == 0
+        assert registry.value("cache.lint.misses") == len(SITE)
+        assert body_reads == []
         index = json.loads((state / "http" / "index.json").read_text())
+        assert index["version"] == HTTP_INDEX_VERSION == 2
         assert all(
             entry["length"] == len(SITE[url[len(ROOT):]])
             for url, entry in index["entries"].items()
         )
-        body_reads.clear()
-        assert crawl(web, state, stream=True) == cold
+        with use_registry() as registry:
+            assert crawl(web, state, stream=True) == cold
         assert body_reads == []
+        assert registry.value("www.conditional.revalidated") == len(SITE)
         # The version-4 log was never read, and clearing removes it.
         assert (state / "lint" / "v4" / "results.jsonl").exists()
         ResultCache(state / "lint").clear()
